@@ -13,9 +13,8 @@ same SSA value at the same (level, digits), and rewrites each profitable
 group into one :data:`~repro.ir.HOIST_MODUP` (inserted where the first
 group member sat, so the stream stays in dataflow order) plus
 :data:`~repro.ir.ROTATE_HOISTED` ops for the members.  The raised digits
-become an ordinary named intermediate, so the reuse scheduler
-(`repro.compiler.ordering`) keeps them register-file-resident across the
-whole group and the Belady register file sizes them correctly
+become an ordinary named intermediate, so the Belady register file keeps
+them resident across the whole group and sizes them correctly
 (:func:`repro.core.cost.raised_words`).
 
 Group members rotating by the *same amount* (bootstrapping's per-tile
@@ -52,9 +51,8 @@ automorphisms with nothing to share, so both are skipped.
 
 The pass is deterministic (groups follow stream order; the gate is a
 pure cost-model comparison), which the compile cache
-(`repro.compiler.cache`) relies on to substitute a stored artifact for
-a recompile; behavior changes here that alter output for an unchanged
-input require a ``FORMAT_VERSION`` bump (see docs/COMPILER.md).
+(`repro.compiler.cache`) relies on to substitute a stored schedule for
+a recompile.
 """
 
 from __future__ import annotations
@@ -63,15 +61,6 @@ from repro.core.config import ChipConfig
 from repro.core.cost import op_cost, op_latency
 from repro.ir import HOIST_MODUP, ROTATE, ROTATE_HOISTED, HomOp, Program
 from repro.obs import collector as obs
-
-_REFERENCE_CFG: ChipConfig | None = None
-
-
-def _reference_cfg() -> ChipConfig:
-    global _REFERENCE_CFG
-    if _REFERENCE_CFG is None:
-        _REFERENCE_CFG = ChipConfig()
-    return _REFERENCE_CFG
 
 
 def hoist_rotations(program: Program, cfg: ChipConfig | None = None,
@@ -83,7 +72,7 @@ def hoist_rotations(program: Program, cfg: ChipConfig | None = None,
     considered (the cost test already rejects singletons).
     """
     with obs.span("compiler.hoist_rotations", "compiler"):
-        return _hoist_rotations(program, cfg or _reference_cfg(), min_group)
+        return _hoist_rotations(program, cfg or ChipConfig(), min_group)
 
 
 def _hoist_rotations(program: Program, cfg: ChipConfig,

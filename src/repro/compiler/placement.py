@@ -15,7 +15,7 @@ tests can reason about placement without building full programs;
 Placement is an *emission-time* decision: workloads consult it while
 the DSL builds the op stream, so its outcome is fully captured in the
 emitted IR.  The compile cache's fingerprint therefore covers it for
-free - no separate placement flag exists or is needed (docs/COMPILER.md).
+free (docs/COMPILER.md).
 """
 
 from __future__ import annotations

@@ -52,14 +52,6 @@ class ChipConfig:
     fu_stage_latency: int = 150
     serial_execution: bool = True
 
-    # Decoupled data orchestration lookahead (Sec. 6): how many ops ahead
-    # of the compute head the memory stream may fetch operands, reserving
-    # them in the register file under Belady next-use.  Depth 1 is the
-    # classic recurrence (an op's data streams only once the compute head
-    # reaches it); deeper windows hide operand latency behind earlier
-    # ops' compute at the price of earlier RF residency.
-    prefetch_depth: int = 1
-
     # Feature flags (Table 4 ablations + Sec. 9.4 variant)
     kshgen: bool = True               # generate half of each KSH on the fly
     crb: bool = True                  # CRB unit present
@@ -102,11 +94,6 @@ class ChipConfig:
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be >= 1",
                                   **{attr: getattr(self, attr)})
-        if self.prefetch_depth < 1:
-            raise ConfigError(
-                "prefetch window must cover at least the current op",
-                prefetch_depth=self.prefetch_depth,
-            )
 
     # -- derived quantities --------------------------------------------------
 
@@ -152,7 +139,7 @@ class ChipConfig:
         lowered schedules, so `repro.compiler.cache.fingerprint` treats
         them as the same machine.  Every other field feeds the cost
         model, the simulator, or a pass gate and so invalidates cached
-        artifacts when changed.  See docs/COMPILER.md.
+        schedules when changed.  See docs/COMPILER.md.
         """
         key = asdict(self)
         del key["name"]
@@ -200,12 +187,6 @@ class ChipConfig:
             register_file_mb=megabytes,
         )
 
-    def with_prefetch_depth(self, depth: int) -> "ChipConfig":
-        """Data-orchestration lookahead sweep: stream operands for up to
-        ``depth`` ops ahead of the compute head."""
-        return replace(
-            self, name=f"{self.name}-pf{depth}", prefetch_depth=depth,
-        )
 
 # Traffic multiplier of residue-polynomial tiling vs CraterLake's
 # polynomial tiling (Sec. 4.3: "incurs over 2.4x more traffic").

@@ -13,25 +13,20 @@ modeling
   consumer issues, so dead values never occupy capacity or surface as
   Belady victims;
 * HBM as a bandwidth-limited stream, overlapped with compute through
-  decoupled data orchestration: a lookahead prefetcher streams operands
-  for up to ``ChipConfig.prefetch_depth`` ops ahead of the compute head,
-  reserving them in the register file under their Belady next-use.
-  Depth 1 is the classic recurrence (memory for op i streams when the
-  compute head reaches it, overlapping op i-1's compute); deeper windows
-  hide operand streams behind earlier ops' compute.
+  decoupled data orchestration: memory for op i streams when the
+  compute head reaches it, overlapping op i-1's compute.
 
 Outputs match what the paper's evaluation reports: execution time, FU and
 bandwidth utilization (Fig. 9), off-chip traffic split into KSH / inputs /
 intermediate loads / stores (Fig. 10a), and activity counts the energy
 model converts into the Fig. 10b power breakdown.  Scheduling-quality
-observables (Belady evictions, dead drops, prefetch hits, and the
-stall-cause split) land both on :class:`SimResult` and, when tracing is
+observables (Belady evictions, dead drops, and compute stalls on
+memory) land both on :class:`SimResult` and, when tracing is
 enabled, as ``sim.*`` counters (see docs/TRACING.md).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig
@@ -81,11 +76,7 @@ class SimResult:
     # collector).
     rf_evictions: int = 0          # Belady victims displaced under pressure
     dead_drops: int = 0            # residents released on their last use
-    prefetch_hits: int = 0         # operand fetches already streamed ahead
     stall_cycles: float = 0.0      # compute cycles lost waiting on memory
-    prefetch_window_stall_cycles: float = 0.0  # stall share a deeper
-    #                                window could have hidden (operand
-    #                                streams issued only at the head)
     # Critical-path cycles attributed to each op tag (FheBuilder.phase
     # label; "" for untagged ops).  Each op's critical-path advance lands
     # in its tag's bucket, so the buckets telescope exactly to
@@ -237,7 +228,7 @@ def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]
 
 
 def simulate(program: Program, cfg: ChipConfig,
-             checkpoint_every: int = 0, cache=None,
+             checkpoint_every: int = 0, *,
              extra_streams: dict[str, tuple[float, float]] | None = None,
              chip: int | None = None,
              overlap_streams: dict[str, tuple[float, float]] | None = None,
@@ -257,10 +248,9 @@ def simulate(program: Program, cfg: ChipConfig,
     carries the stream concurrently with compute, and only the stream's
     memory-system crossing claims memory cycles - at HBM rate when the
     link is the slower side (the crossing hides in otherwise-idle
-    bandwidth the way ``prefetch_depth`` claims free capacity), at the
-    stream's own rate when the stream itself is the bottleneck
-    (bandwidth-bound fallback, which degenerates to serialized
-    charging).  The final cycle count becomes
+    bandwidth), at the stream's own rate when the stream itself is the
+    bottleneck (bandwidth-bound fallback, which degenerates to
+    serialized charging).  The final cycle count becomes
     ``max(compute, memory, busiest port)`` - the ``max(compute, comm)``
     shape of a pipelined stage - and is never worse than the serialized
     model (reported in ``serialized_cycles``; the gap lands in
@@ -281,34 +271,14 @@ def simulate(program: Program, cfg: ChipConfig,
     advances the memory clock, making the resilience bandwidth cost
     visible in the same units as Fig. 10a's traffic split.
 
-    ``cache`` routes the program through the compiler's lowering
-    pipeline (`repro.compiler.cache.compile_program`: hoisting +
-    pressure scheduling behind the content-addressed compile cache)
-    before simulating - the compile-once/run-many entry path for
-    repeated inference.  Accepts ``True`` (the default process-wide
-    cache), a directory path, or a ``CompileCache``.  The default
-    (``None``, overridable with ``REPRO_COMPILE_CACHE=1``) simulates
-    the given op stream exactly as passed, with no lowering and no
-    caching, so existing results are unchanged.  See docs/COMPILER.md.
+    The op stream is simulated exactly as passed; lowering it is the
+    compiler's job (`repro.compiler.cache.compile_program`).
     """
-    if cache is None and os.environ.get("REPRO_COMPILE_CACHE", "") in (
-            "1", "on", "true"):
-        cache = True
-    if cache:
-        from repro.compiler.cache import compile_program
-
-        program = compile_program(program, cfg, cache=cache)
     validate_program(program, cfg)
     n = program.degree
     ops = program.ops
-    n_ops = len(ops)
-    depth = cfg.prefetch_depth
     rf = _RegisterFile(cfg.register_file_words)
     next_use = _next_use_table(program)
-    # Where each value is materialized on chip; INPUT results live in
-    # memory from the start (client data), so they are prefetchable.
-    producer = {op.result: i for i, op in enumerate(ops)
-                if op.kind not in (INPUT, OUTPUT)}
 
     fu_busy: dict[str, float] = {}
     prev_result: str | None = None
@@ -321,35 +291,20 @@ def simulate(program: Program, cfg: ChipConfig,
     comp_clock = 0.0
     words_per_cycle = cfg.hbm_words_per_cycle
 
-    # Per-op costs and fetch plans, precomputed so the prefetcher can
-    # stream a future op's operands before the compute head reaches it.
-    costs = [op_cost(cfg, op, n) if op.kind not in (INPUT, OUTPUT) else None
-             for op in ops]
-    plans = [_fetch_plan(op, costs[i], n) for i, op in enumerate(ops)]
-    issued = [False] * n_ops       # op's fetch plan already streamed
-    ready_at = [0.0] * n_ops       # mem clock when the op's stream was done
-    prefetched: set[str] = set()   # residents brought in ahead of their op
-
     # Per-op observability accumulators; fetch paths increment them, the
     # head loop resets them per op and folds them into the run totals.
     evicted = [0]
     dead_drops = [0]
-    hits = [0]
     total_evictions = 0
     total_dead_drops = 0
-    total_hits = 0
     total_stall = 0.0
-    total_window_stall = 0.0
 
     def fetch(obj: str, words: float, category: str, uses_at: float) -> float:
         """Ensure obj is resident for the compute head; return words moved
-        from memory (0 when already resident, e.g. reuse or prefetch)."""
+        from memory (0 when already resident, e.g. reuse)."""
         record = rf.lookup(obj)
         if record is not None:
             record.next_use = uses_at
-            if obj in prefetched:
-                prefetched.discard(obj)
-                hits[0] += 1
             return 0.0
         moved = words
         if category == KSH:
@@ -359,33 +314,12 @@ def simulate(program: Program, cfg: ChipConfig,
         else:
             traffic["interm_load"] += words
         dirty = category == INTERM
-        for victim, vrec in rf.insert(obj, words, category, dirty, uses_at):
-            prefetched.discard(victim)
+        for _, vrec in rf.insert(obj, words, category, dirty, uses_at):
             evicted[0] += 1
             if vrec.dirty and vrec.next_use != _INF:
                 traffic["interm_store"] += vrec.words
                 moved += vrec.words
         return moved
-
-    def prefetch(obj: str, words: float, category: str, target: int) -> float:
-        """Stream obj ahead of its op; reserved under Belady next-use
-        ``target`` (the op that will consume it).  Returns words moved.
-
-        Prefetch claims only free capacity - it never evicts a resident.
-        Displacing data the compute head still needs for data a *future*
-        op needs is how lookahead turns into thrash (fetch, lose, fetch
-        again); under pressure the window simply stops growing and the
-        head fetches at its own turn, exactly as at depth 1."""
-        record = rf.lookup(obj)
-        if record is not None:
-            # Already resident (reuse, or an earlier window op fetched
-            # it); keep the nearest use so Belady never under-protects it.
-            record.next_use = min(record.next_use, target)
-            return 0.0
-        if rf.used + words > rf.capacity:
-            return 0.0
-        prefetched.add(obj)
-        return fetch(obj, words, category, target)
 
     def dead_sweep(op, uses: dict[str, float]) -> None:
         """Free-on-last-use: release residents this op touched whose next
@@ -435,15 +369,12 @@ def simulate(program: Program, cfg: ChipConfig,
             tr.count("sim.rf_evictions", evicted[0])
         if dead_drops[0]:
             tr.count("sim.dead_drops", dead_drops[0])
-        if hits[0]:
-            tr.count("sim.prefetch_hits", hits[0])
 
     for i, op in enumerate(ops):
         uses = next_use[i]
         mem_words = 0.0
         evicted[0] = 0
         dead_drops[0] = 0
-        hits[0] = 0
         crit_before = max(comp_clock, mem_clock)
         mem_before = mem_clock
 
@@ -475,28 +406,24 @@ def simulate(program: Program, cfg: ChipConfig,
                        0.0, words)
             continue
 
-        # Operand residency: stream this op's remaining fetches (all of
-        # them at depth 1; at deeper windows most were prefetched and
-        # count as hits, and only prefetch victims are re-fetched here).
-        for obj, words, category in plans[i]:
+        # Operand residency: stream everything this op needs that is not
+        # already resident.
+        cost = op_cost(cfg, op, n) if op.kind != INPUT else None
+        for obj, words, category in _fetch_plan(op, cost, n):
             mem_words += fetch(obj, words, category, uses.get(obj, _INF))
-        issued[i] = True
-        fetch_cycles = mem_words / words_per_cycle
-        own_cycles = fetch_cycles
+        own_cycles = mem_words / words_per_cycle
 
         if op.kind == INPUT:
             mem_clock += own_cycles
             dead_sweep(op, uses)
             total_evictions += evicted[0]
             total_dead_drops += dead_drops[0]
-            total_hits += hits[0]
             charge_tag(op, crit_before)
             if tr is not None:
                 record(op, i, crit_before, mem_before, comp_clock, 0.0,
                        0.0, mem_words)
             continue
 
-        cost = costs[i]
         totals.merge(cost)
 
         # Result allocation (produced on chip; traffic only if evicted and
@@ -504,9 +431,8 @@ def simulate(program: Program, cfg: ChipConfig,
         result_words = (raised_words(n, op.level, op.digits)
                         if op.kind == HOIST_MODUP
                         else ciphertext_words(n, op.level))
-        for victim, vrec in rf.insert(op.result, result_words,
-                                      INTERM, True, uses[op.result]):
-            prefetched.discard(victim)
+        for _, vrec in rf.insert(op.result, result_words,
+                                 INTERM, True, uses[op.result]):
             evicted[0] += 1
             if vrec.dirty and vrec.next_use != _INF:
                 traffic["interm_store"] += vrec.words
@@ -514,20 +440,9 @@ def simulate(program: Program, cfg: ChipConfig,
                 own_cycles += vrec.words / words_per_cycle
 
         # Decoupled data orchestration: compute for op i starts when the
-        # previous op is done and its own stream has arrived.  Prefetched
-        # operands arrived at an earlier memory clock (ready_at), so only
-        # the residual fetched at the head delays this op.
+        # previous op is done and its own stream has arrived; compute never
+        # runs ahead of the in-order memory stream.
         mem_clock += own_cycles
-        # At depth 1 (the classic one-op-deep recurrence) compute never
-        # runs ahead of the in-order memory stream; with lookahead, a
-        # fully prefetched op waits only for its own stream's completion
-        # time (ready_at), not for the window's later fetches.  Writeback
-        # residuals (evicted dirty victims) occupy the stream but do not
-        # gate this op's compute - only missing operands do.
-        if depth == 1 or fetch_cycles:
-            op_ready = mem_clock
-        else:
-            op_ready = ready_at[i]
         cycles = cost.compute_cycles(cfg)
         # Pipeline-fill latency is exposed only when this op consumes the
         # previous op's result (a true dependence chain); independent ops
@@ -536,14 +451,9 @@ def simulate(program: Program, cfg: ChipConfig,
         if chained:
             cycles += op_latency(cfg, op, n)
         prev_result = op.result
-        compute_start = max(comp_clock, op_ready)
+        compute_start = max(comp_clock, mem_clock)
         stall = compute_start - comp_clock
-        # Stall-cause split: the share covered by streams issued only at
-        # the head (a deeper prefetch window could have hidden it) vs the
-        # share where the memory stream itself is the backlog.
-        window_stall = min(stall, own_cycles)
         total_stall += stall
-        total_window_stall += window_stall
         comp_clock = compute_start + cycles
         op_fu_cycles: dict[str, float] = {}
         for cls, elements in cost.fu_elements.items():
@@ -551,27 +461,9 @@ def simulate(program: Program, cfg: ChipConfig,
             op_fu_cycles[cls] = elements / capacity
             fu_busy[cls] = fu_busy.get(cls, 0.0) + elements / capacity
 
-        # Free-on-last-use before the prefetcher claims space: dead
-        # residents this op just consumed never become Belady victims.
+        # Free-on-last-use: dead residents this op just consumed never
+        # become Belady victims.
         dead_sweep(op, uses)
-
-        # Lookahead data orchestration: while this op computes, stream
-        # operands for the next prefetch_depth - 1 ops (skipping values
-        # their producers have not materialized yet - those are forwarded
-        # on chip, not fetched).
-        for j in range(i + 1, min(i + depth, n_ops)):
-            if issued[j] or ops[j].kind == OUTPUT:
-                continue
-            moved_ahead = 0.0
-            for obj, words, category in plans[j]:
-                if producer.get(obj, -1) > i:
-                    continue  # produced later on chip; nothing to stream
-                moved_ahead += prefetch(obj, words, category, j)
-            issued[j] = True
-            if moved_ahead:
-                mem_words += moved_ahead
-                mem_clock += moved_ahead / words_per_cycle
-            ready_at[j] = mem_clock
 
         # Checkpoint boundary: snapshot the live intermediate state through
         # HBM.  Charged before the op's event is recorded so the advance
@@ -591,7 +483,6 @@ def simulate(program: Program, cfg: ChipConfig,
                     tr.count("sim.checkpoint_words", ckpt_words)
         total_evictions += evicted[0]
         total_dead_drops += dead_drops[0]
-        total_hits += hits[0]
         charge_tag(op, crit_before)
         if tr is not None:
             if chained and cfg.chaining:
@@ -599,13 +490,8 @@ def simulate(program: Program, cfg: ChipConfig,
             record(op, i, crit_before, mem_before, compute_start, cycles,
                    stall, mem_words, op_fu_cycles)
 
-    if tr is not None:
-        if total_stall:
-            tr.count("sim.stall_cycles", total_stall)
-            tr.count("sim.stall_cycles.bandwidth",
-                     total_stall - total_window_stall)
-        if total_window_stall:
-            tr.count("sim.prefetch_window_stalls", total_window_stall)
+    if tr is not None and total_stall:
+        tr.count("sim.stall_cycles", total_stall)
 
     program_cycles = max(comp_clock, mem_clock)
 
@@ -680,9 +566,7 @@ def simulate(program: Program, cfg: ChipConfig,
         peak_resident_words=rf.peak,
         rf_evictions=total_evictions,
         dead_drops=total_dead_drops,
-        prefetch_hits=total_hits,
         stall_cycles=total_stall,
-        prefetch_window_stall_cycles=total_window_stall,
         tag_cycles=tag_cycles,
         program_cycles=program_cycles,
         serialized_cycles=serialized_cycles,

@@ -13,13 +13,9 @@ what the register file's Belady management and the KSH traffic accounting
 
 Stability guarantees
 --------------------
-This IR is a *serialized* surface: `repro.compiler.cache` persists
-lowered programs to disk and content-addresses them, so the field set
-and semantics of :class:`HomOp` / :class:`Program` are versioned by
-``repro.compiler.cache.FORMAT_VERSION``.  Changing a field's meaning,
-adding a field that affects scheduling, or reordering :data:`KINDS`
-(the serialized kind codes are indices into it) requires bumping that
-version so stale artifacts are rejected instead of decoded wrongly.
+`repro.compiler.cache` content-addresses lowered programs, so every
+schedule-relevant :class:`HomOp` / :class:`Program` field must feed its
+fingerprint (:func:`repro.compiler.cache.canonical_program_dict`).
 
 Names are *not* semantic: SSA value names, ``hint_id`` and
 ``plaintext_id`` strings are display handles whose consistent renaming

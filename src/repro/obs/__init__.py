@@ -27,8 +27,8 @@ Instrumented out of the box:
   for evictions, chaining hits and traffic categories.
 * `repro.fhe.ntt` / `repro.fhe.keyswitch` - wall-clock spans and call
   counts on the functional hot paths.
-* `repro.compiler` - schedule-decision counters (reuse-ordering hits,
-  bootstrap placements, digit choices).
+* `repro.compiler` - schedule-decision counters (hoisted rotation
+  groups, compile-cache events, bootstrap placements, digit choices).
 
 See docs/TRACING.md for the full guide.
 """

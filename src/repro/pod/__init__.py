@@ -5,7 +5,7 @@ more.  This package layers a pod over the single-chip stack:
 
 * :mod:`repro.pod.config` - pod topology and link/recovery knobs;
 * :mod:`repro.pod.partition` - data-parallel batch sharding and a
-  first-cut model-parallel graph cut (ordering.py word weights);
+  first-cut model-parallel graph cut (register-file word weights);
 * :mod:`repro.pod.interconnect` - link/transfer/all-reduce cost model;
 * :mod:`repro.pod.simulator` - per-chip cycle simulation with link
   streams, degraded N-1 repartitioning, and pod-level throughput;

@@ -17,7 +17,7 @@ as F1+'s all-to-all did.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.core.config import ChipConfig
 from repro.reliability.errors import ConfigError
@@ -89,17 +89,3 @@ class PodConfig:
         worst = self.backoff_base_s \
             * self.backoff_factor ** (self.link_retries - 1)
         return worst * (1 + self.backoff_jitter)
-
-    def descriptor(self) -> str:
-        """Stable short form for cache fingerprints, e.g. ``"4xdata"``.
-
-        Only the fields that change a *lowered schedule* belong here:
-        chip count and strategy decide how a program is partitioned;
-        bandwidth, latency and fault budgets only change simulated cost
-        and recovery behavior, never the emitted ops.
-        """
-        return f"{self.chips}x{self.strategy}"
-
-    def cache_key(self) -> dict:
-        """Every knob, for result-level (not schedule-level) keying."""
-        return asdict(self)

@@ -7,9 +7,9 @@ Two strategies, mirroring the tf-encrypted distribution-strategies RFC:
   all-reduce that merges per-shard outputs (secure-aggregation style).
 * **model-parallel** (sharded): the op stream is cut into K contiguous
   stages, and every value that crosses a cut becomes a link transfer -
-  priced with the same word-weights `compiler/ordering.py` uses for
-  register-file pressure (``raised_words`` for hoisted digit objects,
-  ``ciphertext_words`` otherwise).  Two cutters compete per workload:
+  priced with the simulator's register-file word sizes
+  (``raised_words`` for hoisted digit objects, ``ciphertext_words``
+  otherwise).  Two cutters compete per workload:
   the greedy cycle-weight balance (PR 8) and a boundary-search balanced
   *min-cut* that binary-searches the pipeline bottleneck under the
   overlap cost model, trading stage weight against the live words at
@@ -50,7 +50,7 @@ class CutEdge:
     value: str
     src: int            # producing chip (shard index)
     dst: int            # consuming chip
-    words: float        # transfer size (ordering.py word weights)
+    words: float        # transfer size (register-file words)
     hops: int = 1       # bidirectional-ring distance src -> dst
 
 
@@ -87,8 +87,8 @@ class Partition:
 
 
 def _value_words(n: int, op: HomOp) -> float:
-    """Link-transfer size of ``op``'s result - the same weights the
-    pressure scheduler prices the live set with."""
+    """Link-transfer size of ``op``'s result - the words it occupies
+    in the register file."""
     if op.kind == HOIST_MODUP:
         return raised_words(n, op.level, op.digits)
     return ciphertext_words(n, op.level)

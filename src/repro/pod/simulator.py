@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.compiler.cache import CompileCache, compile_program
 from repro.core.config import ChipConfig
 from repro.core.cost import ciphertext_words
 from repro.core.simulator import SimResult, simulate
@@ -105,7 +106,8 @@ def _output_words(program: Program) -> float:
 
 def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
                   alive: tuple[int, ...] | None = None,
-                  checkpoint_every: int = 0, cache=None) -> list[SimResult]:
+                  checkpoint_every: int = 0,
+                  cache: CompileCache | None = None) -> list[SimResult]:
     """Simulate every model-parallel shard with its boundary transfers
     double-buffered: each shard's ``link_in`` / ``link_out`` rides a
     per-direction port as an *overlap* stream (hop-weighted per-edge
@@ -133,16 +135,10 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
             overlap["link_out"] = (shard.cut_out_words,
                                    shard.cut_out_words / out_cycles[j])
         shard_prog = shard.program
-        if cache:
-            # Shard artifacts are namespaced by the pod descriptor: a
-            # cut of resnet20 for "4xmodel" must never alias the whole
-            # benchmark's artifact (or another cut's).
-            from repro.compiler.cache import compile_program
-
-            shard_prog = compile_program(
-                shard_prog, cfg, pod=f"{k}x{pod.strategy}", cache=cache)
+        if cache is not None:
+            shard_prog = compile_program(shard_prog, cfg, cache=cache)
         results.append(simulate(
-            shard_prog, cfg, checkpoint_every, cache=None,
+            shard_prog, cfg, checkpoint_every,
             overlap_streams=overlap or None,
             chip=alive[j] if alive is not None else j))
     return results
@@ -150,13 +146,17 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
 
 def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                  failed_chips=(), checkpoint_every: int = 0,
-                 cache=None) -> PodResult:
+                 cache: CompileCache | None = None) -> PodResult:
     """Run ``program`` on a ``pod`` of ``cfg`` chips; see module docstring.
 
     ``failed_chips`` names fail-stopped chips; their work is carried by
     the survivors (degraded N-1 operation).  Raises
     :class:`~repro.reliability.errors.ChipFailure` when no chip
     survives - a pod with zero chips has no degraded mode left.
+
+    ``cache`` lowers what each chip runs (every model-parallel shard,
+    or the data-parallel replica) through
+    :func:`~repro.compiler.cache.compile_program` before simulating.
     """
     failed = tuple(sorted(set(failed_chips)))
     for c in failed:
@@ -185,6 +185,8 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
         extra = None
         if ar_words:
             extra = {"link": (ar_words, ar_words / ar_cycles)}
+        replica = (program if cache is None
+                   else compile_program(program, cfg, cache=cache))
         chip_results: dict[int, SimResult] = {}
         shared: SimResult | None = None
         for c in alive:
@@ -193,7 +195,7 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                 # no per-chip event stream to distinguish them.
                 chip_results[c] = shared
                 continue
-            shared = simulate(program, cfg, checkpoint_every, cache,
+            shared = simulate(replica, cfg, checkpoint_every,
                               extra_streams=extra, chip=c)
             chip_results[c] = shared
         slowest = max(r.cycles for r in chip_results.values())
@@ -211,7 +213,8 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
         # stage_results; reuse its runs when nothing (tracing, compile
         # cache, checkpoint traffic) would change the outcome.
         results = part._gate_results
-        if results is None or tr is not None or cache or checkpoint_every:
+        if (results is None or tr is not None or cache is not None
+                or checkpoint_every):
             results = stage_results(part, cfg, pod, alive=alive,
                                     checkpoint_every=checkpoint_every,
                                     cache=cache)

@@ -21,7 +21,6 @@ from repro.reliability.checksums import (
     verify_limbs,
 )
 from repro.reliability.errors import (
-    ArtifactError,
     ConfigError,
     FaultDetectedError,
     LevelMismatchError,
@@ -69,7 +68,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ArtifactError",
     "CampaignResult",
     "Checkpoint",
     "CiphertextSnapshot",

@@ -24,11 +24,6 @@ The taxonomy mirrors where things go wrong in an FHE pipeline:
   NTT re-execution) caught corrupted data.  Subclasses
   :class:`RuntimeError`, not :class:`ValueError`: the inputs were valid,
   the data was damaged in flight.
-* :class:`ArtifactError` - a persisted compiler artifact (serialized
-  lowered schedule, `repro.compiler.cache`) failed its format-version,
-  seal, or structural checks on load.  The compile cache catches this
-  internally and degrades to a miss; it surfaces only through the
-  explicit ``load_artifact`` API.
 * :class:`UnrecoverableFaultError` - checkpoint replay *and* every
   escalation (older checkpoints, full restart) failed to clear a
   detected fault; subclasses :class:`FaultDetectedError`.
@@ -85,18 +80,6 @@ class ConfigError(ReproError, ValueError):
 
 class FaultDetectedError(ReproError, RuntimeError):
     """An integrity check detected corrupted data (not a usage error)."""
-
-
-class ArtifactError(ReproError, RuntimeError):
-    """A persisted compiler artifact is unreadable, sealed wrong, or from
-    an incompatible format version.
-
-    Raised by :func:`repro.compiler.cache.load_artifact`; the
-    :class:`~repro.compiler.cache.CompileCache` lookup path catches it
-    (and any other load-time exception), counts
-    ``compiler.cache.invalid``, removes the bad files, and reports a
-    miss - on-disk corruption degrades recompilation, never correctness.
-    """
 
 
 class Overloaded(ReproError):

@@ -32,7 +32,7 @@ the bounded request queue, the per-tenant circuit breakers and the
   count against any tenant's breaker.
 * **Accounting** is exact and virtual-clock-only: every batch's service
   time comes from the chip simulator (compiled once per (kind,
-  occupancy) through the PR 6 compile cache, then reused), per-phase
+  occupancy) through the memory compile cache, then reused), per-phase
   cycles from ``SimResult.tag_cycles``, and per-request chip seconds
   are the batch's share divided by occupancy.  The obs counters this
   module emits reconcile exactly against the server's own tallies -
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.cache import compile_program
+from repro.compiler.cache import compile_program, default_cache
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
 from repro.obs import collector as obs
@@ -108,7 +108,7 @@ class Server:
     def __init__(self, cfg: ServeConfig | None = None,
                  clock: VirtualClock | None = None,
                  chip: ChipConfig | None = None,
-                 cache=True, fault_factory=None, pod=None):
+                 fault_factory=None, pod=None):
         from repro.fhe.ckks import CkksContext, CkksParams
 
         self.cfg = cfg or ServeConfig()
@@ -121,7 +121,6 @@ class Server:
         # PR 7, bit-for-bit.
         self.pod = pod
         self._model_pod = pod is not None and pod.strategy == "model"
-        self.cache = cache          # compile-cache handle (PR 6 semantics)
         # Hook for fault campaigns: fault_factory(batch_id, attempt,
         # steps) -> steps, free to wrap step fns and arm the injector.
         self.fault_factory = fault_factory
@@ -255,7 +254,7 @@ class Server:
     def service_seconds(self, kind: str, occupancy: int) -> float:
         """Clean (fault-free) service *latency* of one batch.
 
-        Compiled through the content-addressed compile cache and
+        Compiled through the process-wide memory compile cache and
         simulated once per (kind, occupancy); every later batch of the
         same shape reuses the memoized schedule - compile-once,
         run-many.  Runs under ``obs.paused()`` so internal compiler and
@@ -276,7 +275,7 @@ class Server:
                     res = simulate_pod(
                         prog, self.chip, self.pod,
                         failed_chips=tuple(sorted(self.pod_failed)),
-                        cache=self.cache or None)
+                        cache=default_cache())
                     tags: dict[str, float] = {}
                     for stage in res.chip_results.values():
                         for tag, cyc in stage.tag_cycles.items():
@@ -285,7 +284,7 @@ class Server:
                                           res.seconds_per_batch, tags)
                 else:
                     compiled = compile_program(prog, self.chip,
-                                               cache=self.cache)
+                                               cache=default_cache())
                     sim = simulate(compiled, self.chip)
                     seconds = sim.cycles / self.chip.clock_hz
                     self._service[key] = (seconds, seconds,

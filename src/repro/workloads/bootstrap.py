@@ -131,8 +131,7 @@ def emit_bootstrap(b: FheBuilder, x: Value, plan: BootstrapPlan,
             # per on-chip tile, and - crucially - the tile loop sits
             # *inside* the rotation loop so each keyswitch hint is fetched
             # once per stage and reused across every tile.  That reuse is
-            # why the decomposition pays off (and what the compiler's
-            # ordering pass guarantees for less carefully written code).
+            # why the decomposition pays off.
             for j in range(rotations):
                 if plan.sparse_slots and j >= 2:
                     break  # single-slot transforms collapse

@@ -1,17 +1,13 @@
-"""The compiler/artifact contract: serialization, fingerprints, cache.
+"""The compiler contract: fingerprints and the memory compile cache.
 
-Three layers of guarantees, in the order the cache depends on them:
+Two layers of guarantees, in the order the cache depends on them:
 
-1. Round-trip bit-exactness - a Program survives the columnar encoding
-   and the on-disk artifact format fieldwise (hypothesis-driven over
-   builder-generated programs, plus the hoisted/batched real thing).
-2. Fingerprint contract - invariant under SSA/hint/plaintext renames,
+1. Fingerprint contract - invariant under SSA/hint/plaintext renames,
    dict ordering, and display names; sensitive to every schedule-
-   relevant mutation of program, config, or pass flags.
-3. Cache behavior - LRU memory tier, persistent disk tier, corruption
-   of any artifact byte degrades to a counted miss (never an exception,
-   never a wrong schedule), and ``simulate(cache=...)`` produces
-   bit-identical results to a fresh compile on the deep benchmarks.
+   relevant mutation of program or config.
+2. Cache behavior - LRU, snapshots, obs counters and spans, and a
+   cache hit that is a bit-identical substitute for a fresh compile on
+   the deep benchmarks (with their simulated cycles pinned).
 
 docs/COMPILER.md's worked example is validated here too, so the doc
 cannot drift from the code.
@@ -19,44 +15,39 @@ cannot drift from the code.
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.cache import (
-    DEFAULT_FLAGS,
-    FORMAT_VERSION,
     CompileCache,
     canonical_json,
     compile_program,
-    default_cache_dir,
     fingerprint,
-    load_artifact,
-    normalize_flags,
-    program_from_arrays,
-    program_to_arrays,
-    save_artifact,
+    program_token,
 )
 from repro.compiler.dsl import FheBuilder
 from repro.compiler.hoisting import hoist_rotations
-from repro.compiler.ordering import order_for_pressure
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
 from repro.ir import HomOp, Program
 from repro.obs import collector as obs
-from repro.reliability.errors import ArtifactError
 from repro.workloads import DEEP_BENCHMARKS, benchmark
 
 REPO = Path(__file__).resolve().parents[2]
+
+#: Simulated CraterLake cycles of each deep benchmark after
+#: compile_program (rotation hoisting).
+COMPILED_CYCLES = {
+    "resnet20": 207255562.80000228,
+    "logreg": 98101431.20000231,
+    "lstm": 120150718.40000702,
+    "packed_bootstrap": 2847030.399999988,
+}
 
 
 def docs_example_program() -> Program:
@@ -103,7 +94,7 @@ def with_ops(program: Program, ops: list[HomOp]) -> Program:
 @st.composite
 def programs(draw) -> Program:
     """Valid programs via the DSL: random dags of add/rotate/pmult/mult
-    over a shared hint pool, so serialization sees hint sharing,
+    over a shared hint pool, so fingerprints see hint sharing,
     plaintexts, steps (positive and negative), and level drops."""
     b = FheBuilder(draw(st.sampled_from(["p", "prog-x"])),
                    degree=64, max_level=8)
@@ -130,19 +121,6 @@ def programs(draw) -> Program:
                 values.append(b.mult(a, other))
     b.output(draw(st.sampled_from(values)))
     return b.build()
-
-
-@settings(max_examples=50, deadline=None)
-@given(programs())
-def test_round_trip_is_bit_exact(program):
-    arrays = program_to_arrays(program)
-    meta = {"name": program.name, "degree": program.degree,
-            "max_level": program.max_level,
-            "description": program.description,
-            "op_count": len(program.ops)}
-    loaded = program_from_arrays(meta, arrays)
-    assert loaded == program  # dataclass fieldwise equality, ops included
-    assert fingerprint(loaded) == fingerprint(program)
 
 
 @settings(max_examples=50, deadline=None)
@@ -221,78 +199,19 @@ def test_fingerprint_ignores_display_names_only():
         fingerprint(program, ChipConfig())
     assert fingerprint(program, ChipConfig(register_file_mb=128.0)) != \
         fingerprint(program, ChipConfig())
-    assert fingerprint(program, ChipConfig(prefetch_depth=4)) != \
-        fingerprint(program, ChipConfig())
 
 
-def test_fingerprint_sensitive_to_flags_and_ring_params():
+def test_fingerprint_sensitive_to_ring_params():
     program = docs_example_program()
     base = fingerprint(program)
-    assert fingerprint(program, flags={"window": 8}) != base
-    assert fingerprint(program, flags={"reuse": True}) != base
-    assert fingerprint(program, flags=dict(DEFAULT_FLAGS)) == base
     bigger = with_ops(program, list(program.ops))
     bigger.max_level = program.max_level + 1
     assert fingerprint(bigger) != base
 
 
 def test_fingerprint_insensitive_to_dict_ordering():
-    program = docs_example_program()
-    shuffled = dict(reversed(list(DEFAULT_FLAGS.items())))
-    assert fingerprint(program, flags=shuffled) == fingerprint(program)
     assert canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
 
-
-def test_unknown_pass_flag_is_rejected():
-    with pytest.raises(ArtifactError):
-        normalize_flags({"presure": True})  # typo must not alias pipelines
-
-
-# -- artifacts on disk ------------------------------------------------------
-
-def test_artifact_round_trip_and_deterministic_bytes(tmp_path):
-    program = compile_program(docs_example_program())
-    cfg = ChipConfig()
-    fp = fingerprint(program, cfg)
-    manifest = save_artifact(tmp_path / "a", program, fp, cfg)
-    loaded = load_artifact(tmp_path / "a", expect_fingerprint=fp)
-    assert loaded == program
-    # Re-serializing the identical compilation is byte-identical (no
-    # timestamps in the manifest; the seal covers array contents).
-    save_artifact(tmp_path / "b", program, fp, cfg)
-    assert manifest.read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def test_artifact_round_trips_hoisted_and_batched_ops(tmp_path):
-    # The real thing: a deep benchmark slice with hoist_modup /
-    # rotate_hoisted ops, shared hints, compact plaintexts, repeat>1.
-    program = hoist_rotations(benchmark("packed_bootstrap"), ChipConfig())
-    assert program.count("hoist_modup") > 0
-    fp = fingerprint(program)
-    save_artifact(tmp_path / "pb", program, fp, ChipConfig())
-    assert load_artifact(tmp_path / "pb", expect_fingerprint=fp) == program
-
-
-def test_artifact_version_skew_is_rejected(tmp_path):
-    program = docs_example_program()
-    fp = fingerprint(program)
-    base = tmp_path / "v"
-    save_artifact(base, program, fp, ChipConfig())
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    manifest["format"] = FORMAT_VERSION + 1
-    base.with_suffix(".json").write_text(json.dumps(manifest))
-    with pytest.raises(ArtifactError):
-        load_artifact(base)
-
-
-def test_artifact_wrong_fingerprint_is_rejected(tmp_path):
-    program = docs_example_program()
-    save_artifact(tmp_path / "f", program, "0" * 64, ChipConfig())
-    with pytest.raises(ArtifactError):
-        load_artifact(tmp_path / "f", expect_fingerprint="1" * 64)
-
-
-# -- the two-tier cache -----------------------------------------------------
 
 def test_memory_tier_hit_miss_and_lru_eviction():
     cache = CompileCache(memory_entries=2)
@@ -304,8 +223,7 @@ def test_memory_tier_hit_miss_and_lru_eviction():
     assert cache.get("fp0") is None
     assert cache.get("fp1") is not None
     assert cache.get("fp2") is not None
-    assert cache.stats == {"hit": 2, "miss": 2, "store": 3, "evict": 1,
-                           "invalid": 0}
+    assert cache.stats == {"hit": 2, "miss": 2, "store": 3, "evict": 1}
 
 
 def test_put_snapshots_the_ops_list():
@@ -314,78 +232,6 @@ def test_put_snapshots_the_ops_list():
     cache.put("fp", program)
     program.ops.append(HomOp(kind="input", level=1, result="late"))
     assert len(cache.get("fp").ops) == len(program.ops) - 1
-
-
-def test_disk_tier_survives_process_restart(tmp_path):
-    program = compile_program(docs_example_program())
-    fp = fingerprint(program)
-    CompileCache(tmp_path).put(fp, program, ChipConfig())
-    fresh = CompileCache(tmp_path)  # a "new process"
-    hit = fresh.get(fp)
-    assert hit == program
-    assert fresh.stats["hit"] == 1
-    # and the loaded copy was promoted to the memory tier
-    assert fresh.get(fp) is hit
-
-
-@pytest.mark.parametrize("corruption", [
-    "truncate_npz", "bitflip_npz", "garbage_json", "missing_npz",
-    "empty_json",
-])
-def test_corrupt_artifact_degrades_to_counted_miss(tmp_path, corruption):
-    program = docs_example_program()
-    fp = fingerprint(program)
-    cache = CompileCache(tmp_path)
-    cache.put(fp, program, ChipConfig())
-    npz = tmp_path / f"{fp}.npz"
-    manifest = tmp_path / f"{fp}.json"
-    if corruption == "truncate_npz":
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-    elif corruption == "bitflip_npz":
-        raw = bytearray(npz.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        npz.write_bytes(bytes(raw))
-    elif corruption == "garbage_json":
-        manifest.write_text("{not json")
-    elif corruption == "missing_npz":
-        npz.unlink()
-    elif corruption == "empty_json":
-        manifest.write_text("")
-    cache._memory.clear()  # force the disk path
-    assert cache.get(fp) is None  # never an exception
-    assert cache.stats["invalid"] == 1
-    assert cache.stats["miss"] == 1
-    assert not manifest.exists() and not npz.exists()  # cleaned up
-    # and the slot is reusable: a re-store round-trips again
-    cache.put(fp, program, ChipConfig())
-    cache._memory.clear()
-    assert cache.get(fp) == program
-
-
-def test_disk_budget_evicts_oldest_artifact(tmp_path):
-    program = compile_program(docs_example_program())
-    cache = CompileCache(tmp_path, disk_bytes=1)  # fits nothing...
-    cache.put("a" * 64, program, ChipConfig())
-    # ...but the just-written artifact always survives (budget degrades
-    # capacity, not correctness).
-    assert (tmp_path / ("a" * 64 + ".json")).exists()
-    pair_bytes = sum(p.stat().st_size for p in tmp_path.iterdir())
-    cache = CompileCache(tmp_path, disk_bytes=int(pair_bytes * 2.5))
-    os.utime(tmp_path / ("a" * 64 + ".json"), times=(1, 1))  # oldest
-    cache.put("b" * 64, program, ChipConfig())
-    cache.put("c" * 64, program, ChipConfig())
-    assert not (tmp_path / ("a" * 64 + ".json")).exists()
-    assert not (tmp_path / ("a" * 64 + ".npz")).exists()
-    assert (tmp_path / ("c" * 64 + ".json")).exists()
-    assert cache.stats["evict"] >= 1
-
-
-def test_unwritable_directory_is_swallowed(tmp_path):
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")  # mkdir(parents=True) under a file -> OSError
-    cache = CompileCache(blocker / "cache")
-    cache.put("d" * 64, docs_example_program(), ChipConfig())  # no raise
-    assert cache.get("d" * 64) is not None  # memory tier still works
 
 
 def test_cache_counters_flow_through_obs():
@@ -397,22 +243,24 @@ def test_cache_counters_flow_through_obs():
     assert collector.counters["compiler.cache.miss"] == 1
     assert collector.counters["compiler.cache.store"] == 1
     assert collector.counters["compiler.cache.hit"] == 1
-    assert collector.counters["compiler.cache.hit.memory"] == 1
 
 
-# -- compile_program + simulate wiring --------------------------------------
+# -- compile_program ---------------------------------------------------------
 
 def test_compile_program_matches_manual_pipeline():
-    program = docs_example_program()
     cfg = ChipConfig()
-    manual = order_for_pressure(hoist_rotations(program, cfg, 2), cfg, 32)
-    assert compile_program(program, cfg) == manual
+    for program in (docs_example_program(), benchmark("packed_bootstrap")):
+        manual = hoist_rotations(program, cfg, 2)
+        compiled = compile_program(program, cfg)
+        assert compiled.ops == manual.ops  # op-for-op
+        assert compiled == manual
+    program = docs_example_program()
+    manual = hoist_rotations(program, cfg, 2)
     cache = CompileCache()
     first = compile_program(program, cfg, cache=cache)
     again = compile_program(program, cfg, cache=cache)
     assert first == manual == again
-    assert cache.stats == {"hit": 1, "miss": 1, "store": 1, "evict": 0,
-                           "invalid": 0}
+    assert cache.stats == {"hit": 1, "miss": 1, "store": 1, "evict": 0}
 
 
 def test_cache_hit_keeps_caller_metadata():
@@ -435,55 +283,21 @@ def test_compile_spans_are_recorded():
     assert totals["compiler.cache.fingerprint"][0] == 1
 
 
-def test_cache_knob_accepts_a_directory_path(tmp_path):
-    from repro.compiler.cache import resolve_cache
-
-    compile_program(docs_example_program(), cache=str(tmp_path))
-    assert list(tmp_path.glob("*.json"))  # persisted under the given dir
-    assert resolve_cache(None) is None and resolve_cache(False) is None
-    with pytest.raises(ArtifactError):
-        resolve_cache(123)
-
-
-def test_simulate_cache_knob_is_off_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
-    program = docs_example_program()
-    result = simulate(program, ChipConfig())
-    # No compilation happened: the program went in as-is.
-    assert result.name == program.name
-    with obs.collecting() as collector:
-        simulate(program, ChipConfig())
-    assert "compiler.cache.miss" not in collector.counters
-
-
-def test_simulate_cache_env_knob(monkeypatch, tmp_path):
-    import repro.compiler.cache as cache_mod
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
-    assert default_cache_dir() == tmp_path
-    program = docs_example_program()
-    first = simulate(program, ChipConfig())
-    second = simulate(docs_example_program(), ChipConfig())
-    assert first == second
-    assert cache_mod._DEFAULT_CACHE.stats["hit"] == 1
-    assert list(tmp_path.glob("*.json"))  # persisted via REPRO_CACHE_DIR
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("name", DEEP_BENCHMARKS)
 def test_cached_simulation_is_bit_identical(name):
     """The differential seal: on every deep benchmark, simulating the
     cache-hit schedule reproduces the fresh compile's SimResult exactly
-    (cycles, traffic, every field)."""
+    (cycles, traffic, every field), and the cycles are the pinned
+    known answer."""
     program = benchmark(name)
     cfg = ChipConfig()
     cache = CompileCache()
-    fresh = simulate(program, cfg, cache=cache)   # miss: full pipeline
-    cached = simulate(program, cfg, cache=cache)  # hit: deserialized ops
+    fresh = simulate(compile_program(program, cfg, cache=cache), cfg)
+    cached = simulate(compile_program(program, cfg, cache=cache), cfg)
     assert cache.stats["hit"] == 1 and cache.stats["miss"] == 1
     assert cached == fresh  # dataclass equality: bit-identical everything
-    assert cached.cycles == fresh.cycles
+    assert fresh.cycles == COMPILED_CYCLES[name]
 
 
 # -- docs stay true ---------------------------------------------------------
@@ -496,18 +310,5 @@ def test_compiler_doc_example_is_generated_from_code():
     fp = fingerprint(program)
     token = re.search(r'"program_sha256": "([0-9a-f]{64})"', text)
     assert token, "COMPILER.md lost its fingerprint-document example"
-    from repro.compiler.cache import program_token
     assert token.group(1) == program_token(program)
     assert fp in text, "COMPILER.md's example fingerprint is stale"
-    doc_flags = re.search(r"DEFAULT_FLAGS = (\{[^}]+\})", text)
-    assert doc_flags and eval(doc_flags.group(1)) == DEFAULT_FLAGS
-
-
-def test_repo_docs_links_resolve():
-    """No broken intra-repo links in README/docs (same check CI runs)."""
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "check_docs_links.py"),
-         str(REPO / "README.md"), str(REPO / "docs")],
-        capture_output=True, text=True, cwd=REPO,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

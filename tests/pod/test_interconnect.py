@@ -77,4 +77,3 @@ def test_pod_config_validation():
         PodConfig(link_gbps=-1.0)
     with pytest.raises(ConfigError):
         PodConfig(strategy="tensor")
-    assert PodConfig(chips=4, strategy="model").descriptor() == "4xmodel"

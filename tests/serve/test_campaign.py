@@ -185,3 +185,22 @@ def test_degradation_halves_batches_under_backlog():
     assert len(srv.batches[0].requests) \
         == cfg.max_batch // cfg.degrade_batch_divisor
     assert srv.tally["degraded_dispatches"] == 1
+
+
+def test_campaign_writes_nothing_under_home(tmp_path, monkeypatch):
+    """Serving compiles through an in-memory cache: a campaign leaves no
+    files under $HOME or $XDG_CACHE_HOME."""
+    import repro.compiler.cache as cache_mod
+
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    # A fresh default cache, so every (kind, occupancy) compile misses.
+    monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+    res = run_campaign(small_spec(requests=30), ServeConfig(seed=5))
+    assert res.completed > 0
+    assert cache_mod.default_cache().stats["store"] > 0
+    assert list(home.rglob("*")) == []
+    assert list(xdg.rglob("*")) == []

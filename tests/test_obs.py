@@ -157,17 +157,18 @@ def test_wall_clock_spans_and_report():
     assert any(line.startswith("fhe.ntt.forward,") for line in csv.splitlines())
 
 
-def test_compiler_counters_via_ordering():
-    from repro.compiler import order_for_reuse
+def test_compiler_counters_via_compile_program():
+    from repro.compiler import CompileCache, compile_program
 
-    program = benchmark("lola_mnist_uw")
     with obs.collecting() as c:
-        ordered = order_for_reuse(program)
-    assert len(ordered.ops) == len(program.ops)
-    picks = (c.counters.get("compiler.reorder.reuse_picks", 0)
-             + c.counters.get("compiler.reorder.program_order_picks", 0))
-    assert picks == len(program.ops)
-    assert "compiler.order_for_reuse" in c.span_totals()
+        compile_program(benchmark("packed_bootstrap"), cache=CompileCache())
+    assert c.counters["compiler.cache.miss"] == 1
+    assert c.counters["compiler.cache.store"] == 1
+    assert c.counters["compiler.hoist.hoisted_groups"] == 7
+    spans = c.span_totals()
+    for name in ("compiler.cache.fingerprint", "compiler.compile",
+                 "compiler.hoist_rotations"):
+        assert spans[name][0] == 1, name
 
 
 def test_gauges_last_write_wins_and_export():

@@ -15,8 +15,8 @@ Usage::
     python tools/check_docs_links.py [files-or-dirs...]
 
 Run by CI on every push (see .github/workflows/ci.yml) and by
-``tests/compiler/test_compile_cache.py::test_repo_docs_links_resolve``
-so doc rot fails tier-1 locally too.
+``tests/test_docs_links.py::test_repo_docs_links_resolve`` so doc rot
+fails tier-1 locally too.
 """
 
 from __future__ import annotations
