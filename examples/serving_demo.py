@@ -44,16 +44,17 @@ def make_fault_factory(injector):
         if batch_id != FAULT_BATCH or attempt > 0:
             return steps
         fired = [0]
-        name, fn = steps[0]
+        first = steps[0]
 
         def faulted(ctx, state):
             if fired[0] < STUBBORN:
                 fired[0] += 1
                 injector.arm(rfaults.LIMB)
-                injector.maybe_corrupt(rfaults.LIMB, state["x"].c0.data)
-            fn(ctx, state)
+                injector.maybe_corrupt(rfaults.LIMB,
+                                       state[first.source].c0.data)
+            first.fn(ctx, state)
 
-        return [(name, faulted)] + list(steps[1:])
+        return [first._replace(fn=faulted)] + list(steps[1:])
     return factory
 
 

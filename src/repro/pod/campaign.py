@@ -132,47 +132,49 @@ class PodCampaignResult:
         return "\n".join(lines)
 
 
-def _make_step(c: int, r: int, rot):
-    """Round ``r`` for chip ``c``: rotate on even rounds, double on odd,
-    then fold in the previous boundary's received value if one landed."""
+def chip_programs(chips: int, rounds: int, degree: int,
+                  max_level: int) -> tuple[dict, dict]:
+    """Each chip's program, plus the transfers wiring them together.
 
-    def step(ctx, st):
-        v = st[f"v{c}"]
-        v = ctx.rotate(v, 1, rot) if r % 2 == 0 else ctx.add(v, v)
-        rx = st.get(f"rx_r{r - 1}")
-        if rx is not None:
-            v = ctx.add(v, rx)
-        st[f"v{c}"] = v
+    Every round, a chip rotates its value by one slot and, if a
+    neighbour sent it a value at the previous boundary, adds that in
+    (the receipt is an INPUT op: it arrives from off-chip).  Two
+    transfers per round boundary on rotating links, so every ring link
+    carries (and can corrupt) traffic over a campaign.  Returns
+    ``(programs, transfers)``; transfers name the sender's and the
+    receiver's program values.
+    """
+    from repro.compiler.dsl import FheBuilder
 
-    return step
-
-
-def _build_plan(chips: int, rounds: int, rot):
-    plans = {
-        c: [(f"chip{c}.r{r}", _make_step(c, r, rot)) for r in range(rounds)]
-        for c in range(chips)
+    senders = {r: (r % chips, (r + 2) % chips) for r in range(rounds - 1)}
+    value_after: dict[tuple[int, int], str] = {}   # (chip, round) -> name
+    receipt: dict[tuple[int, int], str] = {}       # (chip, boundary) -> name
+    programs = {}
+    for c in range(chips):
+        b = FheBuilder(f"pod-chip{c}", degree=degree, max_level=max_level)
+        v = b.input(f"v{c}", max_level)
+        for r in range(rounds):
+            v = b.rotate(v, 1)
+            if r and any((s + 1) % chips == c for s in senders[r - 1]):
+                rx = b.input(f"rx_r{r - 1}", max_level)
+                receipt[c, r - 1] = rx.name
+                v = b.add(v, rx)
+            value_after[c, r] = v.name
+        b.output(v)
+        programs[c] = b.build()
+    transfers = {
+        r: [Transfer(src=s, dst=(s + 1) % chips, name=value_after[s, r],
+                     rename=receipt[(s + 1) % chips, r]) for s in pair]
+        for r, pair in senders.items()
     }
-    # Two transfers per round boundary on rotating links, so every ring
-    # link carries (and can corrupt) traffic over a campaign.
-    transfers = {}
-    for r in range(rounds - 1):
-        a = r % chips
-        b = (r + 2) % chips
-        transfers[r] = [
-            Transfer(src=a, dst=(a + 1) % chips, name=f"v{a}",
-                     rename=f"rx_r{r}"),
-            Transfer(src=b, dst=(b + 1) % chips, name=f"v{b}",
-                     rename=f"rx_r{r}"),
-        ]
-    return plans, transfers
+    return programs, transfers
 
 
 def _states_equal(got: dict[int, dict], want: dict[int, dict],
-                  chips: int) -> bool:
-    """Bit-exact comparison of every chip's headline value."""
-    for c in range(chips):
-        a = got[c][f"v{c}"]
-        b = want[c][f"v{c}"]
+                  outputs: dict[int, str]) -> bool:
+    """Bit-exact comparison of every chip's output value."""
+    for c, name in outputs.items():
+        a, b = got[c][name], want[c][name]
         if not (np.array_equal(a.c0.data, b.c0.data)
                 and np.array_equal(a.c1.data, b.c1.data)
                 and a.scale == b.scale):
@@ -186,8 +188,9 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
                      clean_trials: int = 5) -> PodCampaignResult:
     """Inject >= ``events`` seeded pod faults and measure the outcome.
 
-    Every trial executes the same K-chip plan (rotate/double rounds with
-    ring transfers at each boundary) from the same encrypted inputs,
+    Every trial executes the same K-chip plan (:func:`chip_programs`,
+    one executor step per round, lowered by `repro.interpret`) from the
+    same encrypted inputs,
     arms exactly one fault - chip fail-stop on even trials, link
     corruption on odd (every fourth link trial stubborn: the corruption
     persists across retransmits) - and compares the final ciphertexts
@@ -195,6 +198,7 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
     ``seed``: reruns are identical.
     """
     from repro.fhe.ckks import CkksContext, CkksParams
+    from repro.interpret import lower
     from repro.reliability import guards
 
     t0 = time.perf_counter()
@@ -204,14 +208,17 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
     ctx = CkksContext(params,
                       policy=guards.ReliabilityPolicy(checksums=True))
     sk = ctx.keygen()
-    rot = ctx.rotation_hint(sk, 1)
     pod = PodConfig(chips=chips, seed=seed)
 
+    programs, transfers = chip_programs(chips, rounds, degree, max_level)
+    lowered = {c: lower(p, hints={1: ctx.rotation_hint(sk, 1)})
+               for c, p in programs.items()}
+    plans = {c: plan.steps for c, plan in lowered.items()}
+    outputs = {c: plan.outputs[0] for c, plan in lowered.items()}
     initial = {}
-    for c in range(chips):
+    for c, plan in lowered.items():
         vals = 0.5 * rng.standard_normal(params.slots)
-        initial[c] = {f"v{c}": ctx.seal(ctx.encrypt_values(sk, vals))}
-    plans, transfers = _build_plan(chips, rounds, rot)
+        initial[c] = {plan.inputs[0]: ctx.seal(ctx.encrypt_values(sk, vals))}
 
     def fresh_executor(injector=None) -> PodExecutor:
         return PodExecutor(ctx, pod, plans, initial, transfers=transfers,
@@ -224,7 +231,7 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
         ex = fresh_executor()
         final = ex.run()
         if ex.stats.chip_failures or ex.stats.link_faults_detected \
-                or not _states_equal(final, reference, chips):
+                or not _states_equal(final, reference, outputs):
             false_positives += 1
 
     # Opportunity counts in a clean run, for arming skips.
@@ -282,7 +289,7 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
         backoff_s += ex.stats.backoff_s
         checkpoints += ex.stats.checkpoints
         if final is not None and injected \
-                and not _states_equal(final, reference, chips):
+                and not _states_equal(final, reference, outputs):
             wrong += 1
 
     return PodCampaignResult(

@@ -25,9 +25,10 @@ failure domains:
   :class:`~repro.reliability.errors.InterconnectError`.
 
 Execution state is a per-logical-chip dict of named ciphertexts; a step
-is ``(name, fn)`` with ``fn(ctx, state)`` mutating its chip's dict, and
-cross-chip dataflow is declared as :class:`Transfer` records bound to
-round boundaries.  Everything is seeded; two runs with the same inputs
+is ``(name, fn)`` with ``fn(ctx, state)`` mutating its chip's dict (a
+chip's IR program lowered by :func:`repro.interpret.lower` gives one
+step per round), and cross-chip dataflow is declared as
+:class:`Transfer` records bound to round boundaries.  Everything is seeded; two runs with the same inputs
 and injector state produce bit-identical final ciphertexts.
 """
 
@@ -161,7 +162,7 @@ class PodExecutor:
     def _replay(self, c: int, start: int, end: int) -> None:
         receipts = self._rx_log[c]
         for i in range(start, end):
-            name, fn = self.plans[c][i]
+            fn = self.plans[c][i][1]
             with obs.span("pod.replay_step", "pod"):
                 fn(self.ctx, self.states[c])
             self.stats.replayed_steps += 1
@@ -257,7 +258,7 @@ class PodExecutor:
                 if self.injector is not None and phys not in self.dead \
                         and self.injector.fires(CHIP):
                     self._fail_chip(phys, r)
-                name, fn = self.plans[c][r]
+                fn = self.plans[c][r][1]
                 with obs.span("pod.step", "pod"):
                     fn(self.ctx, self.states[c])
                 self.done[c] = r + 1

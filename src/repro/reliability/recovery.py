@@ -672,37 +672,25 @@ class RecoveryCampaignResult:
         return "\n".join(lines)
 
 
-def _campaign_steps(rot_hint, ops_per_run: int):
-    """Deterministic level-preserving program: alternate rotate and add.
+def campaign_program(degree: int, max_level: int, ops_per_run: int):
+    """The campaign's level-preserving program: alternate rotate and add.
 
-    Rotations hit every detector boundary (operand verify, hint load,
-    NTT checksums, the eviction sweep); adds are the quiet stretches
-    where corruption can sit undetected until the next boundary -
-    exactly the checkpoint-latency case recovery has to handle.
+    ``acc`` is rotated by one slot, then ``base`` is added back, for
+    ``ops_per_run`` ops.  Each rotate begins an executor step
+    (`repro.interpret`), so every step crosses a detector boundary
+    (operand verify, hint load, NTT checksums, the eviction sweep),
+    while ``base`` is the quiet register-file resident whose corruption
+    sits undetected until the next sweep.
     """
-    def rot(ctx, state):
-        state["acc"] = ctx.rotate(state["acc"], 1, rot_hint)
+    from repro.compiler.dsl import FheBuilder  # deferred: it imports us
 
-    def add(ctx, state):
-        state["acc"] = ctx.add(state["acc"], state["base"])
-
-    return [(f"rot{i}" if i % 2 == 0 else f"add{i}", rot if i % 2 == 0
-             else add) for i in range(ops_per_run)]
-
-
-def _step_cycle_costs(steps, degree: int, level: int, cfg) -> list[float]:
-    """Price each campaign step with the core cycle model."""
-    from repro import ir
-    from repro.core.cost import op_cost
-
-    costs = []
-    for name, _ in steps:
-        kind = ir.ROTATE if name.startswith("rot") else ir.ADD
-        op = ir.HomOp(kind=kind, level=level, result="t",
-                      operands=("a",) if kind == ir.ROTATE else ("a", "b"),
-                      hint_id="h" if kind == ir.ROTATE else None)
-        costs.append(op_cost(cfg, op, degree).compute_cycles(cfg))
-    return costs
+    b = FheBuilder("recovery-campaign", degree=degree, max_level=max_level)
+    acc = b.input("acc", max_level)
+    base = b.input("base", max_level)
+    for i in range(ops_per_run):
+        acc = b.rotate(acc, 1) if i % 2 == 0 else b.add(acc, base)
+    b.output(acc)
+    return b.build()
 
 
 def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
@@ -713,9 +701,10 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                           ) -> RecoveryCampaignResult:
     """Inject one seeded fault per trial and measure end-to-end recovery.
 
-    Each trial runs the same ``ops_per_run``-step rotate/add program
-    under a :class:`RecoveringExecutor` with one corruption armed at a
-    random step: ``limb`` faults hit the working accumulator, ``rf``
+    Each trial runs :func:`campaign_program` (``ops_per_run`` rotate/add
+    ops, one executor step per rotate and its add) under a
+    :class:`RecoveringExecutor` with one corruption armed at a random
+    step: ``limb`` faults hit the working accumulator, ``rf``
     faults a quiet register-file resident, ``ntt``/``hbm`` faults fire
     inside a keyswitch.  The trial's final ciphertext is compared
     bit-for-bit against the fault-free reference; recovered means the
@@ -727,6 +716,7 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     """
     from repro.core.config import ChipConfig
     from repro.fhe.ckks import CkksContext, CkksParams
+    from repro.interpret import lower
     from repro.reliability import faults as _faults
     from repro.reliability import guards
 
@@ -736,8 +726,11 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                         secret_hamming=max(8, degree // 16), seed=seed)
     ctx = CkksContext(params, policy=guards.ReliabilityPolicy(checksums=True))
     sk = ctx.keygen()
-    rot_hint = ctx.rotation_hint(sk, 1)
     cfg = ChipConfig()
+    plan = lower(campaign_program(degree, max_level, ops_per_run),
+                 hints={1: ctx.rotation_hint(sk, 1)})
+    acc_name, base_name = plan.inputs
+    out_name = plan.outputs[0]
 
     own_collector = not obs.is_enabled()
     collector = obs.enable() if own_collector else obs.active()
@@ -750,12 +743,13 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
         sk, 0.5 * rng.standard_normal(params.slots))
     base = ctx.encrypt_values(
         sk, 0.5 * rng.standard_normal(params.slots))
-    master = take_checkpoint(ctx, {"acc": acc, "base": base}, 0,
+    master = take_checkpoint(ctx, {acc_name: acc, base_name: base}, 0,
                              label="trial-start")
 
-    steps = _campaign_steps(rot_hint, ops_per_run)
-    step_cycles = _step_cycle_costs(steps, degree, max_level, cfg)
+    steps = plan.steps
+    step_cycles = plan.step_cycles(cfg)
     base_cycles = sum(step_cycles)
+    keyswitch_steps = [i for i, s in enumerate(steps) if s.keyswitches]
     policy = policy or RecoveryPolicy(checkpoint_every=checkpoint_every)
 
     def executor():
@@ -784,14 +778,14 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     if ref_stats.detections:
         raise FaultDetectedError(
             "reference run detected faults with no injector installed")
-    reference = snapshot_ciphertext(state["acc"])
+    reference = snapshot_ciphertext(state[out_name])
 
     false_positives = 0
     for _ in range(clean_runs):
         exe = executor()
         state, stats = run_once(exe, steps)
         if stats.detections or not np.array_equal(
-                state["acc"].c0.data, reference.data0):
+                state[out_name].c0.data, reference.data0):
             false_positives += 1
             obs.count("reliability.recovery.campaign.false_positives")
 
@@ -804,32 +798,33 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
         for trial in range(faults):
             site = _faults.SITES[trial % len(_faults.SITES)]
             stats_site = sites[site]
-            fault_step = int(rng.integers(ops_per_run))
+            fault_step = int(rng.integers(len(steps)))
             if site in (_faults.NTT, _faults.HBM):
-                # Keyswitch-internal faults need a rotate to fire in.
-                fault_step -= fault_step % 2
+                # Keyswitch-internal faults need a keyswitch to fire in.
+                fault_step = min(keyswitch_steps,
+                                 key=lambda i: abs(i - fault_step))
             corrupt_c0 = bool(rng.random() < 0.5)
             skip = int(rng.integers(4)) if site == _faults.NTT else 0
             fired = [False]
 
-            def with_fault(fn, _site=site, _skip=skip, _c0=corrupt_c0):
+            def with_fault(step, _site=site, _skip=skip, _c0=corrupt_c0):
                 def wrapped(ctx_, state_):
                     if not fired[0]:
                         fired[0] = True
                         if _site in (_faults.LIMB, _faults.RF):
-                            target = (state_["acc"] if _site == _faults.LIMB
-                                      else state_["base"])
+                            target = state_[step.source
+                                            if _site == _faults.LIMB
+                                            else base_name]
                             half = target.c0 if _c0 else target.c1
                             injector.arm(_site)
                             injector.maybe_corrupt(_site, half.data)
                         else:
                             injector.arm(_site, skip=_skip)
-                    fn(ctx_, state_)
-                return wrapped
+                    step.fn(ctx_, state_)
+                return step._replace(fn=wrapped)
 
             trial_steps = list(steps)
-            name, fn = trial_steps[fault_step]
-            trial_steps[fault_step] = (name, with_fault(fn))
+            trial_steps[fault_step] = with_fault(steps[fault_step])
 
             exe = executor()
             aborted = False
@@ -850,9 +845,9 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                 continue
             checkpoint_cycles += stats.checkpoint_cycles
             replay_cycles += stats.replay_cycles
-            matches = (np.array_equal(state["acc"].c0.data, reference.data0)
-                       and np.array_equal(state["acc"].c1.data,
-                                          reference.data1))
+            out = state[out_name]
+            matches = (np.array_equal(out.c0.data, reference.data0)
+                       and np.array_equal(out.c1.data, reference.data1))
             if stats.detections:
                 if matches:
                     stats_site.recovered += 1

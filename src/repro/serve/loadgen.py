@@ -221,31 +221,32 @@ class _FaultPlanner:
             return steps
         site, step_idx, persist = plan
         if site in (_faults.NTT, _faults.HBM):
-            # Keyswitch-internal sites need a rotate to fire in; snap to
-            # the nearest reduction step.
-            rot_steps = [i for i, (name, _) in enumerate(steps)
-                         if name.startswith("reduce")]
-            step_idx = min(rot_steps, key=lambda i: abs(i - step_idx))
+            # Keyswitch-internal sites need a keyswitch to fire in; snap
+            # to the nearest step that runs one.
+            ks_steps = [i for i, s in enumerate(steps) if s.keyswitches]
+            step_idx = min(ks_steps, key=lambda i: abs(i - step_idx))
         fired = [0]
         injector = self.injector
-        name, fn = steps[step_idx]
+        step = steps[step_idx]
 
         def with_fault(ctx_, state_):
             if fired[0] < persist:
                 fired[0] += 1
                 self.injected[site] += 1
                 if site in (_faults.LIMB, _faults.RF):
-                    target = (state_["x"] if site == _faults.LIMB
-                              else state_["base"])
+                    # limb: the step's working ciphertext; rf: the quiet
+                    # register-file resident.
+                    target = state_[step.source if site == _faults.LIMB
+                                    else "base"]
                     half = target.c0 if fired[0] % 2 else target.c1
                     injector.arm(site)
                     injector.maybe_corrupt(site, half.data)
                 else:
                     injector.arm(site, skip=0)
-            fn(ctx_, state_)
+            step.fn(ctx_, state_)
 
         out = list(steps)
-        out[step_idx] = (name, with_fault)
+        out[step_idx] = step._replace(fn=with_fault)
         return out
 
     def sweep_unfired(self) -> None:

@@ -21,7 +21,8 @@ the bounded request queue, the per-tenant circuit breakers and the
   Smaller batches genuinely cost less in-model (the weight plaintexts
   stream per occupied block), so latency flattens while throughput
   dips - and only when that is not enough does admission shed.
-* **Execution** runs the batch's functional CKKS steps under a
+* **Execution** runs the batch's compiled program - the one the chip
+  simulator prices, lowered to steps by `repro.interpret` - under a
   :class:`~repro.reliability.recovery.RecoveringExecutor` with the full
   PR 2/3 detection stack armed (hint verify, NTT checksums, the RF
   eviction sweep).  Transient chip faults are absorbed by checkpoint
@@ -46,6 +47,7 @@ import numpy as np
 from repro.compiler.cache import compile_program, default_cache
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
+from repro.interpret import lower
 from repro.obs import collector as obs
 from repro.reliability import guards
 from repro.reliability.errors import (
@@ -80,12 +82,10 @@ from repro.serve.request import (
     Response,
 )
 from repro.workloads.serving import (
-    build_steps,
     check_kind,
     rotation_strides,
     serving_program,
     serving_weights,
-    step_cycle_costs,
 )
 
 
@@ -140,8 +140,7 @@ class Server:
         self.weights = serving_weights(c.seed + 1, c.slots, c.block_slots)
         self.packer = SlotPacker(c.slots, c.block_slots, c.max_batch,
                                  c.payload_limit)
-        self._steps = {}            # kind -> functional step list
-        self._step_cycles = {}      # kind -> per-step cycle prices
+        self._plans = {}            # (kind, occupancy) -> (plan, prices)
         self._service = {}          # (kind, occupancy) -> (seconds, tags)
 
         # -- serving state -------------------------------------------------
@@ -242,14 +241,29 @@ class Server:
         self._count("shed")
         self._count(f"shed.{reason}")
 
-    def _steps_for(self, kind: str):
-        if kind not in self._steps:
-            steps = build_steps(self.ctx, self.hints, self.weights, kind,
-                                self.cfg.block_slots)
-            self._steps[kind] = steps
-            self._step_cycles[kind] = step_cycle_costs(
-                steps, self.cfg.degree, self.cfg.max_level, self.chip)
-        return self._steps[kind]
+    def _plan(self, kind: str, occupancy: int):
+        """The batch's compiled program lowered to executor steps, with
+        each step's cycle price.  Compiled once per (kind, occupancy)
+        through the memory compile cache; the single-chip service time
+        is the simulation of this same program."""
+        key = (kind, occupancy)
+        if key not in self._plans:
+            c = self.cfg
+            with obs.paused():
+                program = compile_program(
+                    serving_program(kind, c.degree, c.max_level,
+                                    c.block_slots, occupancy),
+                    self.chip, cache=default_cache())
+            plan = lower(program, self.hints, self.weights)
+            self._plans[key] = (plan, plan.step_cycles(self.chip))
+        return self._plans[key]
+
+    @staticmethod
+    def _initial_state(plan, master) -> dict:
+        """The packed batch under the program's input name, plus
+        ``base``: a register-file resident the program never reads -
+        the ``rf`` fault site's target, caught by the eviction sweep."""
+        return {plan.inputs[0]: master.copy(), "base": master.copy()}
 
     def service_seconds(self, kind: str, occupancy: int) -> float:
         """Clean (fault-free) service *latency* of one batch.
@@ -267,11 +281,11 @@ class Server:
         if key not in self._service:
             c = self.cfg
             with obs.paused():
-                prog = serving_program(kind, c.degree, c.max_level,
-                                       c.block_slots, occupancy)
                 if self._model_pod:
                     from repro.pod.simulator import simulate_pod
 
+                    prog = serving_program(kind, c.degree, c.max_level,
+                                           c.block_slots, occupancy)
                     res = simulate_pod(
                         prog, self.chip, self.pod,
                         failed_chips=tuple(sorted(self.pod_failed)),
@@ -283,9 +297,8 @@ class Server:
                     self._service[key] = (res.batch_seconds,
                                           res.seconds_per_batch, tags)
                 else:
-                    compiled = compile_program(prog, self.chip,
-                                               cache=default_cache())
-                    sim = simulate(compiled, self.chip)
+                    plan, _ = self._plan(kind, occupancy)
+                    sim = simulate(plan.program, self.chip)
                     seconds = sim.cycles / self.chip.clock_hz
                     self._service[key] = (seconds, seconds,
                                           dict(sim.tag_cycles))
@@ -472,7 +485,8 @@ class Server:
         record.cache_hit = (kind, occupancy) in self._service
         service_s = self.service_seconds(kind, occupancy)
         steady_s = self.throughput_seconds(kind, occupancy)
-        steps = self._steps_for(kind)
+        plan, step_cycles = self._plan(kind, occupancy)
+        steps = plan.steps
 
         vec, layout = self.packer.pack(batch)
         master = self.ctx.encrypt_values(self.sk, vec)
@@ -494,13 +508,14 @@ class Server:
             duration += service_s
             occupancy_s += steady_s
             try:
-                state, stats = self._run_attempt(run_steps, kind, master)
+                state, stats = self._run_attempt(run_steps, plan,
+                                                 step_cycles, master)
                 faults_recovered += stats.detections
                 overhead = self._overhead_s(stats)
                 duration += overhead
                 occupancy_s += overhead
                 if c.verify_responses \
-                        and not self._verify(state, kind, master):
+                        and not self._verify(state, plan, master):
                     # A fault slipped past every in-executor detector
                     # (e.g. a limb flip right before a pmult, whose
                     # fresh reseal launders the corruption).  The clean
@@ -563,7 +578,7 @@ class Server:
                     chip_seconds=occupancy_s / occupancy))
             return
 
-        decoded = self.ctx.decrypt(self.sk, state["x"])
+        decoded = self.ctx.decrypt(self.sk, state[plan.outputs[0]])
         values = self.packer.unpack(decoded, layout)
         for i, req in enumerate(batch):
             if completed_at > req.deadline:
@@ -583,7 +598,7 @@ class Server:
                 batch_id=record.batch_id, batch_occupancy=occupancy,
                 chip_seconds=occupancy_s / occupancy))
 
-    def _run_attempt(self, run_steps, kind: str, master):
+    def _run_attempt(self, run_steps, plan, step_cycles, master):
         """One executor run from the batch's master ciphertext."""
         c = self.cfg
         policy = RecoveryPolicy(
@@ -596,7 +611,7 @@ class Server:
         pauses: list[float] = []
         exe = RecoveringExecutor(
             self.ctx, policy, store=RingBufferStore(4), cfg=self.chip,
-            step_cycles=self._step_cycles[kind],
+            step_cycles=step_cycles,
             sleep=pauses.append,  # virtual: charged to batch duration
             rng=self._rng)
 
@@ -608,9 +623,8 @@ class Server:
 
         integ = guards.IntegrityConfig(verify_hints=True, ntt_checksum=True,
                                        boundary_hook=evict_sweep)
-        state = {"x": master.copy(), "base": master.copy()}
         with guards.integrity(integ):
-            return exe.run(run_steps, state)
+            return exe.run(run_steps, self._initial_state(plan, master))
 
     def _overhead_s(self, stats) -> float:
         """Executor resilience cost in (virtual) seconds."""
@@ -625,7 +639,7 @@ class Server:
                 * (2.0 * self._rng.random() - 1.0)
         return pause
 
-    def _verify(self, state, kind: str, master) -> bool:
+    def _verify(self, state, plan, master) -> bool:
         """Clean replay from the master ciphertext, compared bit-exactly.
 
         The recovery contract says a replayed program is bit-identical
@@ -633,13 +647,12 @@ class Server:
         that - the campaign's zero-wrong-answers check.
         """
         exe = RecoveringExecutor(
-            self.ctx, RecoveryPolicy(checkpoint_every=len(self._steps[kind])
-                                     + 1),
+            self.ctx, RecoveryPolicy(checkpoint_every=len(plan.steps) + 1),
             store=RingBufferStore(2), cfg=self.chip)
-        clean = {"x": master.copy(), "base": master.copy()}
         with obs.paused():
-            clean, _ = exe.run(self._steps[kind], clean)
-        got, want = state["x"], clean["x"]
+            clean, _ = exe.run(plan.steps, self._initial_state(plan, master))
+        out = plan.outputs[0]
+        got, want = state[out], clean[out]
         return (np.array_equal(got.c0.data, want.c0.data)
                 and np.array_equal(got.c1.data, want.c1.data))
 

@@ -19,17 +19,15 @@ runs one of two workload kinds over the shared vector:
   reduction would sum stage-one values whose windows leak neighbouring
   tenants' data into the readout.
 
-Both kinds exist twice, deliberately in lock-step:
-
-* :func:`serving_program` emits the IR stream (tagged phases:
-  pack/score/reduce/mask/score2/reduce2/emit) that the chip simulator
-  prices - parameterized by ``blocks`` (occupancy) because the weight
-  plaintexts stream per occupied block, so fuller batches genuinely
-  cost more HBM traffic;
-* :func:`build_steps` returns the *functional* CKKS step list a
-  :class:`~repro.reliability.recovery.RecoveringExecutor` runs, so
-  injected faults hit real limbs/NTTs/hints and recovery replays real
-  homomorphic state.
+Each kind is written once, as the IR stream :func:`serving_program`
+emits (tagged phases: pack/score/reduce/mask/score2/reduce2/emit).  The
+chip simulator prices it, and `repro.interpret` lowers the same stream
+into the functional CKKS steps a
+:class:`~repro.reliability.recovery.RecoveringExecutor` runs, so
+injected faults hit real limbs/NTTs/hints and recovery replays real
+homomorphic state.  The stream is parameterized by ``blocks``
+(occupancy) because the weight plaintexts stream per occupied block, so
+fuller batches genuinely cost more HBM traffic.
 
 :func:`slot_reference` is the numpy mirror of the slot arithmetic, used
 by tests to bound the decrypted answers (approximately - CKKS is
@@ -41,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler.dsl import FheBuilder
-from repro.ir import ADD, PMULT, ROTATE, HomOp, Program
+from repro.ir import Program
 from repro.reliability.errors import ParameterError
 
 SERVE_KINDS = ("logreg", "lstm")
@@ -78,7 +76,8 @@ def serving_weights(seed: int, slots: int, block: int) -> dict[str, np.ndarray]:
 
     ``w1``/``w2`` are the two stages' slot-wise weights; ``mask`` keeps
     only block-start slots (the per-tenant isolation mask between lstm
-    stages).  Everything flows from ``seed``.
+    stages).  Everything flows from ``seed``.  The keys are the
+    plaintext ids :func:`serving_program` multiplies by.
     """
     rng = np.random.default_rng(seed)
     w1 = 0.5 * rng.standard_normal(slots)
@@ -107,7 +106,7 @@ def readout_slot(block_index: int, block: int) -> int:
     return block_index * block
 
 
-# -- the IR program the chip simulator prices ---------------------------------
+# -- the one description of a served batch ------------------------------------
 
 
 def serving_program(kind: str, degree: int, max_level: int, block: int,
@@ -131,78 +130,18 @@ def serving_program(kind: str, degree: int, max_level: int, block: int,
     b.phase("pack")
     x = b.input("batch", max_level)
     b.phase("score")
-    x = b.pmult(x, "srv/w1", repeat=blocks)
+    x = b.pmult(x, "w1", repeat=blocks)
     b.phase("reduce")
     for s in rotation_strides(block):
         x = b.add(x, b.rotate(x, s, hint_id=f"srv/rot{s}"))
     if kind == "lstm":
         b.phase("mask")
-        x = b.pmult(x, "srv/mask")
+        x = b.pmult(x, "mask")
         b.phase("score2")
-        x = b.pmult(x, "srv/w2", repeat=blocks)
+        x = b.pmult(x, "w2", repeat=blocks)
         b.phase("reduce2")
         for s in rotation_strides(block):
             x = b.add(x, b.rotate(x, s, hint_id=f"srv/rot{s}"))
     b.phase("emit")
     b.output(x)
     return b.build()
-
-
-# -- the functional step list the RecoveringExecutor runs ---------------------
-
-
-def build_steps(ctx, hints: dict[int, object], weights: dict,
-                kind: str, block: int):
-    """(name, fn) steps over state ``{"x": working, "base": resident}``.
-
-    ``base`` (the encrypted packed input) is never consumed after step
-    zero - it is the quiet register-file resident the ``rf`` fault site
-    corrupts, detected by the keyswitch boundary sweep.  All steps are
-    pure homomorphic ops (no randomness), so executor replay is
-    bit-deterministic.
-    """
-    check_kind(kind)
-    strides = rotation_strides(block)
-
-    def pmult_step(values):
-        def fn(ctx_, state):
-            state["x"] = ctx_.pmult(state["x"], values)
-        return fn
-
-    def reduce_step(s):
-        def fn(ctx_, state):
-            state["x"] = ctx_.add(state["x"],
-                                  ctx_.rotate(state["x"], s, hints[s]))
-        return fn
-
-    steps = [("score/w1", pmult_step(weights["w1"]))]
-    steps += [(f"reduce/rot{s}", reduce_step(s)) for s in strides]
-    if kind == "lstm":
-        steps.append(("mask", pmult_step(weights["mask"])))
-        steps.append(("score2/w2", pmult_step(weights["w2"])))
-        steps += [(f"reduce2/rot{s}", reduce_step(s)) for s in strides]
-    return steps
-
-
-def step_cycle_costs(steps, degree: int, start_level: int, cfg) -> list[float]:
-    """Price each functional step with the core cycle model, so executor
-    replay overhead lands in the same units as the compiled schedule."""
-    from repro.core.cost import op_cost
-
-    costs = []
-    level = start_level
-    for name, _ in steps:
-        if name.startswith(("score", "mask")):
-            op = HomOp(kind=PMULT, level=level, result="t",
-                       operands=("a",), plaintext_id="w")
-            cycles = op_cost(cfg, op, degree).compute_cycles(cfg)
-            level = max(1, level - 1)  # the pmult's rescale
-        else:
-            rot = HomOp(kind=ROTATE, level=level, result="t",
-                        operands=("a",), hint_id="h")
-            add = HomOp(kind=ADD, level=level, result="t",
-                        operands=("a", "b"))
-            cycles = (op_cost(cfg, rot, degree).compute_cycles(cfg)
-                      + op_cost(cfg, add, degree).compute_cycles(cfg))
-        costs.append(cycles)
-    return costs

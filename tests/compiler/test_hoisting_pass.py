@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.compiler import FheBuilder, hoist_rotations
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
-from repro.fhe.hoisting import HoistedRotator
+from repro.interpret import lower
 from repro.ir import (
     ADD,
     HOIST_MODUP,
@@ -83,36 +83,15 @@ def _build_program(groups: list[list[int]], hint_pool: int = 0) -> Program:
 
 
 def _execute(program: Program, fhe, ct) -> list[np.ndarray]:
-    """Interpret a Program against the CKKS layer; returns decrypted
-    outputs.  Rotation amounts come from the explicit ``op.steps`` field,
-    never from hint names: hint ids are reuse handles that workloads
-    share across different amounts, so parsing them would make the
-    harness blind to exactly the miscompilation it exists to catch."""
-    ctx, sk = fhe.ctx, fhe.sk
-    env: dict[str, object] = {}
-    rotators: dict[str, HoistedRotator] = {}
-    outputs: list[np.ndarray] = []
-    for op in program.ops:
-        if op.kind == INPUT:
-            env[op.result] = ct
-        elif op.kind == ADD:
-            env[op.result] = ctx.add(env[op.operands[0]], env[op.operands[1]])
-        elif op.kind == ROTATE:
-            assert op.steps is not None, f"rotate {op.result} lost its steps"
-            env[op.result] = ctx.rotate(env[op.operands[0]], op.steps,
-                                        _hint(fhe, op.steps))
-        elif op.kind == HOIST_MODUP:
-            rotators[op.result] = HoistedRotator(
-                ctx, env[op.operands[0]], alpha=ctx.params.alpha)
-        elif op.kind == ROTATE_HOISTED:
-            assert op.steps is not None, f"rotate {op.result} lost its steps"
-            env[op.result] = rotators[op.operands[0]].rotate(
-                op.steps, _hint(fhe, op.steps))
-        elif op.kind == OUTPUT:
-            outputs.append(ctx.decrypt(sk, env[op.operands[0]]))
-        else:  # pragma: no cover - generator only emits the kinds above
-            raise AssertionError(f"unexpected op kind {op.kind}")
-    return outputs
+    """Run a Program on the CKKS layer through `repro.interpret`, every
+    input bound to ``ct``; returns the decrypted outputs.  The
+    interpreter takes rotation amounts from ``op.steps``, never from
+    hint names, so a batch merged on a shared hint id would decrypt
+    differently here."""
+    plan = lower(program, {op.steps: _hint(fhe, op.steps)
+                           for op in program.ops if op.steps is not None})
+    state = plan.run(fhe.ctx, dict.fromkeys(plan.inputs, ct))
+    return [fhe.ctx.decrypt(fhe.sk, state[name]) for name in plan.outputs]
 
 
 @settings(max_examples=20, deadline=None)

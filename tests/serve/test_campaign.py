@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.interpret import lower
 from repro.obs import collector as obs
 from repro.serve import ServeConfig
 from repro.serve.clock import VirtualClock
@@ -23,6 +24,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.request import COMPLETED
 from repro.serve.server import Server
+from repro.workloads.serving import serving_program
 
 BASELINE = Path(__file__).parent / "baseline.json"
 
@@ -117,7 +119,7 @@ def test_fault_planner_is_deterministic():
     spec = small_spec(fault_rate=0.5)
     a = _FaultPlanner(spec, FaultInjector(seed=1))
     b = _FaultPlanner(spec, FaultInjector(seed=1))
-    steps = [(f"reduce/rot{i}", lambda c, s: None) for i in range(6)]
+    steps = lower(serving_program("lstm", 256, 5, 16, 1)).steps
     for batch_id in range(20):
         a(batch_id, 0, steps)
         b(batch_id, 0, steps)
