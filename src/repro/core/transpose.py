@@ -13,7 +13,10 @@ groups and decomposes the transpose into
 
 This module executes both steps explicitly on numpy data so the
 decomposition can be verified against a plain matrix transpose, and counts
-the words each step moves (the 4E words/cycle budget of Sec. 4.2).
+the words each step moves (the 4E words/cycle budget of Sec. 4.2).  The
+functional CKKS layer computes its NTT with the same four-step
+decomposition (:class:`repro.fhe.ntt.BatchedNttContext`; see
+docs/PERFORMANCE.md, "Four-step NTT").
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from repro.fhe.sampling import (
 from repro.obs import collector as obs
 from repro.reliability.checksums import limb_checksums, verify_limbs
 from repro.reliability.errors import (
+    FaultDetectedError,
     LevelMismatchError,
     NoiseBudgetExhaustedError,
     ParameterError,
@@ -252,10 +253,8 @@ class CkksContext:
         if not self.policy.checksums:
             return ct
         with obs.span("reliability.checksum.seal", "reliability"):
-            ct.integrity = (
-                limb_checksums(ct.c0.data, ct.c0.basis.moduli),
-                limb_checksums(ct.c1.data, ct.c1.basis.moduli),
-            )
+            ct.integrity = tuple(limb_checksums(
+                np.stack((ct.c0.data, ct.c1.data)), ct.basis.moduli_col))
         return ct
 
     def verify_integrity(self, ct: Ciphertext,
@@ -264,10 +263,15 @@ class CkksContext:
         if ct.integrity is None:
             return
         with obs.span("reliability.checksum.verify", "reliability"):
-            verify_limbs(ct.c0.data, ct.c0.basis.moduli, ct.integrity[0],
-                         f"{what}.c0")
-            verify_limbs(ct.c1.data, ct.c1.basis.moduli, ct.integrity[1],
-                         f"{what}.c1")
+            moduli = ct.basis.moduli_col
+            current = limb_checksums(np.stack((ct.c0.data, ct.c1.data)),
+                                     moduli)
+            if np.array_equal(current, ct.integrity):
+                obs.count("reliability.checksum.verified", 2)
+                return
+            # A fault: name the damaged half and its limbs.
+            verify_limbs(ct.c0.data, moduli, ct.integrity[0], f"{what}.c0")
+            verify_limbs(ct.c1.data, moduli, ct.integrity[1], f"{what}.c1")
 
     def snapshot(self, ct: Ciphertext):
         """Sealed deep copy of ``ct`` for checkpoint/replay recovery.
@@ -321,7 +325,7 @@ class CkksContext:
         if (not self.policy.checksums or a.integrity is None
                 or b.integrity is None):
             return False
-        q = np.array(out.c0.basis.moduli, dtype=np.uint64)
+        q = out.basis.moduli_col.reshape(-1)
         if sign >= 0:
             out.integrity = ((a.integrity[0] + b.integrity[0]) % q,
                              (a.integrity[1] + b.integrity[1]) % q)
@@ -635,22 +639,50 @@ class CkksContext:
         a = self._ensure_level(a, 2, "pmult")
         if result_scale is None:
             result_scale = a.scale
-        q_last = float(a.basis.moduli[-1])
-        enc_scale = result_scale * q_last / a.scale
-        pt = None
-        if cache is not None:
-            full_key = (cache_key, a.level, enc_scale)
-            pt = cache.get(full_key)
-            obs.count("fhe.cache.plaintext.hit" if pt is not None
-                      else "fhe.cache.plaintext.miss")
-        if pt is None:
-            pt = self.encode(values, level=a.level, scale=enc_scale)
-            if cache is not None:
-                cache[full_key] = pt
+        pt = self._targeted_plaintext(a, values, result_scale, cache,
+                                      cache_key)
         out = self.rescale(self.mul_plain(a, pt))
         # Float bookkeeping may be off by an ulp; pin the declared scale.
         out.scale = result_scale
         return self._finish(out, "pmult", a)
+
+    def _targeted_plaintext(self, a: Ciphertext, values,
+                            result_scale: float, cache: dict | None,
+                            cache_key) -> Plaintext:
+        """``values`` encoded at ``a``'s level with the encoding scale
+        that makes ``a * pt`` rescale to ``result_scale`` exactly.
+
+        A memoized plaintext is kept in the EVAL domain, so a hit skips
+        the encoder FFT and the forward NTT alike (the transform is a
+        bijection: a hit multiplies by the very residues a fresh encode
+        would).  Under the checksum policy each entry is sealed when it
+        is stored and verified on every hit; a corrupted entry is evicted
+        before the fault is raised, so a retry encodes afresh.
+        """
+        enc_scale = result_scale * float(a.basis.moduli[-1]) / a.scale
+        if cache is None:
+            return self.encode(values, level=a.level, scale=enc_scale)
+        full_key = (cache_key, a.level, enc_scale)
+        entry = cache.get(full_key)
+        obs.count("fhe.cache.plaintext.hit" if entry is not None
+                  else "fhe.cache.plaintext.miss")
+        moduli = a.basis.moduli_col
+        if entry is None:
+            pt = self.encode(values, level=a.level, scale=enc_scale)
+            pt = Plaintext(pt.poly.to_eval(), pt.scale)
+            sums = (limb_checksums(pt.poly.data, moduli)
+                    if self.policy.checksums else None)
+            cache[full_key] = (pt, sums)
+            return pt
+        pt, sums = entry
+        if sums is not None:
+            try:
+                verify_limbs(pt.poly.data, moduli, sums,
+                             f"memoized plaintext {cache_key!r}")
+            except FaultDetectedError:
+                del cache[full_key]
+                raise
+        return pt
 
     def pmult_deferred(self, a: Ciphertext, values,
                        result_scale: float | None = None,
@@ -668,22 +700,12 @@ class CkksContext:
         a = self._ensure_level(a, 2, "pmult")
         if result_scale is None:
             result_scale = a.scale
-        q_last = float(a.basis.moduli[-1])
-        enc_scale = result_scale * q_last / a.scale
-        pt = None
-        if cache is not None:
-            full_key = (cache_key, a.level, enc_scale)
-            pt = cache.get(full_key)
-            obs.count("fhe.cache.plaintext.hit" if pt is not None
-                      else "fhe.cache.plaintext.miss")
-        if pt is None:
-            pt = self.encode(values, level=a.level, scale=enc_scale)
-            if cache is not None:
-                cache[full_key] = pt
+        pt = self._targeted_plaintext(a, values, result_scale, cache,
+                                      cache_key)
         out = self.mul_plain(a, pt)
         # Pin the product scale so every deferred term in a sum agrees
         # exactly; the caller's single rescale then lands on result_scale.
-        out.scale = result_scale * q_last
+        out.scale = result_scale * float(a.basis.moduli[-1])
         return out
 
     def multiply(self, a: Ciphertext, b: Ciphertext,

@@ -75,7 +75,7 @@ class HoistedRotator:
         self.integrity: list[np.ndarray] | None = None
         if ctx.policy.checksums:
             self.integrity = [
-                limb_checksums(digit.data, digit.basis.moduli)
+                limb_checksums(digit.data, digit.basis.moduli_col)
                 for digit in self.raised_digits
             ]
 
@@ -85,7 +85,7 @@ class HoistedRotator:
             return
         for i, (digit, reference) in enumerate(
                 zip(self.raised_digits, self.integrity)):
-            verify_limbs(digit.data, digit.basis.moduli, reference,
+            verify_limbs(digit.data, digit.basis.moduli_col, reference,
                          f"hoisted raised digit {i}")
 
     def rotate(self, steps: int, hint: KeySwitchHint) -> Ciphertext:

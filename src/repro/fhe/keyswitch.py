@@ -72,6 +72,7 @@ class KeySwitchHint:
     # restricted_rows() load while the reliability integrity switch is on.
     checksums: list | None = None
     _a_cache: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)  # basis -> rows
 
     @property
     def digits(self) -> int:
@@ -111,8 +112,11 @@ class KeySwitchHint:
         the *transferred* rows (never the stored hint), and the integrity
         switch verifies the transfer against the generation-time checksums.
         """
-        full = self.full_basis.moduli
-        take = [full.index(q) for q in basis.moduli]
+        take = self._rows.get(basis.moduli)
+        if take is None:
+            full = self.full_basis.moduli
+            take = np.array([full.index(q) for q in basis.moduli])
+            self._rows[basis.moduli] = take
         b_rows = self.b_polys[index].data[take]
         a_rows = self.a_poly(index).data[take]
         injector = _faults.active_injector()
@@ -123,9 +127,9 @@ class KeySwitchHint:
                 and self.checksums is not None):
             b_sums, a_sums = self.checksums[index]
             with obs.span("reliability.hint.verify", "reliability"):
-                verify_limbs(b_rows, basis.moduli, b_sums[take],
+                verify_limbs(b_rows, basis.moduli_col, b_sums[take],
                              f"hint {self.label} digit {index} (b)")
-                verify_limbs(a_rows, basis.moduli, a_sums[take],
+                verify_limbs(a_rows, basis.moduli_col, a_sums[take],
                              f"hint {self.label} digit {index} (a)")
         return b_rows, a_rows
 
@@ -187,8 +191,8 @@ def generate_hint(
     if integrity:
         with obs.span("reliability.checksum.seal", "reliability"):
             hint.checksums = [
-                (limb_checksums(b.data, full.moduli),
-                 limb_checksums(hint.a_poly(i).data, full.moduli))
+                (limb_checksums(b.data, full.moduli_col),
+                 limb_checksums(hint.a_poly(i).data, full.moduli_col))
                 for i, b in enumerate(b_polys)
             ]
     return hint
@@ -199,25 +203,50 @@ def _accumulate_digits(
 ) -> tuple[RnsPoly, RnsPoly]:
     """Core of both algorithms: sum_i ModUp([c]_{D_i}) * ksh_i over ``target``.
 
-    ``poly`` must be coefficient-domain over the current basis Q_level.
+    ``poly`` lives over the current basis Q_level, a prefix of ``target``.
     Each digit's residues are raised to ``target`` with the fast base
     conversion (the CRB kernel) and NTT'd, then multiplied against the
     hint's (b, a) rows and accumulated - Listing 1 lines 5-6 generalized to
     t digits.
+
+    The raised digit's rows over the digit's own primes need no work:
+    fast conversion into q_j, with (Q/q_j)^{-1} * (Q/q_j) = 1 and Q = 0
+    mod q_j, returns x_j exactly, so those rows are the input's own EVAL
+    rows.  Only the other target primes are converted and transformed
+    (for t=1, alpha rows instead of L + alpha).
     """
     degree = poly.degree
-    acc0 = RnsPoly.zero(target, degree, EVAL)
-    acc1 = RnsPoly.zero(target, degree, EVAL)
-    level_digits = digit_bases(poly.basis, hint.alpha)
-    offset = 0
-    for i, digit in enumerate(level_digits):
-        rows = poly.data[offset : offset + len(digit)]
-        offset += len(digit)
-        raised = RnsPoly(digit, rows, "coeff").change_basis(target).to_eval()
+    coeff = poly.to_coeff().data
+    evals = poly.to_eval().data
+    moduli = target.moduli
+    q_col = target.moduli_col
+    acc0 = acc1 = None
+    start = 0
+    for i, digit in enumerate(digit_bases(poly.basis, hint.alpha)):
+        stop = start + len(digit)
+        others = moduli[:start] + moduli[stop:]
+        if others:
+            converted = BatchedNttContext.get(others, degree).forward(
+                digit.convert_approx(coeff[start:stop], RnsBasis(others)))
+            raised = np.concatenate(
+                [converted[:start], evals[start:stop], converted[start:]])
+        else:
+            # The digit is the whole target (standard keyswitching at one
+            # prime): nothing to convert.
+            raised = evals
+        start = stop
         b_rows, a_rows = hint.restricted_rows(i, target)
-        acc0 = acc0 + raised * RnsPoly(target, b_rows, EVAL)
-        acc1 = acc1 + raised * RnsPoly(target, a_rows, EVAL)
-    return acc0, acc1
+        prod0 = raised * b_rows % q_col
+        prod1 = raised * a_rows % q_col
+        if acc0 is None:
+            acc0, acc1 = prod0, prod1
+        else:
+            # Canonical summands: one conditional subtraction reduces.
+            acc0 += prod0
+            acc0 = np.minimum(acc0, acc0 - q_col)
+            acc1 += prod1
+            acc1 = np.minimum(acc1, acc1 - q_col)
+    return RnsPoly(target, acc0, EVAL), RnsPoly(target, acc1, EVAL)
 
 
 def mod_down(poly: RnsPoly, q_basis: RnsBasis, aux_basis: RnsBasis) -> RnsPoly:
@@ -276,7 +305,8 @@ def mod_down_pair(
     q_col = q_basis.moduli_col
     inv_col = q_basis.scalar_inverse_col(aux_basis.modulus)
     q_rows = np.stack([p0.data[:n_q], p1.data[:n_q]])
-    out = (q_rows + q_col - corr) % q_col * inv_col % q_col
+    w = q_rows + q_col - corr  # canonical operands: below 2q
+    out = np.minimum(w, w - q_col, out=w) * inv_col % q_col
     return RnsPoly(q_basis, out[0], EVAL), RnsPoly(q_basis, out[1], EVAL)
 
 
@@ -298,8 +328,7 @@ def boosted_keyswitch(
         obs.count("fhe.keyswitch.boosted")
         q_level = poly.basis
         target = q_level.extend(aux_basis)
-        coeff = poly.to_coeff()
-        acc0, acc1 = _accumulate_digits(coeff, hint, target)
+        acc0, acc1 = _accumulate_digits(poly, hint, target)
         ks0, ks1 = mod_down_pair(acc0, acc1, q_level, aux_basis)
         # The keyswitch working set displaces register-file residents: let
         # an installed integrity boundary hook sweep the evictees' seals.
@@ -324,7 +353,6 @@ def standard_keyswitch(
     with obs.span("keyswitch.standard", "fhe"):
         obs.count("fhe.keyswitch.standard")
         q_level = poly.basis
-        coeff = poly.to_coeff()
-        acc0, acc1 = _accumulate_digits(coeff, hint, q_level)
+        acc0, acc1 = _accumulate_digits(poly, hint, q_level)
         _guards.keyswitch_boundary()
         return acc0, acc1

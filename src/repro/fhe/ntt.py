@@ -5,15 +5,17 @@ multiplication in Z_q[x]/(x^N + 1) is element-wise.  CraterLake devotes two
 of its largest functional units to it; here we implement the same transform
 in vectorized numpy as part of the functional substrate.
 
-We use the standard merged-twiddle formulation (Longa & Naehrig):
-the powers of the 2N-th root psi are folded into the butterflies, so the
-forward transform maps coefficients directly to evaluations of the
-*negacyclic* ring without a separate pre-multiplication pass.  Forward uses
-Cooley-Tukey butterflies (natural -> bit-reversed order); inverse uses
-Gentleman-Sande (bit-reversed -> natural).
+Two implementations compute the same map (coefficients in natural order,
+evaluations at psi^(2*br(j)+1) in bit-reversed slot order j):
 
-All arithmetic stays in uint64: moduli are at most 30 bits in this library,
-so butterfly products are < 2^60 and never overflow.
+* :class:`BatchedNttContext` - the one the library runs: a four-step
+  matrix NTT over all limbs of a residue matrix at once, as float64 BLAS
+  matmuls that are exact by construction (see its docstring).
+* :class:`NttContext` - the per-limb radix-2 reference oracle, in the
+  standard merged-twiddle formulation (Longa & Naehrig): Cooley-Tukey
+  butterflies forward (natural -> bit-reversed), Gentleman-Sande inverse.
+  Its arithmetic stays in uint64: moduli are below 2^31, so butterfly
+  products are < 2^62 and never overflow.
 """
 
 from __future__ import annotations
@@ -68,21 +70,22 @@ def eval_automorphism_permutation(degree: int, k: int) -> np.ndarray:
     return perm
 
 
-def power_table(base: int, count: int, modulus: int) -> np.ndarray:
+def power_table(base, count: int, modulus) -> np.ndarray:
     """``[base^0, base^1, ..., base^(count-1)] mod modulus`` as uint64.
 
     Square-and-multiply over the exponent's bit decomposition: log2(count)
-    vectorized multiplies instead of a length-``count`` Python loop.  Safe
-    in uint64 because factors stay below the 31-bit modulus.
+    vectorized multiplies instead of a length-``count`` Python loop.
+    ``base`` and ``modulus`` may also be (L, 1) columns, giving one table
+    per row.  Safe in uint64 because factors stay below the 31-bit modulus.
     """
-    q = np.uint64(modulus)
-    out = np.ones(count, dtype=np.uint64)
+    q = np.asarray(modulus, dtype=np.uint64)
+    sq = np.asarray(base, dtype=np.uint64) % q
+    out = np.ones(np.broadcast_shapes(sq.shape, (count,)), dtype=np.uint64)
     idx = np.arange(count, dtype=np.uint64)
-    sq = base % modulus
     for b in range(max(1, count - 1).bit_length()):
         hit = (idx >> np.uint64(b)) & np.uint64(1) == 1
-        out[hit] = out[hit] * np.uint64(sq) % q
-        sq = sq * sq % modulus
+        out[..., hit] = out[..., hit] * sq % q
+        sq = sq * sq % q
     return out
 
 
@@ -304,18 +307,156 @@ class NttContext:
         return self.inverse(fa * fb % np.uint64(self.modulus))
 
 
+#: Largest four-step factor, as log2: every pass is a DFT of at most 64
+#: points, so a pass's partial sums stay below 2^53 (see BatchedNttContext).
+_FACTOR_BITS = 6
+
+
+def four_step_factors(degree: int) -> tuple[int, ...]:
+    """Split a power-of-two degree into four-step factors, each <= 64.
+
+    Two factors up to N=4096 (256 = 16*16, 4096 = 64*64), a third above
+    (8192 = 32*16*16), as few as possible and as even as possible, largest
+    first.  N <= 64 is a single factor: one DFT matmul, no twiddle pass.
+    """
+    if degree < 1 or degree & (degree - 1):
+        raise ParameterError("degree must be a power of two", degree=degree)
+    bits = degree.bit_length() - 1
+    passes = max(1, -(-bits // _FACTOR_BITS))
+    out = []
+    for i in range(passes):
+        b = -(-bits // (passes - i))
+        out.append(1 << b)
+        bits -= b
+    return tuple(out)
+
+
+def _split16(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m = hi * 2^16 + lo`` with lo in [-2^15, 2^15), both as float64.
+
+    For m < 2^31 both halves are at most 2^15 in magnitude, so a product
+    with a residue below 2^31 is below 2^46 and 64 of them sum below 2^52.
+    """
+    m = m.astype(np.int64)
+    lo = ((m + 0x8000) & 0xFFFF) - 0x8000
+    return ((m - lo) >> 16).astype(np.float64), lo.astype(np.float64)
+
+
+class _Pass:
+    """One four-step pass: a DFT of ``n`` points along one axis.
+
+    The data is viewed as ``(L, A, n, B)`` (row-major, A = product of the
+    earlier factors, B of the later ones).  Every pass but the last
+    left-multiplies by a per-limb ``(n, n)`` matrix; the last pass
+    (B = 1) right-multiplies by the transpose, so no pass degenerates
+    into a batch of matrix-vector products.  The hi and lo halves of each
+    matrix are stacked on a new leading axis, so one matmul yields both
+    partial sums as contiguous blocks.
+    """
+
+    __slots__ = ("n", "left", "shape", "fwd", "inv", "q", "qinv",
+                 "fwd_tw", "inv_tw")
+
+    def __init__(self, n, a, b, left, fwd, inv, q, qinv, tw, itw):
+        self.n = n
+        self.left = left
+        limbs = q.shape[0]
+        self.shape = (limbs, a, n, b) if left else (limbs, a, n)
+        # Matrices come indexed [limb, out, in].
+        mats = [np.stack(_split16(m)) for m in (fwd, inv)]
+        if left:
+            mats = [m[:, :, None] for m in mats]
+        else:
+            mats = [np.ascontiguousarray(m.transpose(0, 1, 3, 2))
+                    for m in mats]
+        self.fwd, self.inv = mats
+        self.q = q.reshape(self.shape)
+        self.qinv = qinv.reshape(self.shape)
+        # Twiddles (None on the first pass), split like the matrices:
+        # forward multiplies the data entering the pass, inverse the data
+        # leaving its inverse matmul.
+        self.fwd_tw, self.inv_tw = (
+            None if t is None else np.stack(_split16(t)).reshape(
+                (2,) + self.shape)
+            for t in (tw, itw))
+
+    @staticmethod
+    def _widen(table: np.ndarray, lead) -> np.ndarray:
+        """View a (2, ...) split table against ``lead`` batch axes."""
+        return table.reshape(table.shape[:1] + (1,) * len(lead)
+                             + table.shape[1:]) if lead else table
+
+    def apply(self, x, mats, lead, out, k) -> np.ndarray:
+        """Exact ``mats @ x`` mod q along this pass's axis.
+
+        ``x`` is ``lead + shape`` holding integers below 2^31 in magnitude;
+        the result, written to scratch ``out`` and returned as a view, is
+        balanced (see :meth:`fold`).
+        """
+        x = x.reshape((1,) + lead + self.shape)
+        out = out.reshape((2,) + lead + self.shape)
+        mats = self._widen(mats, lead)
+        if self.left:
+            np.matmul(mats, x, out=out)
+        else:
+            np.matmul(x, mats, out=out)
+        return self.fold(out[0], out[1], k)
+
+    def twiddle(self, x, tw, lead, out, k) -> np.ndarray:
+        """``x * tw mod q``, elementwise: the same split and fold as a
+        matmul, on products below 2^45."""
+        out = out.reshape((2,) + lead + self.shape)
+        np.multiply(x.reshape(lead + self.shape), self._widen(tw, lead),
+                    out=out)
+        return self.fold(out[0], out[1], k)
+
+    def fold(self, hi, lo, k) -> np.ndarray:
+        """``hi * 2^16 + lo`` mod q for exact |hi|, |lo| < 2^52, in place.
+
+        Two ``rint`` remainders: ``hi`` first, so that (hi mod q) * 2^16
+        + lo < 2^46 + 2^52 stays exact, then the sum.  Each leaves the
+        residue balanced, in about [-q/2, q/2] as floats.  ``k`` is
+        scratch of ``hi``'s size.
+        """
+        k = k.reshape(hi.shape)
+        for step in range(2):
+            if step:
+                hi *= 65536.0
+                hi += lo
+            np.multiply(hi, self.qinv, out=k)
+            np.rint(k, out=k)
+            k *= self.q
+            hi -= k
+        return hi
+
+
 class BatchedNttContext:
-    """Limb-batched negacyclic NTT over a whole RNS basis.
+    """Limb-batched negacyclic NTT over a whole RNS basis: the four-step
+    matrix transform CraterLake's NTT unit runs (Sec. 5.3).
 
     All L residue polynomials of an ``RnsPoly`` are transformed in one
-    call: the data stays a single ``(L, N)`` uint64 matrix and every
-    Cooley-Tukey / Gentleman-Sande layer is one numpy expression with a
-    per-row modulus column - the layered-FSM idiom (iterate layers, never
-    recurse, no data movement between layers) that warp-core's ping-pong
-    NTT engine uses in hardware.  Twiddle tables are the per-limb
-    :class:`NttContext` tables stacked into ``(L, N)`` matrices, so the
-    batched kernel is bit-exact against the per-limb reference by
-    construction (same butterfly order, same reductions, per row).
+    call.  The degree splits as N = n_1 * ... * n_d
+    (:func:`four_step_factors`, every n_i <= 64) and the transform is d
+    passes of n_i-point DFTs along one axis each, with an elementwise
+    twiddle multiply between passes - the sqrt(N)-point NTTs around a
+    transpose of the paper's Fig. 7 (`repro.core.transpose`).  With the
+    output in bit-reversed order, the negacyclic exponent
+    (2*br(j)+1)*k mod 2N factors exactly into per-pass DFT matrices
+    omega_{n_i}^(br(j_i) k_i), the psi^(N/n_1 * k_1) twist (folded into
+    the first matrix) and one twiddle per later pass, so the output needs
+    no permutation.
+
+    Each pass is a float64 BLAS matmul against the per-limb matrix split
+    into balanced 16-bit halves: every partial sum is an integer below
+    2^53, hence exact, for any modulus below 2^31 (the bound
+    :class:`NttContext` enforces).  Remainders are ``rint``-based and
+    balanced, and the twiddle multiply is the same split on one
+    elementwise product.  Every output word is the canonical residue of
+    the same linear map the per-limb radix-2 :class:`NttContext` (kept
+    as the reference oracle) computes, so the two agree bit for bit.
+    The inverse runs the passes in reverse with the inverse matrices and
+    twiddles; N^{-1} is folded into the last matrix.  See
+    docs/PERFORMANCE.md, "Four-step NTT".
 
     Reliability semantics are preserved at the same sites as the per-limb
     path: an installed fault injector corrupts the batched *output* (one
@@ -323,7 +464,8 @@ class BatchedNttContext:
     switch verifies the end-of-op transform checksum row by row in one
     vectorized pass (see :meth:`verify_transform`).
 
-    Instances are cached per (moduli tuple, degree) via :meth:`get`.
+    Instances, with their tables, are cached per (moduli tuple, degree)
+    via :meth:`get`.
     """
 
     _cache: dict[tuple[tuple[int, ...], int], "BatchedNttContext"] = {}
@@ -331,16 +473,55 @@ class BatchedNttContext:
     def __init__(self, moduli: tuple[int, ...], degree: int):
         self.moduli = tuple(int(q) for q in moduli)
         self.degree = degree
+        self.factors = four_step_factors(degree)
+        # The per-limb contexts validate each modulus (< 2^31, which the
+        # exactness bound needs) and fix psi; their check vectors back
+        # verify_transform.
         limbs = [NttContext.get(q, degree) for q in self.moduli]
         self._limbs = limbs
         self.q_col = np.array(self.moduli, dtype=np.uint64)[:, None]
-        self.psi_bitrev = np.stack([c.psi_bitrev for c in limbs])
-        self.psi_inv_bitrev = np.stack([c.psi_inv_bitrev for c in limbs])
-        self.n_inv_col = np.array([c.n_inv for c in limbs],
-                                  dtype=np.uint64)[:, None]
         self.n_mod_col = np.array([degree % q for q in self.moduli],
                                   dtype=np.uint64)[:, None]
+        self._q_full = np.ascontiguousarray(
+            np.broadcast_to(self.q_col, (len(self.moduli), degree)))
         self._inv_check_mat: np.ndarray | None = None
+        self._work: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._passes = self._build_passes(limbs)
+
+    def _build_passes(self, limbs) -> list[_Pass]:
+        n, two_n, q = self.degree, 2 * self.degree, self.q_col
+        # psi^e for every exponent e mod 2N, one row per limb; psi^-e is
+        # the entry at 2N - e.
+        psi = power_table(np.array([c._psi for c in limbs],
+                                   dtype=np.uint64)[:, None], two_n, q)
+        n_inv = np.array([pow(n, int(m) - 2, int(m)) for m in self.moduli],
+                         dtype=np.uint64)[:, None, None]
+        q_f64 = self._q_full.astype(np.float64)
+        qinv = 1.0 / q_f64
+        passes = []
+        for i, ni in enumerate(self.factors):
+            a = int(np.prod(self.factors[:i]))
+            b = n // (a * ni)
+            k = np.arange(ni, dtype=np.int64)
+            # DFT_{n_i}, rows bit-reversed: omega_{n_i} = psi^(2N/n_i).
+            e = 2 * (n // ni) * np.outer(bit_reverse_permutation(ni), k)
+            if i == 0:
+                e = e + b * k  # the negacyclic twist psi^(N/n_1 * k_1)
+            e %= two_n
+            fwd = psi[:, e]
+            inv = psi[:, (two_n - e.T) % two_n]
+            if i == 0:
+                inv = inv * n_inv % q[:, :, None]
+            tw = itw = None
+            if i:
+                # psi^(B*k_i*(2*br(J)+1)), J = the earlier output digits.
+                t = b * np.outer(2 * bit_reverse_permutation(a) + 1, k)
+                t = np.broadcast_to((t % two_n)[:, :, None], (a, ni, b))
+                tw = psi[:, t].reshape(len(q), n)
+                itw = psi[:, (two_n - t) % two_n].reshape(len(q), n)
+            passes.append(_Pass(ni, a, b, i < len(self.factors) - 1,
+                                fwd, inv, q_f64, qinv, tw, itw))
+        return passes
 
     @classmethod
     def get(cls, moduli, degree: int) -> "BatchedNttContext":
@@ -359,8 +540,8 @@ class BatchedNttContext:
         """Batched negacyclic NTT of a (..., L, N) residue tensor.
 
         Leading axes batch independent polynomials (e.g. both halves of a
-        ciphertext) through one set of layer passes; the per-row moduli
-        broadcast across them.
+        ciphertext) through the same passes; the per-row moduli broadcast
+        across them.
         """
         if obs.is_enabled():
             with obs.span("ntt.forward", "fhe"):
@@ -382,51 +563,47 @@ class BatchedNttContext:
             out = self._inverse(data)
         return self._post_transform(data, out, self._inverse, True)
 
+    def _scratch(self, lead) -> tuple[np.ndarray, ...]:
+        """Flat float64 buffers reused by every transform of this shape:
+        the matmul products, the twiddle products (whose first half also
+        takes the input) and the remainder quotients.  Fresh
+        multi-megabyte temporaries per pass would cost more in page
+        faults than the arithmetic at large N."""
+        bufs = self._work.get(lead)
+        if bufs is None:
+            size = int(np.prod(lead, dtype=np.int64)) * self._q_full.size
+            bufs = (np.empty(2 * size), np.empty(2 * size), np.empty(size))
+            self._work[lead] = bufs
+        return bufs
+
     def _forward(self, data: np.ndarray) -> np.ndarray:
-        # One true modular reduction (the twiddle product) per layer; the
-        # butterfly sums stay below 2q, so ``min(w, w - q)`` finishes the
-        # reduction with the unsigned-wraparound trick instead of a second
-        # and third integer division - same reduced values, bit for bit.
-        n = self.degree
-        q = self.q_col[:, :, None]  # (L, 1, 1): one modulus per row
-        a = np.array(data, dtype=np.uint64, copy=True)
-        lead = a.shape[:-1]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            s = self.psi_bitrev[:, m : 2 * m]  # (L, m) twiddles this layer
-            blocks = a.reshape(*lead, m, 2 * t)
-            u = blocks[..., :t]
-            v = blocks[..., t:] * s[:, :, None] % q
-            w_add = u + v
-            w_sub = u + (q - v)
-            blocks[..., :t] = np.minimum(w_add, w_add - q)
-            blocks[..., t:] = np.minimum(w_sub, w_sub - q)
-            m *= 2
-        return a
+        return self._transform(data, self._passes, True)
 
     def _inverse(self, data: np.ndarray) -> np.ndarray:
-        n = self.degree
-        q = self.q_col[:, :, None]
-        a = np.array(data, dtype=np.uint64, copy=True)
-        lead = a.shape[:-1]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            s = self.psi_inv_bitrev[:, h : 2 * h]
-            blocks = a.reshape(*lead, h, 2 * t)
-            u = blocks[..., :t].copy()
-            v = blocks[..., t:]
-            w_add = u + v
-            blocks[..., :t] = np.minimum(w_add, w_add - q)
-            # (u + q - v) < 2q < 2^32 times a 31-bit twiddle stays under
-            # 2^63, so the difference can enter the product unreduced.
-            blocks[..., t:] = (u + q - v) * s[:, :, None] % q
-            t *= 2
-            m = h
-        return a * self.n_inv_col % self.q_col
+        return self._transform(data, self._passes[::-1], False)
+
+    def _transform(self, data, passes, forward: bool) -> np.ndarray:
+        """Run ``passes`` in order: forward twiddles enter a pass, inverse
+        ones leave it, so both directions alternate matmul and twiddle."""
+        data = np.asarray(data)
+        lead = data.shape[:-2]
+        prod, twid, k = self._scratch(lead)
+        x = twid[:k.size].reshape(lead + passes[0].shape)
+        np.copyto(x, data.reshape(x.shape), casting="unsafe")
+        for i, p in enumerate(passes):
+            if forward and i:
+                x = p.twiddle(x, p.fwd_tw, lead, twid, k)
+            x = p.apply(x, p.fwd if forward else p.inv, lead, prod, k)
+            if not forward and i < len(passes) - 1:
+                x = p.twiddle(x, p.inv_tw, lead, twid, k)
+        # Balanced floats -> canonical uint64: x + q lies in (0, 2q), and
+        # one conditional subtraction (unsigned wraparound) finishes.
+        shifted = k.reshape(x.shape)
+        np.add(x, passes[-1].q, out=shifted)
+        u = shifted.astype(np.uint64).reshape(lead + self._q_full.shape)
+        below = twid[:u.size].view(np.uint64).reshape(u.shape)
+        np.subtract(u, self._q_full, out=below)
+        return np.minimum(u, below, out=u)
 
     def _post_transform(self, data, out, kernel, inverse: bool):
         """Reliability tail, batched: same sites as the per-limb path.
@@ -451,7 +628,7 @@ class BatchedNttContext:
                         if not np.array_equal(out, kernel(data)):
                             raise FaultDetectedError(
                                 "batched NTT re-execution disagrees with "
-                                "first run; compute fault in a butterfly",
+                                "first run; compute fault in a pass",
                                 moduli=self.moduli, degree=self.degree,
                             )
         return out
@@ -486,7 +663,7 @@ class BatchedNttContext:
                 bad = sorted({int(i) for i in np.nonzero(got != expect)[-1]})
                 raise FaultDetectedError(
                     "transform checksum mismatch; compute fault in an "
-                    f"{'iNTT' if inverse else 'NTT'} butterfly",
+                    f"{'iNTT' if inverse else 'NTT'} pass",
                     limbs=bad, degree=self.degree,
                 )
 

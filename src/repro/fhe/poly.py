@@ -290,9 +290,19 @@ def batch_rescale(polys: list[RnsPoly]) -> list[RnsPoly]:
     )
     q_col = new_basis.moduli_col
     inv_col = first.basis.rescale_inv_col
-    corr = np.mod(centered[:, None, :], q_col.astype(np.int64)).astype(np.uint64)
+    # centered + q_i lies in (0, 2 q_i) whenever q_i > q_last // 2 (every
+    # chain of equal-width primes): one conditional subtraction reduces
+    # it.  A narrower limb is reduced by a true remainder first.
+    shifted = centered[:, None, :] + q_col.astype(np.int64)
+    if q_last // 2 >= min(new_basis.moduli):
+        shifted = np.mod(shifted, q_col.astype(np.int64))
+    corr = shifted.astype(np.uint64)
+    corr = np.minimum(corr, corr - q_col, out=corr)
     if was_eval:
         corr = BatchedNttContext.get(new_basis.moduli, first.degree).forward(corr)
-    out = (data[:, :-1] + q_col - corr) % q_col * inv_col % q_col
+    # Canonical operands: the difference is below 2q, so one conditional
+    # subtraction replaces a division.
+    w = data[:, :-1] + q_col - corr
+    out = np.minimum(w, w - q_col, out=w) * inv_col % q_col
     domain = EVAL if was_eval else COEFF
     return [RnsPoly(new_basis, out[i], domain) for i in range(len(polys))]

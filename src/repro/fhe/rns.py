@@ -21,11 +21,30 @@ Two conversions are provided:
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.obs import collector as obs
 from repro.reliability.errors import NoiseBudgetExhaustedError, ParameterError
+
+
+class _ConversionTables(NamedTuple):
+    """Everything ``convert_approx`` needs for one (source, dest) pair."""
+
+    constants: np.ndarray      # C[src][dest] = (Q/q_src) mod p_dest
+    src_col: np.ndarray        # source moduli, (L, 1) uint64
+    q_hat_inv_col: np.ndarray  # (Q/q_i)^{-1} mod q_i, (L, 1) uint64
+    src_f64_col: np.ndarray    # source moduli, (L, 1) float64
+    dest_col: np.ndarray       # dest moduli, (L', 1) uint64
+    neg_qmod_col: np.ndarray   # -Q mod p_j, (L', 1) uint64
+    c_hi: np.ndarray           # high 16 bits of C^T
+    c_lo: np.ndarray           # low 16 bits of C^T
+
+
+# (source moduli, dest moduli) -> tables; see RnsBasis._conversion_tables.
+_CONVERSION_TABLES: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                         _ConversionTables] = {}
 
 
 class RnsBasis:
@@ -38,10 +57,9 @@ class RnsBasis:
         if len(set(moduli)) != len(moduli):
             raise ParameterError("moduli must be distinct")
         self.moduli = moduli
-        # ARK-style reuse caches: constant matrices and scalar-inverse
-        # columns are pure functions of the bases involved, so they are
-        # computed once per (basis, key) and replayed on every keyswitch.
-        self._conv_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # ARK-style reuse cache: scalar-inverse columns are pure functions
+        # of the basis, so they are computed once per (basis, value) and
+        # replayed on every keyswitch.
         self._inv_cache: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -202,16 +220,18 @@ class RnsBasis:
         These are exactly the ``constant[srcModIdx][destModIdx]`` values that
         Listing 1's changeRNSBase multiplies by, and the values held in the
         CRB unit's constant registers - which is also why the matrix is
-        cached per destination basis here: the registers are loaded once and
-        reused across every keyswitch at this level.
+        cached per (source, destination) pair: the registers are loaded
+        once and reused across every keyswitch at this level.
         """
-        return self._conversion_tables(dest)[0]
+        return self._conversion_tables(dest).constants
 
-    def _conversion_tables(
-        self, dest: "RnsBasis"
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (constants, dest moduli column, Q mod p_dest column)."""
-        cached = self._conv_cache.get(dest.moduli)
+    def _conversion_tables(self, dest: "RnsBasis") -> _ConversionTables:
+        """The changeRNSBase tables for ``self -> dest``, cached per pair of
+        moduli tuples at module level: bases are rebuilt by every slice,
+        ``extend`` and ``drop_last``, and any two with the same moduli
+        share one set of tables."""
+        key = (self.moduli, dest.moduli)
+        cached = _CONVERSION_TABLES.get(key)
         if cached is not None:
             obs.count("fhe.cache.conversion.hit")
             return cached
@@ -220,9 +240,8 @@ class RnsBasis:
         for i, q_hat in enumerate(self._q_hats):
             for j, pj in enumerate(dest.moduli):
                 c[i, j] = q_hat % pj
-        dest_col = np.array(dest.moduli, dtype=np.uint64)[:, None]
-        qmod_col = np.array(
-            [self.modulus % pj for pj in dest.moduli], dtype=np.uint64
+        neg_qmod_col = np.array(
+            [-self.modulus % pj for pj in dest.moduli], dtype=np.uint64
         )[:, None]
         # 16-bit halves of the transposed constant matrix: the MAC in
         # convert_approx accumulates hi/lo partial dot products without any
@@ -230,9 +249,11 @@ class RnsBasis:
         # limbs fit in uint64) and reduces once per destination row.
         c_t = np.ascontiguousarray(c.T)
         mask = np.uint64(0xFFFF)
-        tables = (c, dest_col, qmod_col,
-                  c_t >> np.uint64(16), c_t & mask)
-        self._conv_cache[dest.moduli] = tables
+        tables = _ConversionTables(
+            c, self.moduli_col, self._q_hat_inv_col,
+            self.moduli_col.astype(np.float64), dest.moduli_col,
+            neg_qmod_col, c_t >> np.uint64(16), c_t & mask)
+        _CONVERSION_TABLES[key] = tables
         return tables
 
     def convert_approx(
@@ -256,19 +277,9 @@ class RnsBasis:
                 "residue count does not match basis size",
                 rows=residues.shape[0], basis=len(self),
             )
+        t = self._conversion_tables(dest)
         # Limb-batched scaling: one broadcast multiply for all source rows.
-        scaled = residues * self._q_hat_inv_col % self.moduli_col
-        overflow = None
-        if correct:
-            # The float accumulation stays a sequential per-row loop on
-            # purpose: summation order affects the final ulp, and the
-            # rounded overflow estimate must stay bit-identical to the
-            # historical kernel (each row op is still N-vectorized).
-            fraction = np.zeros(residues.shape[1], dtype=np.float64)
-            for i, qi in enumerate(self.moduli):
-                fraction += scaled[i].astype(np.float64) / qi
-            overflow = np.rint(fraction).astype(np.uint64)
-        _, dest_col, qmod_col, c_hi, c_lo = self._conversion_tables(dest)
+        scaled = residues * t.q_hat_inv_col % t.src_col
         # Division-free MAC over every destination modulus at once.  The
         # constants are split into 16-bit halves, so hi/lo partial dot
         # products accumulate exactly in uint64 (terms < 2^47, far more
@@ -277,15 +288,22 @@ class RnsBasis:
         # reductions per destination row instead of one division per term.
         # Exact integer arithmetic ends at the same canonical residue, so
         # the result is bit-identical to the per-term-reduced kernel.
-        hi = c_hi @ scaled
-        lo = c_lo @ scaled
-        acc = ((hi % dest_col << np.uint64(16)) + lo) % dest_col
+        hi = t.c_hi @ scaled
+        lo = t.c_lo @ scaled
         if correct:
-            acc = (
-                acc + (dest_col - overflow[None, :] % dest_col
-                       * qmod_col % dest_col)
-            ) % dest_col
-        return acc
+            # Summation order affects the final ulp, and the rounded
+            # overflow estimate must match the row-by-row float loop
+            # (0.0 + row_0 + row_1 + ...) bit for bit.  A reduction over
+            # axis 0 of a C-contiguous matrix with two or more columns
+            # adds whole rows in exactly that order (pairwise summation
+            # only applies along the contiguous axis, which a single
+            # column would collapse into), so one pass gives the same sum.
+            fraction = (scaled / t.src_f64_col).sum(axis=0)
+            overflow = np.rint(fraction).astype(np.uint64)
+            # Subtract v*Q inside the same MAC: v <= L and -Q mod p_j <
+            # 2^31, so the extra term keeps the low sum exact in uint64.
+            lo += t.neg_qmod_col * overflow
+        return ((hi % t.dest_col << np.uint64(16)) + lo) % t.dest_col
 
     def convert_exact(self, residues: np.ndarray, dest: "RnsBasis") -> np.ndarray:
         """Exact (centered) base conversion through big-int CRT; test oracle."""

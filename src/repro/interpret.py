@@ -15,7 +15,8 @@ Op semantics (``state`` maps value names to ciphertexts):
   followed by the ``rescale`` that is its result's only use - the pair
   the DSL's ``pmult(rescale=True)`` emits - which runs as one
   :meth:`~repro.fhe.ckks.CkksContext.pmult` (targeted-scale encode,
-  multiply, rescale).
+  multiply, rescale).  The plan memoizes each encoded plaintext per
+  context, so repeated runs skip the encoder and its NTT.
 * ``add`` and ``rotate`` are their CkksContext calls.  The rotation
   amount is ``op.steps`` and its key is ``hints[op.steps]``: hint ids
   are reuse handles shared across amounts, never parsed.
@@ -101,6 +102,9 @@ class Plan:
     hints: dict = field(default_factory=dict)       # amount -> hint
     plaintexts: dict = field(default_factory=dict)  # plaintext_id -> values
     _raised: dict = field(default_factory=dict, repr=False)
+    # Encoded weights, per context: every run multiplies by the same
+    # plaintexts, so each is encoded once per (id, level, scale).
+    _encoded: dict = field(default_factory=dict, repr=False)
 
     def run(self, ctx, state: dict) -> dict:
         """Execute every step in order on ``state`` (mutated, returned)."""
@@ -135,7 +139,9 @@ class Plan:
                                     value=name)
         elif kind == PMULT and len(ops) == 2:
             state[ops[1].result] = ctx.pmult(
-                state[op.operands[0]], self.plaintexts[op.plaintext_id])
+                state[op.operands[0]], self.plaintexts[op.plaintext_id],
+                cache=self._encoded.setdefault(ctx, {}),
+                cache_key=op.plaintext_id)
         elif kind == ADD:
             state[op.result] = ctx.add(state[op.operands[0]],
                                        state[op.operands[1]])

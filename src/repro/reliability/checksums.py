@@ -24,14 +24,15 @@ from repro.obs import collector as obs
 
 
 def limb_checksums(data: np.ndarray, moduli) -> np.ndarray:
-    """Column vector of per-limb checksums: ``sum(row) mod q_i``.
+    """Per-limb checksums: ``sum(row) mod q_i``, shape (..., L).
 
-    ``data`` is an (L, N) uint64 residue matrix; ``moduli`` an iterable
-    of the L moduli.  Exact for residues < 2^31 and N <= 2^33.
+    ``data`` is an (L, N) uint64 residue matrix, or several stacked on
+    leading axes; ``moduli`` the L moduli as an array-like (an
+    ``RnsBasis.moduli_col`` passes through without a copy).  Exact for
+    residues < 2^31 and N <= 2^33.
     """
-    sums = data.sum(axis=1, dtype=np.uint64)
-    q = np.asarray(list(moduli), dtype=np.uint64)
-    return sums % q
+    sums = data.sum(axis=-1, dtype=np.uint64)
+    return sums % np.asarray(moduli, dtype=np.uint64).reshape(-1)
 
 
 def mismatched_limbs(data: np.ndarray, moduli,

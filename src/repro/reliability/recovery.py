@@ -98,8 +98,8 @@ class CiphertextSnapshot:
         data0 = self.data0.copy()
         data1 = self.data1.copy()
         if self.checksums0 is not None:
-            current0 = limb_checksums(data0, self.moduli)
-            current1 = limb_checksums(data1, self.moduli)
+            current0 = limb_checksums(data0, basis.moduli_col)
+            current1 = limb_checksums(data1, basis.moduli_col)
             if (not np.array_equal(current0, self.checksums0)
                     or not np.array_equal(current1, self.checksums1)):
                 obs.count("reliability.recovery.bad_checkpoint")
@@ -133,8 +133,8 @@ def snapshot_ciphertext(ct) -> CiphertextSnapshot:
     if ct.integrity is not None:
         checks0, checks1 = (ct.integrity[0].copy(), ct.integrity[1].copy())
     else:
-        checks0 = limb_checksums(ct.c0.data, ct.c0.basis.moduli)
-        checks1 = limb_checksums(ct.c1.data, ct.c1.basis.moduli)
+        checks0 = limb_checksums(ct.c0.data, ct.c0.basis.moduli_col)
+        checks1 = limb_checksums(ct.c1.data, ct.c1.basis.moduli_col)
     budget_bits = budget_sigma = budget_mod_bits = None
     if ct.budget is not None:
         budget_bits = ct.budget.noise_bits

@@ -38,6 +38,7 @@ from repro.fhe.ntt import (
 from repro.fhe.poly import COEFF, EVAL, RnsPoly, batch_rescale
 from repro.fhe.polyeval import add_any
 from repro.fhe.primes import find_ntt_primes
+from repro.fhe.rns import RnsBasis
 from repro.reliability.errors import ParameterError
 
 from tests.fhe.conftest import rand_rows
@@ -88,6 +89,27 @@ def test_batched_ntt_roundtrip(prime_pool, degree, limbs, seed):
     assert np.array_equal(batched.forward(batched.inverse(data)), data)
 
 
+@pytest.mark.parametrize("degree", [8192, 32768])
+def test_batched_ntt_three_pass_bit_exact(degree):
+    """Above N=4096 the transform takes a third pass, the only one whose
+    middle pass has earlier and later digits on both sides and a twiddle
+    indexed by two earlier output digits."""
+    moduli = tuple(find_ntt_primes(2, 30, degree))
+    batched = BatchedNttContext.get(moduli, degree)
+    assert len(batched.factors) == 3
+    rng = np.random.default_rng(degree)
+    data = np.stack([rng.integers(0, q, (2, degree), dtype=np.uint64)
+                     for q in moduli], axis=1)  # (2, L, N)
+    fwd = batched.forward(data)
+    inv = batched.inverse(data)
+    for i, q in enumerate(moduli):
+        limb = NttContext.get(q, degree)
+        for j in range(2):
+            assert np.array_equal(fwd[j, i], limb.forward(data[j, i]))
+            assert np.array_equal(inv[j, i], limb.inverse(data[j, i]))
+    assert np.array_equal(batched.inverse(fwd), data)
+
+
 def test_batched_context_is_cached(prime_pool):
     moduli = prime_pool[:3]
     assert BatchedNttContext.get(moduli, 64) is BatchedNttContext.get(
@@ -129,13 +151,22 @@ def test_ntt_tables_match_scalar_construction(prime_pool):
 
 
 def test_batched_tables_stack_per_limb_tables(prime_pool):
-    moduli, degree = prime_pool[:4], 64
+    """A basis's four-step tables are its limbs' tables stacked: limb i of
+    every pass matrix, twiddle and modulus block is the single-prime
+    context's."""
+    moduli, degree = prime_pool[:4], 256
     batched = BatchedNttContext.get(moduli, degree)
+    assert batched.factors == (16, 16)
     for i, q in enumerate(moduli):
-        limb = NttContext.get(q, degree)
-        assert np.array_equal(batched.psi_bitrev[i], limb.psi_bitrev)
-        assert np.array_equal(batched.psi_inv_bitrev[i], limb.psi_inv_bitrev)
-        assert batched.n_inv_col[i, 0] == limb.n_inv
+        single = BatchedNttContext.get((q,), degree)
+        for got, want in zip(batched._passes, single._passes):
+            for name in ("fwd", "inv", "fwd_tw", "inv_tw"):
+                table = getattr(got, name)
+                if table is None:
+                    assert getattr(want, name) is None
+                    continue
+                assert np.array_equal(table[:, i], getattr(want, name)[:, 0])
+            assert np.array_equal(got.q[i], want.q[0])
         assert batched.q_col[i, 0] == q
 
 
@@ -206,6 +237,19 @@ def test_batch_rescale_bit_exact(make_basis, limbs, count, domain, seed):
         assert g.domain == want.domain == domain
         assert g.basis == want.basis
         assert np.array_equal(g.data, want.data)
+
+
+@pytest.mark.parametrize("domain", [COEFF, EVAL])
+def test_batch_rescale_bit_exact_with_a_narrow_limb(domain):
+    """A limb below half of q_last takes the true-remainder correction."""
+    degree = 64
+    narrow = find_ntt_primes(1, 20, degree)
+    wide = find_ntt_primes(2, 30, degree)
+    basis = RnsBasis((narrow[0], wide[0], wide[1]))
+    polys = [RnsPoly(basis, rand_rows(basis, degree, seed), domain)
+             for seed in (3, 4)]
+    for g, p in zip(batch_rescale(polys), polys):
+        assert np.array_equal(g.data, p.rescale().data)
 
 
 def test_batch_rescale_rejects_depleted(make_basis):

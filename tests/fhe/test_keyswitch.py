@@ -9,6 +9,7 @@ from repro.fhe.keyswitch import (
     boosted_keyswitch,
     digit_bases,
     generate_hint,
+    mod_down,
     standard_keyswitch,
 )
 from repro.fhe.poly import EVAL, RnsPoly
@@ -188,3 +189,68 @@ def test_keyswitch_actually_switches_keys(setup):
     switched = Ciphertext(ct.c0 + ks0, ks1, ct.scale)
     dec = ctx.decrypt(sk, switched)
     assert np.max(np.abs(dec - z)) < 1e-4
+
+
+def _reference_accumulate(poly, hint, target):
+    """Every digit raised over the whole target with ``change_basis``."""
+    degree = poly.degree
+    acc0 = RnsPoly.zero(target, degree, EVAL)
+    acc1 = RnsPoly.zero(target, degree, EVAL)
+    coeff = poly.to_coeff().data
+    offset = 0
+    for i, digit in enumerate(digit_bases(poly.basis, hint.alpha)):
+        rows = coeff[offset : offset + len(digit)]
+        offset += len(digit)
+        raised = RnsPoly(digit, rows, "coeff").change_basis(target).to_eval()
+        b_rows, a_rows = hint.restricted_rows(i, target)
+        acc0 = acc0 + raised * RnsPoly(target, b_rows, EVAL)
+        acc1 = acc1 + raised * RnsPoly(target, a_rows, EVAL)
+    return acc0, acc1
+
+
+@pytest.mark.parametrize("level", [1, 2, 6])
+def test_standard_keyswitch_matches_change_basis_reference(setup, level):
+    """Reusing a digit's own EVAL rows is bit-identical to raising it over
+    the whole target, down to one prime, where the digit is the target."""
+    ctx, sk, sk2 = setup
+    hint = generate_hint(sk2.poly(ctx.q_basis), sk.poly(ctx.q_basis),
+                         ctx.q_basis, None, 1, ctx.rng, 3)
+    basis = ctx.basis_at(level)
+    rng = np.random.default_rng(level)
+    c = RnsPoly.uniform_random(basis, ctx.params.degree, rng, EVAL)
+    got = standard_keyswitch(c, hint)
+    want = _reference_accumulate(c, hint, basis)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("level,alpha", [(1, 1), (1, 3), (4, 3), (6, 2)])
+def test_boosted_keyswitch_matches_change_basis_reference(setup, level,
+                                                          alpha):
+    ctx, sk, sk2 = setup
+    hint = generate_hint(sk2.poly(ctx.full_basis), sk.poly(ctx.full_basis),
+                         ctx.q_basis, ctx.aux_basis, alpha, ctx.rng, 4)
+    basis = ctx.basis_at(level)
+    rng = np.random.default_rng(level)
+    c = RnsPoly.uniform_random(basis, ctx.params.degree, rng, EVAL)
+    got = boosted_keyswitch(c, hint, ctx.aux_basis)
+    want = _reference_accumulate(c, hint, basis.extend(ctx.aux_basis))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.data,
+                              mod_down(w, basis, ctx.aux_basis).data)
+
+
+def test_bgv_multiply_at_one_prime():
+    """Relinearizing a one-prime BGV product (a standard-hint digit that
+    covers the whole target) runs and matches the reference keyswitch."""
+    from repro.fhe.bgv import BgvContext, BgvParams
+
+    ctx = BgvContext(BgvParams(degree=64, max_level=3, seed=5))
+    sk = ctx.keygen()
+    relin = ctx.relin_hint(sk)
+    a = ctx.encrypt(sk, [3, 5, 7], level=1)
+    got = ctx.multiply(a, a, relin)
+    ks0, ks1 = _reference_accumulate(a.c1 * a.c1, relin, a.basis)
+    assert np.array_equal(got.c0.data, (a.c0 * a.c0 + ks0).data)
+    assert np.array_equal(got.c1.data,
+                          (a.c0 * a.c1 + a.c1 * a.c0 + ks1).data)

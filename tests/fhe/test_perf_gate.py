@@ -1,8 +1,9 @@
 """Perf-regression gate for the limb-batched kernels.
 
 Times the batched kernel against the per-limb/per-poly reference oracle
-*in the same process on the same data* at a fixed shape (N=4096, L=8)
-and fails if the speedup ratio drops below the floor recorded in
+*in the same process on the same data* at a fixed shape (N=4096, L=8),
+and the NTT alone at the serving shapes (N=256, 5 and 10 limbs), and
+fails if a speedup ratio drops below the floor recorded in
 ``tests/baselines/fhe_perf_floor.json``.  Because both sides run on the
 same machine in the same run, the gate is machine-relative: absolute
 speed does not matter, only the batching advantage.  A refactor that
@@ -28,19 +29,21 @@ from repro.fhe.primes import find_ntt_primes
 from repro.fhe.rns import RnsBasis
 
 FLOOR_FILE = Path(__file__).parent.parent / "baselines" / "fhe_perf_floor.json"
+SPEC = json.loads(FLOOR_FILE.read_text())
 
 
-@pytest.fixture(scope="module")
-def gate():
-    spec = json.loads(FLOOR_FILE.read_text())
-    degree, limbs = spec["degree"], spec["limbs"]
+def _shape(degree: int, limbs: int):
     primes = tuple(find_ntt_primes(limbs, 30, degree))
-    basis = RnsBasis(primes)
     rng = np.random.default_rng(2024)
     data = np.stack([
         rng.integers(0, q, degree, dtype=np.uint64) for q in primes
     ])
-    return spec["floors"], basis, data
+    return RnsBasis(primes), data
+
+
+@pytest.fixture(scope="module")
+def gate():
+    return (SPEC["floors"],) + _shape(SPEC["degree"], SPEC["limbs"])
 
 
 def _best_of(fn, reps: int = 3, rounds: int = 5) -> float:
@@ -53,8 +56,7 @@ def _best_of(fn, reps: int = 3, rounds: int = 5) -> float:
     return best
 
 
-def test_batched_ntt_beats_per_limb_floor(gate):
-    floors, basis, data = gate
+def _check_ntt_floors(floors, basis, data, reps: int) -> None:
     batched = BatchedNttContext.get(basis.moduli, data.shape[1])
     limbs = [NttContext.get(q, data.shape[1]) for q in basis.moduli]
 
@@ -64,18 +66,33 @@ def test_batched_ntt_beats_per_limb_floor(gate):
     def per_limb_inverse():
         return np.stack([c._inverse(data[i]) for i, c in enumerate(limbs)])
 
-    fwd_ratio = _best_of(per_limb_forward) / _best_of(
-        lambda: batched._forward(data))
-    inv_ratio = _best_of(per_limb_inverse) / _best_of(
-        lambda: batched._inverse(data))
+    shape = f"N={data.shape[1]}, L={len(limbs)}"
+    fwd_ratio = _best_of(per_limb_forward, reps) / _best_of(
+        lambda: batched._forward(data), reps)
+    inv_ratio = _best_of(per_limb_inverse, reps) / _best_of(
+        lambda: batched._inverse(data), reps)
     assert fwd_ratio >= floors["ntt_forward"], (
-        f"batched forward NTT speedup {fwd_ratio:.2f}x fell below the "
-        f"floor {floors['ntt_forward']}x - a per-limb loop crept back in?"
+        f"batched forward NTT speedup {fwd_ratio:.2f}x at {shape} fell "
+        f"below the floor {floors['ntt_forward']}x - a per-limb loop or "
+        "radix-2 butterflies crept back in?"
     )
     assert inv_ratio >= floors["ntt_inverse"], (
-        f"batched inverse NTT speedup {inv_ratio:.2f}x fell below the "
-        f"floor {floors['ntt_inverse']}x"
+        f"batched inverse NTT speedup {inv_ratio:.2f}x at {shape} fell "
+        f"below the floor {floors['ntt_inverse']}x"
     )
+
+
+def test_batched_ntt_beats_per_limb_floor(gate):
+    _check_ntt_floors(*gate, reps=3)
+
+
+@pytest.mark.parametrize(
+    "shape", SPEC["serving_shapes"],
+    ids=lambda s: f"N{s['degree']}-L{s['limbs']}")
+def test_batched_ntt_beats_per_limb_floor_at_serving_shape(shape):
+    # Small transforms: more repetitions per timing round.
+    _check_ntt_floors(shape["floors"],
+                      *_shape(shape["degree"], shape["limbs"]), reps=30)
 
 
 def test_batch_rescale_beats_per_poly_floor(gate):

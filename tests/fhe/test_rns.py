@@ -139,3 +139,40 @@ def test_convert_approx_uncorrected_bounded_overflow(basis, dest):
 def test_convert_approx_shape_validation(basis, dest):
     with pytest.raises(ValueError):
         basis.convert_approx(np.zeros((2, 4), dtype=np.uint64), dest)
+
+
+def test_hps_overflow_sum_matches_row_loop(make_basis):
+    """The one-pass HPS overflow estimate equals the row-by-row float loop
+    bit for bit, even where rounding is decided within 1e-9 of a .5."""
+    basis, dest = make_basis(6), make_basis(3, offset=6)
+    moduli = basis.moduli
+    rng = np.random.default_rng(7)
+    scaled = np.stack([rng.integers(0, q, 512, dtype=np.uint64)
+                       for q in moduli])
+    # Pick the last row so each column's fraction sum sits at m + 0.5,
+    # off by at most 0.5 / q_last (< 1e-9 for 30-bit primes).
+    head = sum(scaled[i].astype(np.float64) / moduli[i]
+               for i in range(len(moduli) - 1))
+    last = moduli[-1]
+    scaled[-1] = (np.rint((0.5 - head) % 1.0 * last).astype(np.uint64)
+                  % np.uint64(last))
+    loop = np.zeros(scaled.shape[1], dtype=np.float64)
+    for i, q in enumerate(moduli):
+        loop += scaled[i].astype(np.float64) / q
+    assert np.all(np.abs(loop - np.floor(loop) - 0.5) < 1e-9)
+    one_pass = (scaled / basis.moduli_col.astype(np.float64)).sum(axis=0)
+    assert np.array_equal(one_pass, loop)
+
+    # Through convert_approx: residues that scale to exactly these rows,
+    # checked against the loop estimate applied by big-int arithmetic.
+    residues = np.stack([
+        scaled[i] * np.uint64(basis._q_hats[i] % q) % np.uint64(q)
+        for i, q in enumerate(moduli)])
+    raw = basis.convert_approx(residues, dest, correct=False)
+    got = basis.convert_approx(residues, dest)
+    overflow = np.rint(loop).astype(np.int64)
+    for j, p in enumerate(dest.moduli):
+        q_mod = basis.modulus % p
+        want = [(int(r) - int(v) * q_mod) % p
+                for r, v in zip(raw[j], overflow)]
+        assert [int(v) for v in got[j]] == want

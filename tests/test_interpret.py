@@ -23,7 +23,11 @@ from repro.interpret import lower
 from repro.ir import HomOp, Program
 from repro.obs import collector as obs
 from repro.pod.campaign import chip_programs
-from repro.reliability.errors import ParameterError, ScheduleError
+from repro.reliability.errors import (
+    FaultDetectedError,
+    ParameterError,
+    ScheduleError,
+)
 from repro.reliability.recovery import campaign_program
 from repro.serve import ServeConfig, Server
 from repro.workloads.serving import (
@@ -69,21 +73,29 @@ def test_served_batch_runs_the_ops_simulate_charges(server, kind,
         == result.cycles / server.chip.clock_hz
 
 
-@pytest.mark.parametrize("kind", SERVE_KINDS)
-def test_lowered_serving_matches_the_hand_written_pipeline(server, kind):
-    """Bit-exact against the direct CkksContext call sequence each kind
+def _hand_written(server, kind, master):
+    """The direct, uncached CkksContext call sequence each serving kind
     used to be written as."""
     ctx, w = server.ctx, server.weights
-    master = ctx.encrypt_values(server.sk, np.linspace(-1, 1, 128))
 
     def reduce(x):
         for s in rotation_strides(16):
             x = ctx.add(x, ctx.rotate(x, s, server.hints[s]))
         return x
 
-    want = reduce(ctx.pmult(master, w["w1"]))
+    out = reduce(ctx.pmult(master, w["w1"]))
     if kind == "lstm":
-        want = reduce(ctx.pmult(ctx.pmult(want, w["mask"]), w["w2"]))
+        out = reduce(ctx.pmult(ctx.pmult(out, w["mask"]), w["w2"]))
+    return out
+
+
+@pytest.mark.parametrize("kind", SERVE_KINDS)
+def test_lowered_serving_matches_the_hand_written_pipeline(server, kind):
+    """Bit-exact against the direct CkksContext call sequence each kind
+    used to be written as."""
+    ctx = server.ctx
+    master = ctx.encrypt_values(server.sk, np.linspace(-1, 1, 128))
+    want = _hand_written(server, kind, master)
 
     plan, _ = server._plan(kind, 3)
     state = plan.run(ctx, server._initial_state(plan, master))
@@ -91,6 +103,54 @@ def test_lowered_serving_matches_the_hand_written_pipeline(server, kind):
     assert np.array_equal(got.c0.data, want.c0.data)
     assert np.array_equal(got.c1.data, want.c1.data)
     assert got.scale == want.scale
+
+
+def test_plan_memoizes_encoded_weights(server):
+    """A plan encodes each weight once per context: its second run only
+    hits the plaintext cache and answers bit for bit like the uncached
+    call sequence."""
+    ctx = server.ctx
+    master = ctx.encrypt_values(server.sk, np.linspace(-1, 1, 128))
+    plan = lower(server._plan("lstm", 2)[0].program, server.hints,
+                 server.weights)
+    runs = []
+    for _ in range(2):
+        with obs.collecting() as ran:
+            state = plan.run(ctx, server._initial_state(plan, master))
+        runs.append((ran.counters, state[plan.outputs[0]]))
+    (first, _), (second, got) = runs
+    assert first.get("fhe.cache.plaintext.miss") == 3      # w1, mask, w2
+    assert "fhe.cache.plaintext.hit" not in first
+    assert second.get("fhe.cache.plaintext.hit") == 3
+    assert "fhe.cache.plaintext.miss" not in second
+    want = _hand_written(server, "lstm", master)
+    assert np.array_equal(got.c0.data, want.c0.data)
+    assert np.array_equal(got.c1.data, want.c1.data)
+    assert got.scale == want.scale
+
+
+def test_memoized_weight_is_sealed(server):
+    """Under the checksum policy a corrupted memo entry is detected on its
+    next use and evicted, so the retry encodes afresh and answers right."""
+    ctx = server.ctx
+    assert ctx.policy.checksums
+    master = ctx.encrypt_values(server.sk, np.linspace(-1, 1, 128))
+    plan = lower(server._plan("lstm", 2)[0].program, server.hints,
+                 server.weights)
+    plan.run(ctx, server._initial_state(plan, master))
+    memo = plan._encoded[ctx]
+    key = next(iter(memo))
+    memo[key][0].poly.data[0, 5] ^= np.uint64(1)
+    with pytest.raises(FaultDetectedError, match="memoized plaintext"):
+        plan.run(ctx, server._initial_state(plan, master))
+    assert key not in memo
+    with obs.collecting() as ran:
+        state = plan.run(ctx, server._initial_state(plan, master))
+    assert ran.counters.get("fhe.cache.plaintext.miss") == 1
+    got = state[plan.outputs[0]]
+    want = _hand_written(server, "lstm", master)
+    assert np.array_equal(got.c0.data, want.c0.data)
+    assert np.array_equal(got.c1.data, want.c1.data)
 
 
 def test_step_cut_one_per_keyswitch_or_pmult():
