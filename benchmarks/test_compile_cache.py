@@ -4,7 +4,7 @@ Not a paper table: this is the regression artifact for the compile
 cache (`repro.compiler.cache`, docs/COMPILER.md).  The serving pattern
 it models is compile-once/run-many: the first request pays the lowering
 pipeline (rotation hoisting), every later request for the same
-(program, config) should pay only a fingerprint lookup.
+(program, config) should pay only a cache-key lookup.
 
 For each deep benchmark the table reports the first (cold) compile and
 a memory-cache hit, and pins the acceptance criteria:

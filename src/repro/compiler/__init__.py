@@ -10,9 +10,8 @@ security target (Sec. 3.1); and the hoisting pass
 shared-ModUp form (Halevi-Shoup).
 
 :func:`compile_program` (`repro.compiler.cache`) is the one-call pipeline
-entry - hoisting, behind an optional content-addressed memory cache.
-The pipeline and the fingerprint contract are documented in
-docs/COMPILER.md.
+entry - hoisting, behind an optional value-keyed memory cache.  The
+pipeline and the cache-key contract are documented in docs/COMPILER.md.
 
 Stability guarantees
 --------------------
@@ -23,14 +22,13 @@ stream (no randomness, no wall-clock input, cost-model-gated decisions
 included).  That determinism is load-bearing - it is what lets the
 compile cache substitute a stored schedule for a recompile bit-for-bit.
 
-Fingerprints (:func:`repro.compiler.cache.fingerprint`) are invariant
-under SSA value renames and hint/plaintext-id renames (names are
-canonicalized to first-appearance indices before hashing) and under
-``Program.name`` / ``ChipConfig.name`` changes; *every* other program or
-config change invalidates them.
+Cache keys (:func:`repro.compiler.cache.compile_key`) hold the program
+by value - every op field, in order - and the config, so *every*
+program or config change misses; only ``Program.name`` /
+``description`` are left out.
 """
 
-from repro.compiler.cache import CompileCache, compile_program, fingerprint
+from repro.compiler.cache import CompileCache, compile_key, compile_program
 from repro.compiler.digits import digit_schedule
 from repro.compiler.dsl import FheBuilder, Value
 from repro.compiler.hoisting import hoist_rotations
@@ -50,9 +48,9 @@ __all__ = [
     "CompileCache",
     "FheBuilder",
     "Value",
+    "compile_key",
     "compile_program",
     "digit_schedule",
-    "fingerprint",
     "blocked_matvec",
     "matvec",
     "polynomial_activation",

@@ -1,4 +1,4 @@
-"""Content-addressed compile cache (Sec. 6).
+"""Value-keyed compile cache (Sec. 6).
 
 CraterLake's programming model is compile-once/run-many: FHE programs
 are static dataflow graphs, so a lowered schedule is a pure function of
@@ -9,136 +9,60 @@ that lowers the same logreg graph per request would redo work whose
 result never changes.  This module makes that work a one-time cost per
 process:
 
-* **Content-addressed fingerprints** - :func:`fingerprint` hashes the
-  *canonicalized* program (SSA names, hint ids and plaintext ids
-  replaced by first-appearance indices, so renaming values cannot
-  cause a miss) and the config's :meth:`~repro.core.config.ChipConfig.
-  cache_key` (every field but the display name).  Anything that can
-  change the lowered schedule changes the hash; nothing else does.
+* **Keys are values** - :func:`compile_key` is ``(degree, max_level,
+  cfg, ops)``: the program's ring parameters, the (frozen) config, and
+  every :class:`~repro.ir.HomOp` compared by value (every field, in op
+  order).  Two programs share a key exactly when they are the same
+  program; ``Program.name`` and ``description`` are display metadata
+  and stay out of it.
 * **Memory cache** - :class:`CompileCache` is an LRU of compiled
   ``Program`` objects.  It never touches the filesystem.
 * **The entry point** - :func:`compile_program` runs the pipeline,
   optionally through a cache.  Cache observability flows through
   `repro.obs` as ``compiler.cache.{hit,miss,store,evict}`` counters and
-  ``compiler.compile`` / ``compiler.cache.fingerprint`` spans
-  (docs/TRACING.md).
+  the ``compiler.compile`` span (docs/TRACING.md).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from repro.compiler.hoisting import hoist_rotations
 from repro.core.config import ChipConfig
-from repro.ir import Program
+from repro.ir import HomOp, Program
 from repro.obs import collector as obs
 
 
-# -- canonical JSON + fingerprinting ----------------------------------------
+@dataclass(frozen=True)
+class CompileKey:
+    """One compilation: the program by value, and the machine.
 
-def canonical_json(obj) -> bytes:
-    """Deterministic JSON bytes: sorted keys, minimal separators.  Two
-    structurally equal documents serialize identically regardless of
-    dict insertion order - the "insensitive to dict ordering" half of
-    the fingerprint contract."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode("ascii")
-
-
-def canonical_program_dict(program: Program) -> dict:
-    """The program as fingerprinted: names replaced by structure.
-
-    SSA value names, hint ids, and plaintext ids are display choices of
-    the builder (`FheBuilder`'s ``v%17`` counter, a workload's
-    ``rot{j%8}`` pool); renaming them consistently cannot change the
-    lowered schedule, so each is mapped to a first-appearance index
-    (``v0, v1, ...`` / ``h0, ...`` / ``p0, ...``).  The *sharing
-    structure* survives: collapsing two distinct hints into one, or
-    splitting one value into two, changes the mapping and the hash.
-    ``Program.name`` and ``description`` are metadata and excluded;
-    every schedule-relevant field (kind, level, operand wiring, steps,
-    digits, tag, compact_pt, repeat, degree, max_level) is included.
+    ``ops`` compares op by op with ``HomOp`` equality (every field, in
+    order), but stays out of the hash because ``HomOp`` is mutable and
+    so unhashable; equal keys still hash equal, and equality settles
+    the rest.  Re-compiling the same op objects compares pointers only.
+    Like the cached schedule, the key holds the caller's op objects, so
+    it relies on the codebase's rule that a ``HomOp`` is never mutated
+    once built (passes build new ops).
     """
-    values: dict[str, str] = {}
-    hints: dict[str, str] = {}
-    pts: dict[str, str] = {}
 
-    def vname(name: str) -> str:
-        if name not in values:
-            values[name] = f"v{len(values)}"
-        return values[name]
-
-    ops = []
-    for op in program.ops:
-        operands = [vname(o) for o in op.operands]
-        hint = None
-        if op.hint_id is not None:
-            if op.hint_id not in hints:
-                hints[op.hint_id] = f"h{len(hints)}"
-            hint = hints[op.hint_id]
-        pt = None
-        if op.plaintext_id is not None:
-            if op.plaintext_id not in pts:
-                pts[op.plaintext_id] = f"p{len(pts)}"
-            pt = pts[op.plaintext_id]
-        ops.append([op.kind, op.level, vname(op.result), operands, hint,
-                    pt, op.steps, op.digits, op.tag, op.compact_pt,
-                    op.repeat])
-    return {"degree": program.degree, "max_level": program.max_level,
-            "ops": ops}
+    degree: int
+    max_level: int
+    cfg: ChipConfig
+    ops: tuple[HomOp, ...] = field(hash=False)
 
 
-def program_token(program: Program) -> str:
-    """sha256 of the canonical-JSON form of
-    :func:`canonical_program_dict` - the program half of the
-    fingerprint.
-
-    Canonicalization walks every op, so the token is memoized on the
-    ``Program`` instance (guarded by the ops list's identity and
-    length): a serving loop fingerprinting the same program per request
-    pays the walk once.  The memo assumes the codebase's convention
-    that a ``Program`` is immutable once built - passes return *new*
-    programs (and ``append`` or replacing ``.ops`` invalidates the
-    guard) - mutating an existing ``HomOp`` in place is already
-    undefined behavior for scheduling and is not detected here.
-    """
-    ops = program.ops
-    guard = (id(ops), len(ops))
-    memo = getattr(program, "_token_memo", None)
-    if memo is not None and memo[0] == guard:
-        return memo[1]
-    token = hashlib.sha256(
-        canonical_json(canonical_program_dict(program))).hexdigest()
-    program._token_memo = (guard, token)
-    return token
-
-
-def fingerprint(program: Program, cfg: ChipConfig | None = None) -> str:
-    """Content address of a (program, config) compilation.
-
-    The sha256 of the canonical JSON of ``{"program_sha256",
-    "config"}``, where ``program_sha256`` is :func:`program_token` (the
-    hash of the canonicalized program) - a two-stage construction so the
-    per-op walk can be memoized.  Invariant under SSA renames,
-    hint/plaintext-id renames, dict ordering, and the display names
-    ``Program.name`` / ``ChipConfig.name``; sensitive to every op field,
-    the op order, the program's ring parameters, and every other config
-    field.
-    """
-    cfg = cfg or ChipConfig()
-    doc = {
-        "program_sha256": program_token(program),
-        "config": cfg.cache_key(),
-    }
-    return hashlib.sha256(canonical_json(doc)).hexdigest()
+def compile_key(program: Program, cfg: ChipConfig) -> CompileKey:
+    """The cache key of compiling ``program`` for ``cfg``."""
+    return CompileKey(program.degree, program.max_level, cfg,
+                      tuple(program.ops))
 
 
 # -- the cache ----------------------------------------------------------------
 
 class CompileCache:
-    """LRU of lowered schedules keyed by :func:`fingerprint`.
+    """LRU of lowered schedules keyed by :func:`compile_key`.
 
     Memory-only: nothing is written to disk.  ``memory_entries`` bounds
     the LRU.  Instance-local totals mirror the obs counters in
@@ -148,26 +72,26 @@ class CompileCache:
 
     def __init__(self, memory_entries: int = 16):
         self.memory_entries = int(memory_entries)
-        self._memory: OrderedDict[str, Program] = OrderedDict()
+        self._memory: OrderedDict[CompileKey, Program] = OrderedDict()
         self.stats = {"hit": 0, "miss": 0, "store": 0, "evict": 0}
 
     def _count(self, event: str, value: int = 1) -> None:
         self.stats[event] += value
         obs.count(f"compiler.cache.{event}", value)
 
-    def get(self, fp: str) -> Program | None:
-        """Cached lowered schedule for a fingerprint, or None (a miss)."""
-        program = self._memory.get(fp)
+    def get(self, key: CompileKey) -> Program | None:
+        """Cached lowered schedule for a key, or None (a miss)."""
+        program = self._memory.get(key)
         if program is None:
             self._count("miss")
             return None
-        self._memory.move_to_end(fp)
+        self._memory.move_to_end(key)
         self._count("hit")
         return program
 
-    def put(self, fp: str, program: Program) -> None:
-        """Store a snapshot of a lowered schedule under its fingerprint
-        (a later ``append`` on the caller's program cannot change it)."""
+    def put(self, key: CompileKey, program: Program) -> None:
+        """Store a snapshot of a lowered schedule under its key (a later
+        ``append`` on the caller's program cannot change it)."""
         snapshot = Program(name=program.name, degree=program.degree,
                            max_level=program.max_level,
                            description=program.description)
@@ -175,8 +99,8 @@ class CompileCache:
         self._count("store")
         if self.memory_entries < 1:
             return
-        self._memory[fp] = snapshot
-        self._memory.move_to_end(fp)
+        self._memory[key] = snapshot
+        self._memory.move_to_end(key)
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
             self._count("evict")
@@ -206,15 +130,14 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
 
     On a hit the cached op stream is returned under the caller's
     program metadata (name/description are display fields, excluded
-    from the fingerprint); on a miss the freshly lowered program is
-    stored under its fingerprint before returning.
+    from the key); on a miss the freshly lowered program is stored
+    under its key before returning.
     """
     cfg = cfg or ChipConfig()
-    fp = None
+    key = None
     if cache is not None:
-        with obs.span("compiler.cache.fingerprint", "compiler"):
-            fp = fingerprint(program, cfg)
-        hit = cache.get(fp)
+        key = compile_key(program, cfg)
+        hit = cache.get(key)
         if hit is not None:
             out = Program(name=program.name, degree=program.degree,
                           max_level=program.max_level,
@@ -224,5 +147,5 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
     with obs.span("compiler.compile", "compiler"):
         lowered = hoist_rotations(program, cfg, min_group=2)
     if cache is not None:
-        cache.put(fp, lowered)
+        cache.put(key, lowered)
     return lowered

@@ -12,7 +12,7 @@ schedules fall out of this rule:
 
 Like bootstrap placement, the digit schedule is an emission-time
 decision: the chosen t is stamped onto each emitted ``HomOp.digits``,
-so the compile cache's fingerprint covers it through the IR itself
+so the compile cache's key covers it through the IR itself
 (docs/COMPILER.md).
 """
 

@@ -14,7 +14,7 @@ tests can reason about placement without building full programs;
 
 Placement is an *emission-time* decision: workloads consult it while
 the DSL builds the op stream, so its outcome is fully captured in the
-emitted IR.  The compile cache's fingerprint therefore covers it for
+emitted IR.  The compile cache's key therefore covers it for
 free (docs/COMPILER.md).
 """
 

@@ -6,7 +6,7 @@ Table 4 ablation study toggles and the N=128K variant of Sec. 9.4.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from repro.reliability.errors import ConfigError
 
@@ -129,21 +129,6 @@ class ChipConfig:
     def passes(self, degree: int) -> int:
         """Cycles for one residue polynomial to stream through an FU."""
         return max(1, degree // self.lanes)
-
-    def cache_key(self) -> dict:
-        """The fields the compile cache fingerprints (every knob except
-        ``name``).
-
-        ``name`` is a display label: two configs differing only in name
-        produce identical costs, gate decisions, and therefore identical
-        lowered schedules, so `repro.compiler.cache.fingerprint` treats
-        them as the same machine.  Every other field feeds the cost
-        model, the simulator, or a pass gate and so invalidates cached
-        schedules when changed.  See docs/COMPILER.md.
-        """
-        key = asdict(self)
-        del key["name"]
-        return key
 
     # -- named configurations -------------------------------------------------
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.config import ChipConfig
 from repro.core.cost import (
     OpCost,
+    _class_capacity,
     ciphertext_words,
     op_cost,
     op_latency,
@@ -86,10 +87,11 @@ class SimResult:
     tag_cycles: dict[str, float] = field(default_factory=dict)
     # Overlap accounting (the pod layer's double-buffered transfers).
     # ``program_cycles`` is the critical path of the op stream alone,
-    # before any extra/overlap stream charging; ``serialized_cycles`` is
-    # what ``cycles`` would have been had every overlappable stream been
-    # charged serialized (the PR 8 model) - for runs without overlap
-    # streams the two fields equal ``cycles``.
+    # before any stream charging; ``serialized_cycles`` is what
+    # ``cycles`` would have been had every stream been charged serialized
+    # after the program's memory traffic - the price of a transfer that
+    # nothing hides (the pod's data-parallel all-reduce, a pipeline's
+    # fill).  For runs without streams the two fields equal ``cycles``.
     program_cycles: float = 0.0
     serialized_cycles: float = 0.0
     overlap_hidden_cycles: float = 0.0  # serialized - overlapped cost
@@ -229,23 +231,18 @@ def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]
 
 def simulate(program: Program, cfg: ChipConfig,
              checkpoint_every: int = 0, *,
-             extra_streams: dict[str, tuple[float, float]] | None = None,
              chip: int | None = None,
              overlap_streams: dict[str, tuple[float, float]] | None = None,
              ) -> SimResult:
     """Run ``program`` on machine ``cfg``; see module docstring.
 
-    ``extra_streams`` charges additional off-chip transfers this chip
-    owes beyond the program's own HBM traffic - the pod layer
-    (`repro.pod`) uses it for interconnect sends/receives.  Each entry
-    maps a stream name to ``(words, words_per_cycle)``; the words land
-    under that name in ``traffic_words`` and advance the memory clock at
-    the stream's own rate (a pod link is slower than HBM), so link-bound
-    shards show up as memory-bound in the same units as Fig. 10a.
-
-    ``overlap_streams`` has the same entry shape but models
-    *double-buffered* transfers: a dedicated port (the link direction)
-    carries the stream concurrently with compute, and only the stream's
+    ``overlap_streams`` charges off-chip transfers this chip owes beyond
+    the program's own HBM traffic - the pod layer (`repro.pod`) uses it
+    for interconnect sends/receives.  Each entry maps a stream name to
+    ``(words, words_per_cycle)``; the words land under that name in
+    ``traffic_words``.  The streams are *double-buffered* transfers: a
+    dedicated port (the link direction) carries the stream concurrently
+    with compute, and only the stream's
     memory-system crossing claims memory cycles - at HBM rate when the
     link is the slower side (the crossing hides in otherwise-idle
     bandwidth), at the stream's own rate when the stream itself is the
@@ -253,7 +250,8 @@ def simulate(program: Program, cfg: ChipConfig,
     serialized charging).  The final cycle count becomes
     ``max(compute, memory, busiest port)`` - the ``max(compute, comm)``
     shape of a pipelined stage - and is never worse than the serialized
-    model (reported in ``serialized_cycles``; the gap lands in
+    model (reported in ``serialized_cycles``: every stream appended to
+    the memory clock at its own rate; the gap lands in
     ``overlap_hidden_cycles``) and never better than
     ``max(program_cycles, busiest port)``.
 
@@ -457,7 +455,7 @@ def simulate(program: Program, cfg: ChipConfig,
         comp_clock = compute_start + cycles
         op_fu_cycles: dict[str, float] = {}
         for cls, elements in cost.fu_elements.items():
-            capacity = max(1.0, _unit_capacity(cfg, cls))
+            capacity = max(1.0, _class_capacity(cfg, cls))
             op_fu_cycles[cls] = elements / capacity
             fu_busy[cls] = fu_busy.get(cls, 0.0) + elements / capacity
 
@@ -495,27 +493,15 @@ def simulate(program: Program, cfg: ChipConfig,
 
     program_cycles = max(comp_clock, mem_clock)
 
-    # Interconnect (or other externally-owed) streams: serialized after
-    # the program's own memory traffic at each stream's own rate.  The
-    # pod layer charges a shard's link sends/receives here so a chip's
-    # cycles, traffic split and bandwidth utilization all see them.
-    if extra_streams:
-        for stream, (words, stream_wpc) in extra_streams.items():
-            if words <= 0:
-                continue
-            traffic[stream] = traffic.get(stream, 0.0) + words
-            mem_clock += words / (stream_wpc or words_per_cycle)
-            if tr is not None:
-                tr.count(f"sim.stream.{stream}", words)
-
     # Overlappable streams: double-buffered transfers on dedicated
     # per-direction ports.  Each stream occupies its own port for
     # ``words / rate`` cycles concurrently with compute; its
     # memory-system crossing claims memory cycles at the *faster* of HBM
     # and the stream (idle-bandwidth hiding with a serialized fallback
     # once the stream is bandwidth-bound).  ``serialized_cycles``
-    # recomputes the PR 8 serialized charge for the same streams so the
-    # hidden share is observable.
+    # charges the same streams serialized after the program's own memory
+    # traffic, at each stream's own rate, so the hidden share is
+    # observable.
     link_port_cycles = 0.0
     overlap_hidden = 0.0
     if overlap_streams:
@@ -573,9 +559,3 @@ def simulate(program: Program, cfg: ChipConfig,
         overlap_hidden_cycles=overlap_hidden,
         link_port_cycles=link_port_cycles,
     )
-
-
-def _unit_capacity(cfg: ChipConfig, cls: str) -> float:
-    from repro.core.cost import _class_capacity
-
-    return _class_capacity(cfg, cls)

@@ -13,17 +13,13 @@ what the register file's Belady management and the KSH traffic accounting
 
 Stability guarantees
 --------------------
-`repro.compiler.cache` content-addresses lowered programs, so every
-schedule-relevant :class:`HomOp` / :class:`Program` field must feed its
-fingerprint (:func:`repro.compiler.cache.canonical_program_dict`).
-
-Names are *not* semantic: SSA value names, ``hint_id`` and
-``plaintext_id`` strings are display handles whose consistent renaming
-never changes a schedule, and the cache's fingerprints are invariant
-under such renames (the sharing structure - which ops use the *same*
-hint or value - is what's hashed).  ``Program.name`` and
-``description`` are pure metadata, excluded from fingerprints.  See
-docs/COMPILER.md for the full contract.
+`repro.compiler.cache` keys lowered programs by value: its key
+(:func:`repro.compiler.cache.compile_key`) compares the ops with
+:class:`HomOp` equality - every field, in op order - plus the
+:class:`Program`'s ``degree`` and ``max_level``, so a field added here
+joins the key automatically.  ``Program.name`` and ``description`` are
+pure metadata, left out of the key.  See docs/COMPILER.md for the full
+contract.
 """
 
 from __future__ import annotations

@@ -43,9 +43,6 @@ class PodConfig:
     strategy: str = DATA_PARALLEL
     # Fault-recovery budgets for the pod failure domains.
     link_retries: int = 3             # retransmits before escalating
-    backoff_base_s: float = 1e-4      # retransmit backoff: base * factor**k
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25      # +- fraction, seeded
     checkpoint_rounds: int = 2        # pod checkpoint every k lock-step rounds
     seed: int = 2022
 
@@ -65,12 +62,6 @@ class PodConfig:
         if self.link_retries < 0:
             raise ConfigError("link_retries cannot be negative",
                               link_retries=self.link_retries)
-        if self.backoff_base_s < 0 or self.backoff_factor < 1 \
-                or not 0 <= self.backoff_jitter < 1:
-            raise ConfigError(
-                "pod backoff must have base >= 0, factor >= 1, jitter in "
-                "[0, 1)", base=self.backoff_base_s,
-                factor=self.backoff_factor, jitter=self.backoff_jitter)
         if self.checkpoint_rounds < 1:
             raise ConfigError("checkpoint_rounds must be >= 1",
                               checkpoint_rounds=self.checkpoint_rounds)
@@ -81,11 +72,3 @@ class PodConfig:
         """Link bandwidth in the chip's clock/word units (comparable to
         ``ChipConfig.hbm_words_per_cycle``)."""
         return self.link_gbps * 1e9 / chip.clock_hz / chip.bytes_per_word
-
-    def backoff_ceiling_s(self) -> float:
-        """Largest possible single retransmit backoff sleep."""
-        if not self.link_retries:
-            return 0.0
-        worst = self.backoff_base_s \
-            * self.backoff_factor ** (self.link_retries - 1)
-        return worst * (1 + self.backoff_jitter)

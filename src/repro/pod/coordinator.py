@@ -20,7 +20,8 @@ failure domains:
   (:func:`~repro.reliability.recovery.snapshot_ciphertext`); the
   receiver's restore re-verifies the per-limb seals, so any flipped bit
   raises and the payload is never accepted.  The sender retransmits
-  from its intact copy with seeded exponential backoff up to the pod's
+  from its intact copy with seeded exponential backoff
+  (:data:`~repro.reliability.backoff.RETRY_BACKOFF`) up to the pod's
   ``link_retries`` budget, then escalates with
   :class:`~repro.reliability.errors.InterconnectError`.
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from repro.obs import collector as obs
 from repro.pod.config import PodConfig
+from repro.reliability.backoff import RETRY_BACKOFF
 from repro.reliability.errors import (
     ChipFailure,
     FaultDetectedError,
@@ -179,11 +181,6 @@ class PodExecutor:
 
     # -- transfers ----------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> float:
-        base = self.pod.backoff_base_s * self.pod.backoff_factor ** attempt
-        jitter = 1 + self.pod.backoff_jitter * (2 * self.rng.random() - 1)
-        return base * jitter
-
     def _transfer(self, t: Transfer) -> None:
         sender = self.states[t.src]
         if t.name not in sender:
@@ -213,7 +210,8 @@ class PodExecutor:
                 obs.count("pod.link_faults_detected")
                 if attempt + 1 < attempts:
                     self.stats.retransmits += 1
-                    self.stats.backoff_s += self._backoff(attempt)
+                    self.stats.backoff_s += RETRY_BACKOFF.pause(
+                        attempt + 1, self.rng)
                     obs.count("pod.retransmits")
                 continue
             key = t.rename or t.name

@@ -13,15 +13,15 @@ directly with :class:`~repro.core.simulator.SimResult`:
   decomposition the distribution-strategies RFC sketches).
 
 The cycle helpers convert a chip's link obligations into stream entries
-for :func:`repro.core.simulator.simulate`.  Charged through
-``extra_streams`` they serialize onto the chip's memory clock at the
-link's (much slower) rate - the pre-overlap model, still used for the
-data-parallel all-reduce.  Charged through ``overlap_streams`` each
+for :func:`repro.core.simulator.simulate`'s ``overlap_streams``: each
 direction of the link is its own *double-buffered port* running
 concurrently with compute (``link_in`` / ``link_out`` are separate
 streams, full duplex), which is what lets a pipelined stage cost
-``max(compute, comm)`` instead of ``compute + comm``; see
-docs/POD.md "Overlap & pipelining".
+``max(compute, comm)`` instead of ``compute + comm``.  The same run's
+``serialized_cycles`` is the link charged serialized onto the chip's
+memory clock at the link's (much slower) rate - the price of the
+data-parallel all-reduce, which nothing hides; see docs/POD.md
+"Overlap & pipelining".
 """
 
 from __future__ import annotations
@@ -75,12 +75,3 @@ class LinkModel:
         steps = 2 * (k - 1)
         return steps * self.pod.link_latency_cycles \
             + self.all_reduce_words(words, k) / self.words_per_cycle
-
-    def stream_words(self, payload_words: float, hops: int = 1) -> float:
-        """Equivalent stream length (words) of a transfer including its
-        per-hop latency, for charging through ``extra_streams`` (which
-        speaks words, not cycles)."""
-        if payload_words <= 0:
-            return 0.0
-        return payload_words \
-            + hops * self.pod.link_latency_cycles * self.words_per_cycle

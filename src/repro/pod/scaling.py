@@ -103,8 +103,8 @@ def scaling_gate(rows: list[dict] | None = None,
       hit at least ``min_speedup`` steady-state speedup - the overlap +
       min-cut machinery has to actually pay off, not just not regress;
     * every data-parallel row in ``rows`` must be bit-identical to the
-      pre-overlap serialized model, recomputed here explicitly (the
-      all-reduce charged through ``extra_streams``) - the overlap path
+      serialized all-reduce model, recomputed here from a stream-free
+      run as ``max(compute, memory + words / rate)`` - the overlap path
       must never perturb data-parallel numbers, even in the last ulp.
     """
     from repro.pod.interconnect import LinkModel
@@ -136,12 +136,12 @@ def scaling_gate(rows: list[dict] | None = None,
         link = LinkModel(cfg, PodConfig(chips=k, strategy=DATA_PARALLEL))
         out_words = _output_words(program)
         ar_words = link.all_reduce_words(out_words, k)
-        extra = None
+        ref = simulate(program, cfg)
+        mem = ref.mem_cycles
         if ar_words:
             ar_cycles = link.all_reduce_cycles(out_words, k)
-            extra = {"link": (ar_words, ar_words / ar_cycles)}
-        ref = simulate(program, cfg, extra_streams=extra)
-        expect = ref.cycles / k
+            mem += ar_words / (ar_words / ar_cycles)
+        expect = max(ref.compute_cycles, mem) / k
         if expect != r["clean_cycles_per_batch"]:
             problems.append(
                 f"{name}: {k}-chip data-parallel cycles/batch "

@@ -1,16 +1,17 @@
 """K-chip pod simulation layered over the single-chip simulator.
 
 Every chip runs :func:`repro.core.simulator.simulate` on its shard, with
-its link obligations charged through ``extra_streams`` (so the chip's
-cycles, traffic split, and bandwidth utilization all include the
-interconnect) and its op events tagged with the chip index (so a pod
-trace renders as K parallel machines).
+its link obligations charged through ``overlap_streams`` (so the chip's
+traffic split includes the interconnect) and its op events tagged with
+the chip index (so a pod trace renders as K parallel machines).
 
 Two notions of cost come out of a pod run:
 
 * ``batch_cycles`` - end-to-end latency of *one* batch.  Data-parallel:
-  the slowest replica (they run concurrently).  Model-parallel: the sum
-  of *serialized* stage cycles - the first batch walks an empty
+  the slowest replica (they run concurrently), priced by its
+  ``SimResult.serialized_cycles`` - the all-reduce merges the replicas'
+  *outputs*, so nothing is left to hide it behind.  Model-parallel: the
+  sum of *serialized* stage cycles - the first batch walks an empty
   pipeline, so nothing hides its transfers (fill latency).
 * ``cycles_per_batch`` - steady-state cost per batch under load.
   Data-parallel: slowest replica / replica count (K batches in flight).
@@ -182,9 +183,9 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
         out_words = _output_words(program)
         ar_words = link.all_reduce_words(out_words, k)
         ar_cycles = link.all_reduce_cycles(out_words, k)
-        extra = None
+        streams = None
         if ar_words:
-            extra = {"link": (ar_words, ar_words / ar_cycles)}
+            streams = {"link": (ar_words, ar_words / ar_cycles)}
         replica = (program if cache is None
                    else compile_program(program, cfg, cache=cache))
         chip_results: dict[int, SimResult] = {}
@@ -196,9 +197,9 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                 chip_results[c] = shared
                 continue
             shared = simulate(replica, cfg, checkpoint_every,
-                              extra_streams=extra, chip=c)
+                              overlap_streams=streams, chip=c)
             chip_results[c] = shared
-        slowest = max(r.cycles for r in chip_results.values())
+        slowest = max(r.serialized_cycles for r in chip_results.values())
         result = PodResult(
             name=program.name, strategy=pod.strategy, chips=pod.chips,
             alive=alive, failed=failed, chip_results=chip_results,

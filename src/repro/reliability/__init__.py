@@ -15,6 +15,7 @@ fault-injection acceptance campaign with::
     PYTHONPATH=src python -m repro.reliability --faults 1000
 """
 
+from repro.reliability.backoff import RETRY_BACKOFF, Backoff
 from repro.reliability.checksums import (
     limb_checksums,
     mismatched_limbs,
@@ -68,6 +69,7 @@ def __getattr__(name):
 
 
 __all__ = [
+    "Backoff",
     "CampaignResult",
     "Checkpoint",
     "CiphertextSnapshot",
@@ -80,6 +82,7 @@ __all__ = [
     "LevelMismatchError",
     "NoiseBudgetExhaustedError",
     "ParameterError",
+    "RETRY_BACKOFF",
     "RecoveringExecutor",
     "RecoveryCampaignResult",
     "RecoveryPolicy",

@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import collector as obs
+from repro.reliability.backoff import Backoff
 from repro.reliability.checksums import limb_checksums
 from repro.reliability.errors import (
     FaultDetectedError,
@@ -343,17 +344,13 @@ class RecoveryPolicy:
     suspect, so escalation walks backwards through the ring.
     ``max_restarts``: full-program restarts (from the verified initial
     state) before giving up with :class:`UnrecoverableFaultError`.
-    ``backoff_base_s`` / ``backoff_factor``: exponential pause before
-    retry k sleeps ``base * factor**(k-1)`` seconds - pointless for
-    deterministic replays, essential when the fault source is a flaky
-    external resource; 0 disables (the default keeps tests fast).
-    ``backoff_jitter``: fractional randomization of each pause (a pause
-    of d becomes ``d * (1 + jitter * u)``, u uniform in [-1, 1)), which
-    decorrelates retry storms when many executors share a fault domain
-    - the serving front-end (`repro.serve`) passes its seeded rng so
-    jittered schedules stay reproducible.  Where the pause *happens* is
-    the executor's ``sleep`` hook: ``time.sleep`` by default, a virtual
-    clock under simulation.
+    ``backoff``: the :class:`~repro.reliability.backoff.Backoff` pause
+    before each replay - pointless for deterministic replays, essential
+    when the fault source is a flaky external resource; ``None``
+    disables it (the default keeps tests fast).  The serving front-end
+    (`repro.serve`) passes its seeded rng so jittered schedules stay
+    reproducible.  Where the pause *happens* is the executor's ``sleep``
+    hook: ``time.sleep`` by default, a virtual clock under simulation.
     ``verify_checkpoints``: verify every entry's seal at checkpoint time
     (strongly recommended: an unverified checkpoint taken between a
     corruption and its detection poisons every rollback to it).
@@ -362,9 +359,7 @@ class RecoveryPolicy:
     checkpoint_every: int = 4
     max_retries: int = 3
     max_restarts: int = 1
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.0
+    backoff: Backoff | None = None
     verify_checkpoints: bool = True
 
     def __post_init__(self):
@@ -375,17 +370,6 @@ class RecoveryPolicy:
             raise ParameterError("retry/restart counts must be >= 0",
                                  max_retries=self.max_retries,
                                  max_restarts=self.max_restarts)
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ParameterError("backoff_jitter is a fraction in [0, 1)",
-                                 backoff_jitter=self.backoff_jitter)
-
-    def backoff_seconds(self, retry: int, rng=None) -> float:
-        if self.backoff_base_s <= 0:
-            return 0.0
-        pause = self.backoff_base_s * self.backoff_factor ** max(0, retry - 1)
-        if self.backoff_jitter and rng is not None:
-            pause *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return pause
 
 
 @dataclass
@@ -442,7 +426,7 @@ class RecoveringExecutor:
         # deployments, a virtual clock's ``sleep`` under the serving
         # simulation (no wall-clock calls in deterministic campaigns).
         self._sleep = sleep if sleep is not None else time.sleep
-        self._rng = rng  # jitter source for policy.backoff_seconds
+        self._rng = rng  # jitter source for policy.backoff
         # Live view of the running program's state dict, for integrity
         # boundary hooks (e.g. the RF eviction sweep) that need to see
         # the current residents mid-keyswitch.
@@ -529,7 +513,8 @@ class RecoveringExecutor:
                 obs.count("reliability.recovery.detections")
                 retries = fault_counts[i] = fault_counts.get(i, 0) + 1
                 if retries <= policy.max_retries:
-                    pause = policy.backoff_seconds(retries, self._rng)
+                    pause = (policy.backoff.pause(retries, self._rng)
+                             if policy.backoff is not None else 0.0)
                     if pause:
                         stats.backoff_seconds += pause
                         self._sleep(pause)

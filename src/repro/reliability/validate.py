@@ -97,14 +97,6 @@ def _validate_serve_config(cfg) -> None:
     if cfg.max_retries < 0:
         raise ConfigError("max_retries must be >= 0",
                           max_retries=cfg.max_retries)
-    if cfg.backoff_base_s < 0 or cfg.backoff_factor < 1:
-        raise ConfigError(
-            "backoff needs base >= 0 and factor >= 1",
-            backoff_base_s=cfg.backoff_base_s,
-            backoff_factor=cfg.backoff_factor)
-    if not 0.0 <= cfg.backoff_jitter < 1.0:
-        raise ConfigError("backoff jitter is a fraction in [0, 1)",
-                          backoff_jitter=cfg.backoff_jitter)
     if cfg.breaker_threshold < 1:
         raise ConfigError(
             "breaker opens after K >= 1 consecutive failures",

@@ -2,7 +2,7 @@
 
 One frozen dataclass holds every robustness knob of `repro.serve`:
 capacity (queue depth, packing geometry), deadlines, the degradation
-ladder, retry/backoff, and the per-tenant circuit breaker.  Construction
+ladder, retries, and the per-tenant circuit breaker.  Construction
 runs :func:`repro.reliability.validate.validate_config`, which
 recognizes serve configs structurally and rejects nonsense (zero queue
 depth, negative deadline, a block that does not tile the slot count)
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.reliability.backoff import RETRY_BACKOFF
 from repro.reliability.validate import validate_config
 
 
@@ -58,10 +59,8 @@ class ServeConfig:
     degrade_batch_divisor: int = 2
 
     # -- retries / faults --------------------------------------------------
-    max_retries: int = 2         # serve-level batch re-executions
-    backoff_base_s: float = 1e-4
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
+    max_retries: int = 2         # serve-level batch re-executions, each
+    #                              paused by RETRY_BACKOFF
     admission_retry_budget: float = 1.0  # fraction of the worst-case
     #                              retry/backoff budget folded into the
     #                              admission ETA.  1.0 = a request is only
@@ -106,10 +105,8 @@ class ServeConfig:
         so a request whose deadline only holds if nothing ever faults is
         shed up front instead of expiring after occupying the chip.
         """
-        ceiling = self.backoff_base_s \
-            * self.backoff_factor ** max(0, self.max_retries - 1) \
-            * (1.0 + self.backoff_jitter)
-        return self.admission_retry_budget * self.max_retries * ceiling
+        return self.admission_retry_budget * self.max_retries \
+            * RETRY_BACKOFF.ceiling(self.max_retries)
 
     def with_(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (re-validated)."""

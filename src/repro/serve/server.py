@@ -50,6 +50,7 @@ from repro.core.simulator import simulate
 from repro.interpret import lower
 from repro.obs import collector as obs
 from repro.reliability import guards
+from repro.reliability.backoff import RETRY_BACKOFF
 from repro.reliability.errors import (
     ChipFailure,
     CircuitOpen,
@@ -537,7 +538,7 @@ class Server:
             if attempt < c.max_retries:
                 retries += 1
                 self._count("retries")
-                pause = self._backoff(attempt + 1)
+                pause = RETRY_BACKOFF.pause(attempt + 1, self._rng)
                 duration += pause
                 occupancy_s += pause
                 obs.count("serve.backoff_s", pause)
@@ -605,9 +606,7 @@ class Server:
             checkpoint_every=c.checkpoint_every,
             max_retries=c.executor_retries,
             max_restarts=c.executor_restarts,
-            backoff_base_s=c.backoff_base_s,
-            backoff_factor=c.backoff_factor,
-            backoff_jitter=c.backoff_jitter)
+            backoff=RETRY_BACKOFF)
         pauses: list[float] = []
         exe = RecoveringExecutor(
             self.ctx, policy, store=RingBufferStore(4), cfg=self.chip,
@@ -630,14 +629,6 @@ class Server:
         """Executor resilience cost in (virtual) seconds."""
         return (stats.overhead_cycles / self.chip.clock_hz
                 + stats.backoff_seconds)
-
-    def _backoff(self, retry: int) -> float:
-        pause = self.cfg.backoff_base_s \
-            * self.cfg.backoff_factor ** max(0, retry - 1)
-        if self.cfg.backoff_jitter:
-            pause *= 1.0 + self.cfg.backoff_jitter \
-                * (2.0 * self._rng.random() - 1.0)
-        return pause
 
     def _verify(self, state, plan, master) -> bool:
         """Clean replay from the master ciphertext, compared bit-exactly.

@@ -1,10 +1,11 @@
-"""The compiler contract: fingerprints and the memory compile cache.
+"""The compiler contract: value keys and the memory compile cache.
 
 Two layers of guarantees, in the order the cache depends on them:
 
-1. Fingerprint contract - invariant under SSA/hint/plaintext renames,
-   dict ordering, and display names; sensitive to every schedule-
-   relevant mutation of program or config.
+1. Key contract - a program's cache key (its fingerprint) is the
+   program by value: sensitive to every op field, the op order, the
+   ring parameters and the whole config; blind only to the display
+   fields ``Program.name`` / ``description``.
 2. Cache behavior - LRU, snapshots, obs counters and spans, and a
    cache hit that is a bit-identical substitute for a fresh compile on
    the deep benchmarks (with their simulated cycles pinned).
@@ -15,8 +16,7 @@ cannot drift from the code.
 
 from __future__ import annotations
 
-import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -25,10 +25,9 @@ from hypothesis import strategies as st
 
 from repro.compiler.cache import (
     CompileCache,
-    canonical_json,
+    CompileKey,
+    compile_key,
     compile_program,
-    fingerprint,
-    program_token,
 )
 from repro.compiler.dsl import FheBuilder
 from repro.compiler.hoisting import hoist_rotations
@@ -39,6 +38,12 @@ from repro.obs import collector as obs
 from repro.workloads import DEEP_BENCHMARKS, benchmark
 
 REPO = Path(__file__).resolve().parents[2]
+CFG = ChipConfig()
+
+
+def fingerprint(program: Program, cfg: ChipConfig = CFG) -> CompileKey:
+    """A program's compile-cache key (the default config unless given)."""
+    return compile_key(program, cfg)
 
 #: Simulated CraterLake cycles of each deep benchmark after
 #: compile_program (rotation hoisting).
@@ -61,9 +66,9 @@ def docs_example_program() -> Program:
     return b.build()
 
 
-def renamed(program: Program, value_prefix: str = "", hint_prefix: str = "",
-            pt_prefix: str = "") -> Program:
-    """A fresh Program with every name consistently prefixed."""
+def renamed(program: Program, value_prefix: str = "",
+            hint_prefix: str = "") -> Program:
+    """A fresh Program with value and hint names consistently prefixed."""
     out = Program(name=program.name, degree=program.degree,
                   max_level=program.max_level,
                   description=program.description)
@@ -74,14 +79,12 @@ def renamed(program: Program, value_prefix: str = "", hint_prefix: str = "",
             operands=tuple(value_prefix + o for o in op.operands),
             hint_id=(hint_prefix + op.hint_id
                      if op.hint_id is not None else None),
-            plaintext_id=(pt_prefix + op.plaintext_id
-                          if op.plaintext_id is not None else None),
         ))
     return out
 
 
 def with_ops(program: Program, ops: list[HomOp]) -> Program:
-    """A fresh Program (no fingerprint memo) carrying ``ops``."""
+    """A fresh Program carrying ``ops``."""
     out = Program(name=program.name, degree=program.degree,
                   max_level=program.max_level,
                   description=program.description)
@@ -94,7 +97,7 @@ def with_ops(program: Program, ops: list[HomOp]) -> Program:
 @st.composite
 def programs(draw) -> Program:
     """Valid programs via the DSL: random dags of add/rotate/pmult/mult
-    over a shared hint pool, so fingerprints see hint sharing,
+    over a shared hint pool, so keys see hint sharing,
     plaintexts, steps (positive and negative), and level drops."""
     b = FheBuilder(draw(st.sampled_from(["p", "prog-x"])),
                    degree=64, max_level=8)
@@ -152,9 +155,7 @@ def test_any_schedule_relevant_mutation_changes_fingerprint(program, data):
 
 
 def test_fingerprint_sensitive_to_op_order():
-    # Op order IS the schedule; reordering distinct op kinds must miss.
-    # (Swapping two *isomorphic* ops - same kind, same wiring - is a
-    # rename and legitimately hits; that's the invariance tests above.)
+    # Op order IS the schedule; reordering ops must miss.
     program = docs_example_program()
     i = next(i for i, op in enumerate(program.ops) if op.kind == "rotate")
     ops = list(program.ops)
@@ -162,20 +163,20 @@ def test_fingerprint_sensitive_to_op_order():
     assert fingerprint(with_ops(program, ops)) != fingerprint(program)
 
 
-# -- fingerprint invariances (the other half of the contract) ---------------
-
-def test_fingerprint_invariant_under_consistent_renames():
+def test_renamed_program_is_a_different_key():
+    # Names are part of the program's value: a consistently renamed
+    # program is a different program to the cache (a miss, never a
+    # wrong hit).
     program = docs_example_program()
     base = fingerprint(program)
-    assert fingerprint(renamed(program, value_prefix="ssa_")) == base
-    assert fingerprint(renamed(program, hint_prefix="hint_")) == base
-    assert fingerprint(renamed(program, value_prefix="z", hint_prefix="q",
-                               pt_prefix="w")) == base
+    assert fingerprint(renamed(program, value_prefix="ssa_")) != base
+    assert fingerprint(renamed(program, hint_prefix="hint_")) != base
+    assert fingerprint(renamed(program)) == base
 
 
 def test_fingerprint_sensitive_to_hint_sharing_structure():
-    # Collapsing two distinct hints into one is NOT a rename: it changes
-    # how much hint traffic the schedule pays, so it must change the hash.
+    # Collapsing two distinct hints into one changes how much hint
+    # traffic the schedule pays, so it must change the key.
     b = FheBuilder("two-hints", degree=64, max_level=4)
     x = b.input("x", level=3)
     b.output(b.add(b.rotate(x, steps=1, hint_id="h1"),
@@ -195,10 +196,9 @@ def test_fingerprint_ignores_display_names_only():
     relabeled.name = "something-else"
     relabeled.description = "same schedule, new label"
     assert fingerprint(relabeled) == base
-    assert fingerprint(program, ChipConfig(name="renamed-chip")) == \
-        fingerprint(program, ChipConfig())
-    assert fingerprint(program, ChipConfig(register_file_mb=128.0)) != \
-        fingerprint(program, ChipConfig())
+    # The config is keyed as one value, its display name included.
+    assert fingerprint(program, ChipConfig(register_file_mb=128.0)) != base
+    assert fingerprint(program, ChipConfig(name="renamed-chip")) != base
 
 
 def test_fingerprint_sensitive_to_ring_params():
@@ -207,10 +207,6 @@ def test_fingerprint_sensitive_to_ring_params():
     bigger = with_ops(program, list(program.ops))
     bigger.max_level = program.max_level + 1
     assert fingerprint(bigger) != base
-
-
-def test_fingerprint_insensitive_to_dict_ordering():
-    assert canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
 
 
 def test_memory_tier_hit_miss_and_lru_eviction():
@@ -280,7 +276,9 @@ def test_compile_spans_are_recorded():
         compile_program(docs_example_program(), cache=CompileCache())
     totals = collector.span_totals()
     assert totals["compiler.compile"][0] == 1
-    assert totals["compiler.cache.fingerprint"][0] == 1
+    # Building the key is not a timed region; only the compile is.
+    assert not [name for name in totals
+                if name.startswith("compiler.cache")]
 
 
 @pytest.mark.slow
@@ -306,9 +304,11 @@ def test_compiler_doc_example_is_generated_from_code():
     """docs/COMPILER.md's worked example must match what the code
     actually produces for the example program."""
     text = (REPO / "docs" / "COMPILER.md").read_text()
-    program = docs_example_program()
-    fp = fingerprint(program)
-    token = re.search(r'"program_sha256": "([0-9a-f]{64})"', text)
-    assert token, "COMPILER.md lost its fingerprint-document example"
-    assert token.group(1) == program_token(program)
-    assert fp in text, "COMPILER.md's example fingerprint is stale"
+    key = fingerprint(docs_example_program())
+    assert key.cfg is CFG
+    example = (f"(key.degree, key.max_level, len(key.ops)) == "
+               f"({key.degree}, {key.max_level}, {len(key.ops)})\n"
+               "[astuple(op) for op in key.ops] == [\n"
+               + "".join(f"    {astuple(op)!r},\n" for op in key.ops)
+               + "]")
+    assert example in text, "COMPILER.md's example key is stale"

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.cache import compile_program
 from repro.compiler.dsl import FheBuilder
 from repro.compiler.hoisting import hoist_rotations
 from repro.core.config import ChipConfig
-from repro.ir import HOIST_MODUP, INPUT, OUTPUT
+from repro.ir import (HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, HomOp,
+                      Program)
 from repro.obs import collector as obs
 from repro.pod import (DATA_PARALLEL, LinkModel, MODEL_PARALLEL, PodConfig,
                        partition)
@@ -104,14 +106,30 @@ def test_data_parallel_is_mirrored():
 def test_boundary_never_splits_hoist_group():
     """A cut directly after a hoist_modup would put the raised digit
     object on the wire; the partitioner must shift past it."""
-    program = benchmark("resnet20")
-    for chips in (2, 3, 4, 8):
+    program = compile_program(benchmark("packed_bootstrap"), CFG)
+    assert any(op.kind == HOIST_MODUP for op in program.ops)
+    # At 5 chips an unguarded min-cut does land right after a hoist_modup.
+    for chips in (2, 3, 4, 5, 8):
         part = partition(program, CFG,
                          PodConfig(chips=chips, strategy=MODEL_PARALLEL))
         for shard in part.shards[:-1]:
             if shard.op_indices:
                 last = program.ops[shard.op_indices[-1]]
                 assert last.kind != HOIST_MODUP
+    # The greedy cutter on its own: one hoist group whose ModUp is where
+    # its 3- and 5-chip balance points fall.
+    from repro.pod.partition import _cut_points
+
+    group = Program("hoist-group", degree=4096, max_level=12)
+    group.append(HomOp(INPUT, 10, "x"))
+    group.append(HomOp(HOIST_MODUP, 10, "raised", ("x",)))
+    for j in range(8):
+        group.append(HomOp(ROTATE_HOISTED, 10, f"r{j}", ("raised", "x"),
+                           hint_id=f"h{j}", steps=j + 1))
+    group.append(HomOp(OUTPUT, 10, "out", ("r0",)))
+    for chips in (3, 5):
+        for b in _cut_points(group, CFG, chips):
+            assert group.ops[b - 1].kind != HOIST_MODUP
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,28 +184,41 @@ def test_partition_conservation_property(ops, inputs, chips, strategy,
 def test_mincut_gate_counters_and_never_pessimizes():
     """The min-cut candidate is adopted only when the simulator says it
     wins; either way the gate leaves an audit trail in the
-    ``compiler.mincut.*`` counters."""
+    ``compiler.mincut.*`` counters.  Each cutter wins some races, which
+    is why both stay: packed_bootstrap at 4 chips is where min-cut pays
+    off (the greedy balance point pushes a fat ciphertext onto the
+    wire), and unpacked_bootstrap at 2 chips is where greedy does."""
+    from repro.pod.partition import (_cut_points, _mincut_points,
+                                     _partition_model)
     from repro.pod.simulator import stage_results
 
-    program = benchmark("packed_bootstrap")
-    pod = PodConfig(chips=4, strategy=MODEL_PARALLEL)
-    with obs.collecting() as c:
-        part = partition(program, CFG, pod)
-    considered = c.counters.get("compiler.mincut.considered", 0)
-    applied = c.counters.get("compiler.mincut.applied", 0)
-    rejected = c.counters.get("compiler.mincut.rejected", 0)
-    assert considered == 1
-    assert applied + rejected == considered
-    # packed_bootstrap is where min-cut pays off (the greedy balance
-    # point pushes a fat ciphertext onto the wire).
-    assert applied == 1
-    assert c.counters.get("compiler.mincut.cycles_saved", 0) > 0
-    # Never-pessimize: the adopted partition prices no worse than the
-    # greedy bounds under the exact cost model the pod simulator uses.
-    from repro.pod.partition import _cut_points, _partition_model
+    def bottleneck(part, pod):
+        return max(r.cycles for r in stage_results(part, CFG, pod))
 
-    greedy = _partition_model(program, CFG, pod, pod.chips,
-                              bounds=_cut_points(program, CFG, pod.chips))
-    win = max(r.cycles for r in stage_results(part, CFG, pod))
-    base = max(r.cycles for r in stage_results(greedy, CFG, pod))
-    assert win <= base
+    for name, chips, verdict in (("packed_bootstrap", 4, "applied"),
+                                 ("unpacked_bootstrap", 2, "rejected")):
+        program = benchmark(name)
+        pod = PodConfig(chips=chips, strategy=MODEL_PARALLEL)
+        with obs.collecting() as c:
+            part = partition(program, CFG, pod)
+        considered = c.counters.get("compiler.mincut.considered", 0)
+        applied = c.counters.get("compiler.mincut.applied", 0)
+        rejected = c.counters.get("compiler.mincut.rejected", 0)
+        assert considered == 1, name
+        assert applied + rejected == considered, name
+        assert c.counters.get(f"compiler.mincut.{verdict}", 0) == 1, name
+        # Never-pessimize: the adopted partition prices no worse than
+        # either cutter's bounds under the exact cost model the pod
+        # simulator uses.
+        greedy = _partition_model(program, CFG, pod, chips,
+                                  bounds=_cut_points(program, CFG, chips))
+        mincut = _partition_model(
+            program, CFG, pod, chips,
+            bounds=_mincut_points(program, CFG, pod, chips))
+        win = bottleneck(part, pod)
+        assert win <= bottleneck(greedy, pod), name
+        assert win <= bottleneck(mincut, pod), name
+        if verdict == "applied":
+            assert c.counters.get("compiler.mincut.cycles_saved", 0) > 0
+        else:
+            assert win < bottleneck(mincut, pod), name

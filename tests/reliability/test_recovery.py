@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ChipConfig
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.reliability import guards
+from repro.reliability.backoff import Backoff
 from repro.reliability.errors import (
     FaultDetectedError,
     ParameterError,
@@ -238,7 +239,9 @@ def test_policy_validation():
         RecoveryPolicy(checkpoint_every=0)
     with pytest.raises(ParameterError):
         RecoveryPolicy(max_retries=-1)
-    assert RecoveryPolicy(backoff_base_s=0.5).backoff_seconds(2) == 1.0
+    assert RecoveryPolicy().backoff is None
+    policy = RecoveryPolicy(backoff=Backoff(0.5, 2.0, 0.0))
+    assert policy.backoff.pause(2) == 1.0
 
 
 def test_ring_buffer_store_bounds_and_drops():

@@ -173,8 +173,8 @@ def test_overload_shed_is_exact(depth, extra):
     dict(degrade_watermark=0.0),
     dict(degrade_watermark=1.5),
     dict(max_retries=-1),
-    dict(backoff_base_s=-1.0),
-    dict(backoff_jitter=1.0),
+    dict(degree=4),                    # a power of two below 8
+    dict(block_slots=1),               # below the 2-slot minimum
     dict(breaker_threshold=0),
     dict(breaker_cooldown_s=-1.0),
     dict(checkpoint_every=0),

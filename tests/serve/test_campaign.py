@@ -13,6 +13,7 @@ import pytest
 
 from repro.interpret import lower
 from repro.obs import collector as obs
+from repro.reliability.backoff import RETRY_BACKOFF
 from repro.serve import ServeConfig
 from repro.serve.clock import VirtualClock
 from repro.serve.loadgen import (
@@ -165,13 +166,12 @@ def test_virtual_clock_only_no_wallclock_in_serve():
 
 
 def test_backoff_is_exponential_with_bounded_jitter():
-    cfg = ServeConfig(seed=5)
-    srv = Server(cfg, clock=VirtualClock())
-    pauses = [srv._backoff(k) for k in range(1, 4)]
+    srv = Server(ServeConfig(seed=5), clock=VirtualClock())
+    b = RETRY_BACKOFF
+    pauses = [b.pause(k, srv._rng) for k in range(1, 4)]
     for k, pause in enumerate(pauses, start=1):
-        nominal = cfg.backoff_base_s * cfg.backoff_factor ** (k - 1)
-        assert nominal * (1 - cfg.backoff_jitter) <= pause \
-            <= nominal * (1 + cfg.backoff_jitter)
+        nominal = b.base_s * b.factor ** (k - 1)
+        assert nominal * (1 - b.jitter) <= pause <= nominal * (1 + b.jitter)
     # Exponential growth dominates the jitter band.
     assert pauses[2] > pauses[0]
 

@@ -28,9 +28,8 @@ def pod_server():
 # -- ETA retry budget (satellite fix) ---------------------------------------
 
 def test_retry_budget_formula():
-    c = cfg(max_retries=2, backoff_base_s=1e-4, backoff_factor=2.0,
-            backoff_jitter=0.25)
-    # Ceiling pause = base * factor**(retries-1) * (1 + jitter).
+    c = cfg(max_retries=2)
+    # RETRY_BACKOFF's ceiling pause = base * factor**(retries-1) * (1 + jitter).
     assert c.retry_budget_s() == pytest.approx(2 * 1e-4 * 2.0 * 1.25)
     assert cfg(admission_retry_budget=0.0).retry_budget_s() == 0.0
     assert cfg(max_retries=0).retry_budget_s() == 0.0
