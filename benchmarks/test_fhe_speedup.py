@@ -3,7 +3,8 @@
 Not a paper table: this is the regression artifact for the vectorized
 CKKS hot path (``BatchedNttContext``, ``batch_rescale``,
 ``mod_down_pair``, the EVAL-domain automorphism).  Each row times the
-batched kernel against the per-limb/per-poly oracle that the
+batched kernel against the per-limb/per-poly oracle
+(tests/fhe/oracles.py) that the
 differential suite (tests/fhe/test_batched_kernels.py) proves it
 bit-exact against, on the same data in the same process, and reports
 the machine-relative speedup.  The nightly run archives the table so a
@@ -23,11 +24,12 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.fhe.keyswitch import mod_down, mod_down_pair
-from repro.fhe.ntt import BatchedNttContext, NttContext
+from repro.fhe.keyswitch import mod_down_pair
+from repro.fhe.ntt import BatchedNttContext
 from repro.fhe.poly import EVAL, RnsPoly, batch_rescale
 from repro.fhe.primes import find_ntt_primes
 from repro.fhe.rns import RnsBasis
+from tests.fhe.oracles import NttContext, mod_down, rescale
 
 DEGREE, LIMBS, AUX = 4096, 8, 4
 
@@ -70,13 +72,13 @@ def _measure():
         rows[name] = (ref_t * 1e3, bat_t * 1e3, ref_t / bat_t)
 
     add("forward NTT (all limbs)",
-        lambda: [c._forward(data[i]) for i, c in enumerate(limbs)],
+        lambda: [c.forward(data[i]) for i, c in enumerate(limbs)],
         lambda: batched._forward(data))
     add("inverse NTT (all limbs)",
-        lambda: [c._inverse(data[i]) for i, c in enumerate(limbs)],
+        lambda: [c.inverse(data[i]) for i, c in enumerate(limbs)],
         lambda: batched._inverse(data))
     add("rescale (ciphertext pair)",
-        lambda: [p.rescale() for p in pair],
+        lambda: [rescale(p) for p in pair],
         lambda: batch_rescale(pair))
     add("ModDown (ciphertext pair)",
         lambda: (mod_down(wide[0], basis, aux), mod_down(wide[1], basis, aux)),

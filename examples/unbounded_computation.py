@@ -134,7 +134,7 @@ def recovery_demo():
                                 reference["acc"].c1.data))
     print(f"injected 1 transient bit flip at step 5 of {len(steps)}")
     print(f"detected {stats.detections} fault(s), rolled back "
-          f"{stats.rollbacks} time(s), replayed {stats.replayed_ops} op(s) "
+          f"{stats.rollbacks} time(s), replayed {stats.replayed_steps} step(s) "
           f"from the step-{4} checkpoint")
     print(f"final ciphertext bit-identical to the fault-free run: {exact}")
     print("the chain self-healed: unbounded computation survives transient "

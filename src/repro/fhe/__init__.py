@@ -28,7 +28,6 @@ from repro.fhe.keyswitch import (
 from repro.fhe.hoisting import HoistedRotator, hoisted_rotations
 from repro.fhe.linear import LinearTransform, RealLinearTransform
 from repro.fhe.noise import NoiseBudget, budget_bits, measure_noise_bits
-from repro.fhe.ntt import NttContext
 from repro.fhe.poly import RnsPoly
 from repro.fhe.polyeval import evaluate_chebyshev, evaluate_polynomial
 from repro.fhe.primes import find_ntt_primes, is_prime
@@ -55,7 +54,6 @@ __all__ = [
     "HoistedRotator",
     "LinearTransform",
     "NoiseBudget",
-    "NttContext",
     "Plaintext",
     "RealLinearTransform",
     "RnsBasis",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fhe.keyswitch import generate_hint, standard_keyswitch
-from repro.fhe.ntt import NttContext
+from repro.fhe.ntt import BatchedNttContext
 from repro.fhe.poly import COEFF, EVAL, RnsPoly
 from repro.fhe.primes import find_ntt_primes, is_prime
 from repro.fhe.rns import RnsBasis
@@ -92,7 +92,7 @@ class BgvContext:
                                  params.degree)
         self.q_basis = RnsBasis(primes)
         self.t = params.plain_modulus
-        self.slot_ntt = NttContext.get(self.t, params.degree)
+        self.slot_ntt = BatchedNttContext.get((self.t,), params.degree)
         self.rng = np.random.default_rng(params.seed)
         self._hint_seed = iter(range(77_000_000, 2**31))
 
@@ -103,10 +103,10 @@ class BgvContext:
         values = np.asarray(values, dtype=np.int64) % self.t
         full = np.zeros(self.params.degree, dtype=np.uint64)
         full[: len(values)] = values.astype(np.uint64)
-        return self.slot_ntt.inverse(full)
+        return self.slot_ntt.inverse(full[None])[0]
 
     def decode(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.slot_ntt.forward(coeffs.astype(np.uint64))
+        return self.slot_ntt.forward(coeffs.astype(np.uint64)[None])[0]
 
     # -- keys ----------------------------------------------------------------
 

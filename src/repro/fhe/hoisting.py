@@ -7,13 +7,21 @@ ciphertext is rotated by many different amounts — every BSGS baby step,
 every bootstrapping transform stage — that work is identical across
 rotations and can be done once ("hoisted") before the per-rotation
 automorphism + hint multiply.  Halevi-Shoup introduced the trick; the
-paper's compiler applies it inside its keyswitch pipelines.
+paper's compiler applies it inside its keyswitch pipelines (Sec. 3,
+Listing 1).
 
-Functionally we exploit that the automorphism phi_k commutes with the RNS
-digit decomposition: raising c1 once and applying phi_k to the *raised*
-digits equals raising phi_k(c1), because the digit split is coefficient-
-wise.  Cost accounting: k rotations cost 1 ModUp + k (automorphism +
-hint-multiply + ModDown) instead of k of everything.
+:class:`HoistedRotator` runs the keyswitch's own kernels: it raises c1
+once with :func:`~repro.fhe.keyswitch.mod_up`, keeping the raised digits
+in the EVAL domain.  The automorphism phi_k commutes with the RNS digit
+split (the split is coefficient-wise) and, in the EVAL domain, is a pure
+permutation of the evaluation points, so each rotation permutes the
+raised digits (:func:`~repro.fhe.ntt.eval_automorphism_permutation`),
+multiplies them against its hint
+(:func:`~repro.fhe.keyswitch.multiply_accumulate`) and divides by P
+(:func:`~repro.fhe.keyswitch.mod_down_pair`) - no other transform.  NTT
+accounting matches the cost model exactly: k rotations cost one
+:func:`~repro.core.cost.hoist_modup_cost` plus k
+:func:`~repro.core.cost.hoisted_rotate_keyswitch_cost`.
 """
 
 from __future__ import annotations
@@ -21,8 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fhe.ckks import Ciphertext, CkksContext
-from repro.fhe.keyswitch import KeySwitchHint, digit_bases, mod_down
-from repro.fhe.poly import COEFF, EVAL, RnsPoly
+from repro.fhe.keyswitch import (
+    KeySwitchHint,
+    check_special_basis,
+    mod_down_pair,
+    mod_up,
+    multiply_accumulate,
+)
+from repro.fhe.ntt import eval_automorphism_permutation
 from repro.reliability.checksums import limb_checksums, verify_limbs
 from repro.reliability.errors import ParameterError
 
@@ -36,8 +50,9 @@ class HoistedRotator:
         for steps, hint in rotation_plan:
             out = rotator.rotate(steps, hint)
 
-    When the context's reliability policy asks for checksums, the shared
-    raised digits are sealed at construction and re-verified on every
+    ``raised_digits`` holds one EVAL-domain (L + alpha, N) residue matrix
+    per digit.  When the context's reliability policy asks for
+    checksums, they are sealed at construction and re-verified on every
     :meth:`rotate` - they are the hoisted equivalent of an operand
     ciphertext, and a limb fault in them would otherwise silently poison
     *every* rotation of the group.
@@ -55,29 +70,18 @@ class HoistedRotator:
         self.ctx = ctx
         self.ct = ct
         self.alpha = alpha
-        q_level = ct.basis
         aux = ctx.aux_basis[:alpha] if alpha < len(ctx.aux_basis) else ctx.aux_basis
         self.aux = aux
-        self.target = q_level.extend(aux)
+        self.target = ct.basis.extend(aux)
         if ctx.policy.checksums:
             ctx.verify_integrity(ct, "hoist source")
-        # ModUp once: decompose c1 into digits, raise each to Q*P.
-        coeff = ct.c1.to_coeff()
-        self.raised_digits: list[RnsPoly] = []
-        offset = 0
-        for digit in digit_bases(q_level, alpha):
-            rows = coeff.data[offset: offset + len(digit)]
-            offset += len(digit)
-            raised = RnsPoly(digit, rows, COEFF).change_basis(self.target)
-            self.raised_digits.append(raised)  # kept in COEFF domain
+        self.raised_digits = list(mod_up(ct.c1, alpha, self.target))
         # Seal carry through the hoist: checksum each raised digit once;
-        # every rotation re-verifies before consuming the shared object.
+        # every rotation re-verifies before consuming the shared digits.
         self.integrity: list[np.ndarray] | None = None
         if ctx.policy.checksums:
-            self.integrity = [
-                limb_checksums(digit.data, digit.basis.moduli_col)
-                for digit in self.raised_digits
-            ]
+            self.integrity = [limb_checksums(d, self.target.moduli_col)
+                              for d in self.raised_digits]
 
     def verify_integrity(self) -> None:
         """Check the sealed raised digits; raises FaultDetectedError."""
@@ -85,26 +89,21 @@ class HoistedRotator:
             return
         for i, (digit, reference) in enumerate(
                 zip(self.raised_digits, self.integrity)):
-            verify_limbs(digit.data, digit.basis.moduli_col, reference,
+            verify_limbs(digit, self.target.moduli_col, reference,
                          f"hoisted raised digit {i}")
 
     def rotate(self, steps: int, hint: KeySwitchHint) -> Ciphertext:
-        """One rotation using the shared decomposition."""
+        """One rotation using the shared decomposition: permute the raised
+        digits, multiply-accumulate against ``hint``, ModDown."""
+        check_special_basis(hint, self.aux)
         ctx = self.ctx
         self.verify_integrity()
         k = ctx.rotation_exponent(steps)
-        # phi_k commutes with the coefficient-wise digit split, so apply it
-        # to the raised digits and proceed with the (per-rotation) NTT,
-        # hint multiply and ModDown.
-        acc0 = RnsPoly.zero(self.target, self.ct.degree, EVAL)
-        acc1 = RnsPoly.zero(self.target, self.ct.degree, EVAL)
-        for i, raised in enumerate(self.raised_digits):
-            permuted = raised.automorphism(k).to_eval()
-            b_rows, a_rows = hint.restricted_rows(i, self.target)
-            acc0 = acc0 + permuted * RnsPoly(self.target, b_rows, EVAL)
-            acc1 = acc1 + permuted * RnsPoly(self.target, a_rows, EVAL)
-        ks0 = mod_down(acc0, self.ct.basis, self.aux)
-        ks1 = mod_down(acc1, self.ct.basis, self.aux)
+        perm = eval_automorphism_permutation(self.ct.degree, k)
+        acc0, acc1 = multiply_accumulate(
+            (d.take(perm, axis=1) for d in self.raised_digits),
+            hint, self.target)
+        ks0, ks1 = mod_down_pair(acc0, acc1, self.ct.basis, self.aux)
         c0 = self.ct.c0.automorphism(k)
         return ctx.seal(Ciphertext(c0 + ks0, ks1, self.ct.scale))
 

@@ -26,6 +26,7 @@ halving hint footprint exactly as the hardware unit does.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,46 +199,53 @@ def generate_hint(
     return hint
 
 
-def _accumulate_digits(
-    poly: RnsPoly, hint: KeySwitchHint, target: RnsBasis
-) -> tuple[RnsPoly, RnsPoly]:
-    """Core of both algorithms: sum_i ModUp([c]_{D_i}) * ksh_i over ``target``.
+def mod_up(poly: RnsPoly, alpha: int, target: RnsBasis) -> Iterator[np.ndarray]:
+    """ModUp (Listing 1 lines 2-4): each digit of ``poly``, raised to
+    ``target``, as an EVAL-domain (len(target), N) residue matrix.
 
-    ``poly`` lives over the current basis Q_level, a prefix of ``target``.
-    Each digit's residues are raised to ``target`` with the fast base
-    conversion (the CRB kernel) and NTT'd, then multiplied against the
-    hint's (b, a) rows and accumulated - Listing 1 lines 5-6 generalized to
-    t digits.
+    ``poly`` lives over the current basis Q_level, a prefix of ``target``,
+    and splits into digits of ``alpha`` primes.  Each digit's residues are
+    raised with the fast base conversion (the CRB kernel) and NTT'd.
 
     The raised digit's rows over the digit's own primes need no work:
     fast conversion into q_j, with (Q/q_j)^{-1} * (Q/q_j) = 1 and Q = 0
     mod q_j, returns x_j exactly, so those rows are the input's own EVAL
     rows.  Only the other target primes are converted and transformed
-    (for t=1, alpha rows instead of L + alpha).
+    (for t=1, alpha rows instead of L + alpha).  Digits are produced
+    lazily, so a keyswitch holds one raised digit at a time.
     """
     degree = poly.degree
     coeff = poly.to_coeff().data
     evals = poly.to_eval().data
     moduli = target.moduli
-    q_col = target.moduli_col
-    acc0 = acc1 = None
     start = 0
-    for i, digit in enumerate(digit_bases(poly.basis, hint.alpha)):
+    for digit in digit_bases(poly.basis, alpha):
         stop = start + len(digit)
         others = moduli[:start] + moduli[stop:]
         if others:
             converted = BatchedNttContext.get(others, degree).forward(
                 digit.convert_approx(coeff[start:stop], RnsBasis(others)))
-            raised = np.concatenate(
+            yield np.concatenate(
                 [converted[:start], evals[start:stop], converted[start:]])
         else:
             # The digit is the whole target (standard keyswitching at one
             # prime): nothing to convert.
-            raised = evals
+            yield evals
         start = stop
+
+
+def multiply_accumulate(
+    raised: Iterable[np.ndarray], hint: KeySwitchHint, target: RnsBasis
+) -> tuple[RnsPoly, RnsPoly]:
+    """sum_i raised_i * ksh_i over ``target`` (Listing 1 lines 5-6,
+    generalized to t digits): the hint's (b, a) rows of digit i times the
+    i-th raised digit, accumulated in the EVAL domain."""
+    q_col = target.moduli_col
+    acc0 = acc1 = None
+    for i, digit in enumerate(raised):
         b_rows, a_rows = hint.restricted_rows(i, target)
-        prod0 = raised * b_rows % q_col
-        prod1 = raised * a_rows % q_col
+        prod0 = digit * b_rows % q_col
+        prod1 = digit * a_rows % q_col
         if acc0 is None:
             acc0, acc1 = prod0, prod1
         else:
@@ -249,51 +257,31 @@ def _accumulate_digits(
     return RnsPoly(target, acc0, EVAL), RnsPoly(target, acc1, EVAL)
 
 
-def mod_down(poly: RnsPoly, q_basis: RnsBasis, aux_basis: RnsBasis) -> RnsPoly:
-    """Divide by P: (poly - ModUp([poly]_P)) * P^-1 over ``q_basis``.
-
-    This is Listing 1 lines 7-10: the rounding step that removes the
-    P-expansion after hint application, keeping keyswitch noise small.
-    The per-limb P^{-1} column is cached on the basis, so the division is
-    one limb-batched expression.
-    """
-    n_q = len(q_basis)
-    coeff = poly.to_coeff()
-    q_part = RnsPoly(q_basis, coeff.data[:n_q], "coeff")
-    p_part = RnsPoly(aux_basis, coeff.data[n_q:], "coeff")
-    correction = p_part.change_basis(q_basis)
-    diff = q_part - correction
-    inv_col = q_basis.scalar_inverse_col(aux_basis.modulus)
-    out = diff.data * inv_col % q_basis.moduli_col
-    return RnsPoly(q_basis, out, "coeff").to_eval()
-
-
 def mod_down_pair(
     p0: RnsPoly, p1: RnsPoly, q_basis: RnsBasis, aux_basis: RnsBasis
 ) -> tuple[RnsPoly, RnsPoly]:
-    """ModDown of both keyswitch accumulators with shared, lazy transforms.
+    """ModDown (Listing 1 lines 7-10) of both keyswitch accumulators:
+    (p - ModUp([p]_P)) * P^-1 over ``q_basis``, the rounding step that
+    removes the P-expansion after hint application.
 
-    Same math as :func:`mod_down` (which tests keep as the reference
-    oracle), with two transform savings that are bit-exact by NTT
-    linearity and row independence:
-
-    * the pair is stacked, so each transform is one batched call over a
-      (2, ..., N) tensor instead of two;
-    * only the P special-basis rows are inverse-transformed (the base
-      conversion needs their coefficients) and only the Q-basis
-      correction is forward-transformed - the Q rows of the accumulators
-      never leave the EVAL domain, because subtraction and the P^{-1}
-      multiply commute with the NTT modulo each q_i.
+    Both inputs are EVAL-domain polynomials over ``q_basis`` extended by
+    ``aux_basis``.  The pair is stacked, so each transform is one batched
+    call over a (2, ..., N) tensor, and only the P special-basis rows are
+    inverse-transformed (the base conversion needs their coefficients)
+    and only the Q-basis correction is forward-transformed - the Q rows
+    of the accumulators never leave the EVAL domain, because subtraction
+    and the P^{-1} multiply commute with the NTT modulo each q_i.  This
+    is bit-exact against dividing each polynomial on its own in the
+    coefficient domain (the oracle in ``tests/fhe/oracles.py``).
 
     The base conversion handles both coefficient blocks in one call
     (``convert_approx`` is column-independent, so concatenating the two
     polynomials along the coefficient axis is exact).
     """
+    _guards.check_eval_domain(p0, "mod_down_pair")
+    _guards.check_eval_domain(p1, "mod_down_pair")
     n_q = len(q_basis)
     degree = p0.degree
-    if p0.domain != EVAL or p1.domain != EVAL:
-        return (mod_down(p0, q_basis, aux_basis),
-                mod_down(p1, q_basis, aux_basis))
     aux_coeff = BatchedNttContext.get(aux_basis.moduli, degree).inverse(
         np.stack([p0.data[n_q:], p1.data[n_q:]])
     )
@@ -310,6 +298,16 @@ def mod_down_pair(
     return RnsPoly(q_basis, out[0], EVAL), RnsPoly(q_basis, out[1], EVAL)
 
 
+def check_special_basis(hint: KeySwitchHint, aux_basis: RnsBasis) -> None:
+    """Raise :class:`ParameterError` unless ``hint`` was generated over
+    ``aux_basis``: its digits and rows must line up with the ModUp."""
+    if hint.aux_count != len(aux_basis):
+        raise ParameterError(
+            "hint was generated for a different special basis",
+            hint_aux=hint.aux_count, aux=len(aux_basis),
+        )
+
+
 def boosted_keyswitch(
     poly: RnsPoly, hint: KeySwitchHint, aux_basis: RnsBasis
 ) -> tuple[RnsPoly, RnsPoly]:
@@ -319,16 +317,13 @@ def boosted_keyswitch(
     hint multiply-accumulate -> ModDown back to the input basis.
     Returns (ks0, ks1) with ks0 + ks1*s_new ~= poly * s_old.
     """
-    if hint.aux_count != len(aux_basis):
-        raise ParameterError(
-            "hint was generated for a different special basis",
-            hint_aux=hint.aux_count, aux=len(aux_basis),
-        )
+    check_special_basis(hint, aux_basis)
     with obs.span("keyswitch.boosted", "fhe"):
         obs.count("fhe.keyswitch.boosted")
         q_level = poly.basis
         target = q_level.extend(aux_basis)
-        acc0, acc1 = _accumulate_digits(poly, hint, target)
+        acc0, acc1 = multiply_accumulate(
+            mod_up(poly, hint.alpha, target), hint, target)
         ks0, ks1 = mod_down_pair(acc0, acc1, q_level, aux_basis)
         # The keyswitch working set displaces register-file residents: let
         # an installed integrity boundary hook sweep the evictees' seals.
@@ -353,6 +348,7 @@ def standard_keyswitch(
     with obs.span("keyswitch.standard", "fhe"):
         obs.count("fhe.keyswitch.standard")
         q_level = poly.basis
-        acc0, acc1 = _accumulate_digits(poly, hint, q_level)
+        acc0, acc1 = multiply_accumulate(
+            mod_up(poly, hint.alpha, q_level), hint, q_level)
         _guards.keyswitch_boundary()
         return acc0, acc1

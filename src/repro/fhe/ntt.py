@@ -5,17 +5,13 @@ multiplication in Z_q[x]/(x^N + 1) is element-wise.  CraterLake devotes two
 of its largest functional units to it; here we implement the same transform
 in vectorized numpy as part of the functional substrate.
 
-Two implementations compute the same map (coefficients in natural order,
-evaluations at psi^(2*br(j)+1) in bit-reversed slot order j):
-
-* :class:`BatchedNttContext` - the one the library runs: a four-step
-  matrix NTT over all limbs of a residue matrix at once, as float64 BLAS
-  matmuls that are exact by construction (see its docstring).
-* :class:`NttContext` - the per-limb radix-2 reference oracle, in the
-  standard merged-twiddle formulation (Longa & Naehrig): Cooley-Tukey
-  butterflies forward (natural -> bit-reversed), Gentleman-Sande inverse.
-  Its arithmetic stays in uint64: moduli are below 2^31, so butterfly
-  products are < 2^62 and never overflow.
+:class:`BatchedNttContext` is the one implementation: a four-step matrix
+NTT over all limbs of a residue matrix at once, as float64 BLAS matmuls
+that are exact by construction (see its docstring).  It maps coefficients
+in natural order to evaluations at psi^(2*br(j)+1) in bit-reversed slot
+order j.  The transform is pinned by the frozen known-answer vectors in
+``tests/fhe/kat/`` and, differentially, by the per-limb radix-2 oracle in
+``tests/fhe/oracles.py``.
 """
 
 from __future__ import annotations
@@ -89,222 +85,22 @@ def power_table(base, count: int, modulus) -> np.ndarray:
     return out
 
 
-def mod_pow_vec(base: np.ndarray, exponent: int, modulus: int) -> np.ndarray:
-    """Elementwise ``base^exponent mod modulus`` for a fixed scalar exponent.
+def mod_pow_vec(base: np.ndarray, exponent, modulus) -> np.ndarray:
+    """Elementwise ``base^exponent mod modulus`` by square-and-multiply.
 
-    Vectorized square-and-multiply (one vector multiply per exponent bit);
-    replaces per-element Python ``pow()`` loops.
+    One vector multiply per exponent bit instead of per-element Python
+    ``pow()`` loops.  ``exponent`` and ``modulus`` may be scalars or
+    (L, 1) columns (one exponent and modulus per row).
     """
-    q = np.uint64(modulus)
-    out = np.ones_like(base, dtype=np.uint64)
+    q = np.asarray(modulus, dtype=np.uint64)
+    e = np.asarray(exponent, dtype=np.uint64)
     sq = np.asarray(base, dtype=np.uint64) % q
-    e = int(exponent)
-    while e:
-        if e & 1:
-            out = out * sq % q
+    out = np.ones(np.broadcast_shapes(sq.shape, e.shape), dtype=np.uint64)
+    for b in range(int(e.max()).bit_length()):
+        hit = (e >> np.uint64(b)) & np.uint64(1) == 1
+        out = np.where(hit, out * sq % q, out)
         sq = sq * sq % q
-        e >>= 1
     return out
-
-
-class NttContext:
-    """Precomputed tables for the negacyclic NTT modulo one prime.
-
-    Instances are cached per (modulus, degree) pair via :meth:`get`; every
-    RnsPoly transform reuses them, mirroring how the hardware NTT unit's
-    twiddle ROMs are shared by all residue polynomials of one modulus.
-    """
-
-    _cache: dict[tuple[int, int], "NttContext"] = {}
-
-    def __init__(self, modulus: int, degree: int):
-        if degree & (degree - 1):
-            raise ParameterError("degree must be a power of two",
-                                 degree=degree)
-        if modulus >= 1 << 31:
-            raise ParameterError(
-                "modulus must fit in 31 bits to avoid overflow",
-                modulus_bits=modulus.bit_length(),
-            )
-        self.modulus = modulus
-        self.degree = degree
-        psi = root_of_unity(modulus, 2 * degree)
-        psi_inv = pow(psi, modulus - 2, modulus)
-        rev = bit_reverse_permutation(degree)
-        powers = power_table(psi, degree, modulus)
-        powers_inv = power_table(psi_inv, degree, modulus)
-        # Twiddles indexed in bit-reversed order, as consumed stage by stage.
-        self.psi_bitrev = powers[rev]
-        self.psi_inv_bitrev = powers_inv[rev]
-        self.n_inv = pow(degree, modulus - 2, modulus)
-        self._rev = rev
-        self._psi = psi
-        self._inv_check_vec: np.ndarray | None = None
-
-    @classmethod
-    def get(cls, modulus: int, degree: int) -> "NttContext":
-        key = (modulus, degree)
-        ctx = cls._cache.get(key)
-        if ctx is None:
-            ctx = cls(modulus, degree)
-            cls._cache[key] = ctx
-        return ctx
-
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT: coefficient order in, bit-reversed evaluations out.
-
-        Accepts shape (..., N); transforms the last axis.
-        """
-        if obs.is_enabled():
-            with obs.span("ntt.forward", "fhe"):
-                obs.count("fhe.ntt.forward")
-                out = self._forward(coeffs)
-        else:
-            out = self._forward(coeffs)
-        return self._post_transform(coeffs, out, self._forward, False)
-
-    def _post_transform(self, data, out, kernel, inverse: bool):
-        """Reliability tail of a transform: fault hook, then checks.
-
-        An installed fault injector corrupts the *output* (a butterfly
-        compute fault - the input stays clean, so both checks below have a
-        clean reference).  When the integrity switch is on, the end-of-op
-        transform checksum (:meth:`verify_transform`, O(N), deterministic
-        for single-word corruption) runs after every transform, and every
-        k-th transform is additionally re-executed and compared.  With
-        neither installed this costs two None tests.
-        """
-        injector = _faults.active_injector()
-        if injector is not None:
-            injector.maybe_corrupt(_faults.NTT, out)
-        integ = _guards.integrity_active()
-        if integ is not None:
-            if integ.ntt_checksum:
-                self.verify_transform(data, out, inverse)
-            if integ.ntt_recheck_every:
-                integ.ntt_calls += 1
-                if integ.ntt_calls % integ.ntt_recheck_every == 0:
-                    with obs.span("reliability.ntt.recheck", "reliability"):
-                        obs.count("reliability.ntt.recheck")
-                        if not np.array_equal(out, kernel(data)):
-                            raise FaultDetectedError(
-                                "NTT re-execution disagrees with first run; "
-                                "compute fault in a butterfly",
-                                modulus=self.modulus, degree=self.degree,
-                            )
-        return out
-
-    # -- end-of-op transform checksums ------------------------------------
-    #
-    # The transform is linear, so one fixed linear functional of the output
-    # can be predicted from the input in O(N).  Evaluating the residue
-    # polynomial at x=1 gives both directions:
-    #
-    # * forward:  out[j] enumerates x(w_j) over the primitive 2N-th roots
-    #   w_j = psi^(2*br(j)+1); summing the geometric series in k shows
-    #   sum_j out[j] == N * in[0]  (mod q).
-    # * inverse:  out(1) = sum_k out[k] expressed through the interpolation
-    #   formula is (1/N) * sum_j c_j * in[j] with c_j = 2*w_j/(w_j - 1)
-    #   (using w_j^N = -1), a per-context constant vector.
-    #
-    # A corrupted output word shifts the checked sum by a nonzero delta
-    # mod q (bit flips below the modulus width cannot be multiples of q),
-    # so single-word compute faults are caught with certainty at the cost
-    # of one vector sum (forward) or one multiply-accumulate row (inverse).
-
-    def _inverse_check_vector(self) -> np.ndarray:
-        c = self._inv_check_vec
-        if c is None:
-            q = np.uint64(self.modulus)
-            # w_j = psi^(2*rev[j]+1) = psi * (psi^2)^rev[j], all vectorized.
-            sq_powers = power_table(
-                self._psi * self._psi % self.modulus, self.degree, self.modulus
-            )
-            w = np.uint64(self._psi) * sq_powers[self._rev] % q
-            # (w - 1)^-1 mod q by Fermat: one vector multiply per modulus bit.
-            inv = mod_pow_vec((w + q - np.uint64(1)) % q, self.modulus - 2,
-                              self.modulus)
-            c = np.uint64(2) * w % q * inv % q
-            self._inv_check_vec = c
-        return c
-
-    def verify_transform(self, data, out, inverse: bool) -> None:
-        """Raise :class:`FaultDetectedError` on a transform-checksum
-        mismatch between input ``data`` and output ``out`` (last axis)."""
-        with obs.span("reliability.ntt.checksum", "reliability"):
-            obs.count("reliability.ntt.checksum")
-            q = np.uint64(self.modulus)
-            n_mod = np.uint64(self.degree % self.modulus)
-            data = np.asarray(data, dtype=np.uint64)
-            if inverse:
-                expect = (self._inverse_check_vector() * data % q).sum(
-                    axis=-1, dtype=np.uint64) % q
-                got = n_mod * (out.sum(axis=-1, dtype=np.uint64) % q) % q
-            else:
-                expect = n_mod * data[..., 0] % q
-                got = out.sum(axis=-1, dtype=np.uint64) % q
-            if not np.array_equal(got, expect):
-                raise FaultDetectedError(
-                    "transform checksum mismatch; compute fault in an "
-                    f"{'iNTT' if inverse else 'NTT'} butterfly",
-                    modulus=self.modulus, degree=self.degree,
-                )
-
-    def _forward(self, coeffs: np.ndarray) -> np.ndarray:
-        q = np.uint64(self.modulus)
-        n = self.degree
-        a = np.array(coeffs, dtype=np.uint64, copy=True)
-        lead = a.shape[:-1]
-        a = a.reshape(-1, n)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            s = self.psi_bitrev[m : 2 * m]  # one twiddle per butterfly group
-            blocks = a.reshape(-1, m, 2 * t)
-            u = blocks[:, :, :t]
-            v = blocks[:, :, t:] * s[None, :, None] % q
-            blocks[:, :, t:] = (u + q - v) % q
-            blocks[:, :, :t] = (u + v) % q
-            m *= 2
-        return a.reshape(*lead, n)
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Inverse negacyclic NTT: bit-reversed evaluations in, coeffs out."""
-        if obs.is_enabled():
-            with obs.span("ntt.inverse", "fhe"):
-                obs.count("fhe.ntt.inverse")
-                out = self._inverse(values)
-        else:
-            out = self._inverse(values)
-        return self._post_transform(values, out, self._inverse, True)
-
-    def _inverse(self, values: np.ndarray) -> np.ndarray:
-        q = np.uint64(self.modulus)
-        n = self.degree
-        a = np.array(values, dtype=np.uint64, copy=True)
-        lead = a.shape[:-1]
-        a = a.reshape(-1, n)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            s = self.psi_inv_bitrev[h : 2 * h]
-            blocks = a.reshape(-1, h, 2 * t)
-            u = blocks[:, :, :t].copy()
-            v = blocks[:, :, t:]
-            blocks[:, :, :t] = (u + v) % q
-            blocks[:, :, t:] = (u + q - v) % q * s[None, :, None] % q
-            t *= 2
-            m = h
-        a = a * np.uint64(self.n_inv) % q
-        return a.reshape(*lead, n)
-
-    def negacyclic_convolution(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Reference product in Z_q[x]/(x^N+1) computed through the NTT."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse(fa * fb % np.uint64(self.modulus))
 
 
 #: Largest four-step factor, as log2: every pass is a DFT of at most 64
@@ -448,21 +244,20 @@ class BatchedNttContext:
 
     Each pass is a float64 BLAS matmul against the per-limb matrix split
     into balanced 16-bit halves: every partial sum is an integer below
-    2^53, hence exact, for any modulus below 2^31 (the bound
-    :class:`NttContext` enforces).  Remainders are ``rint``-based and
-    balanced, and the twiddle multiply is the same split on one
-    elementwise product.  Every output word is the canonical residue of
-    the same linear map the per-limb radix-2 :class:`NttContext` (kept
-    as the reference oracle) computes, so the two agree bit for bit.
-    The inverse runs the passes in reverse with the inverse matrices and
-    twiddles; N^{-1} is folded into the last matrix.  See
+    2^53, hence exact, for any modulus below 2^31 (the bound the
+    constructor enforces).  Remainders are ``rint``-based and balanced,
+    and the twiddle multiply is the same split on one elementwise
+    product.  Every output word is the canonical residue of the
+    negacyclic transform, bit for bit what a per-limb radix-2 transform
+    computes.  The inverse runs the passes in reverse with the inverse
+    matrices and twiddles; N^{-1} is folded into the last matrix.  See
     docs/PERFORMANCE.md, "Four-step NTT".
 
-    Reliability semantics are preserved at the same sites as the per-limb
-    path: an installed fault injector corrupts the batched *output* (one
-    word of one limb - per-limb faults still exist), and the integrity
-    switch verifies the end-of-op transform checksum row by row in one
-    vectorized pass (see :meth:`verify_transform`).
+    Reliability: an installed fault injector corrupts the batched
+    *output* (one word of one limb), and the integrity switch verifies
+    the end-of-op transform checksum of every limb row in one vectorized
+    pass (see :meth:`verify_transform`) and re-executes every k-th
+    transform.
 
     Instances, with their tables, are cached per (moduli tuple, degree)
     via :meth:`get`.
@@ -474,11 +269,16 @@ class BatchedNttContext:
         self.moduli = tuple(int(q) for q in moduli)
         self.degree = degree
         self.factors = four_step_factors(degree)
-        # The per-limb contexts validate each modulus (< 2^31, which the
-        # exactness bound needs) and fix psi; their check vectors back
-        # verify_transform.
-        limbs = [NttContext.get(q, degree) for q in self.moduli]
-        self._limbs = limbs
+        wide = [q for q in self.moduli if q >= 1 << 31]
+        if wide:
+            raise ParameterError(
+                "modulus must fit in 31 bits: the exactness bound of the "
+                "float64 passes", modulus_bits=wide[0].bit_length(),
+            )
+        # One primitive 2N-th root of unity per limb.
+        self._psi_col = np.array([root_of_unity(q, 2 * degree)
+                                  for q in self.moduli],
+                                 dtype=np.uint64)[:, None]
         self.q_col = np.array(self.moduli, dtype=np.uint64)[:, None]
         self.n_mod_col = np.array([degree % q for q in self.moduli],
                                   dtype=np.uint64)[:, None]
@@ -486,14 +286,13 @@ class BatchedNttContext:
             np.broadcast_to(self.q_col, (len(self.moduli), degree)))
         self._inv_check_mat: np.ndarray | None = None
         self._work: dict[tuple, tuple[np.ndarray, ...]] = {}
-        self._passes = self._build_passes(limbs)
+        self._passes = self._build_passes()
 
-    def _build_passes(self, limbs) -> list[_Pass]:
+    def _build_passes(self) -> list[_Pass]:
         n, two_n, q = self.degree, 2 * self.degree, self.q_col
         # psi^e for every exponent e mod 2N, one row per limb; psi^-e is
         # the entry at 2N - e.
-        psi = power_table(np.array([c._psi for c in limbs],
-                                   dtype=np.uint64)[:, None], two_n, q)
+        psi = power_table(self._psi_col, two_n, q)
         n_inv = np.array([pow(n, int(m) - 2, int(m)) for m in self.moduli],
                          dtype=np.uint64)[:, None, None]
         q_f64 = self._q_full.astype(np.float64)
@@ -606,12 +405,16 @@ class BatchedNttContext:
         return np.minimum(u, below, out=u)
 
     def _post_transform(self, data, out, kernel, inverse: bool):
-        """Reliability tail, batched: same sites as the per-limb path.
+        """Reliability tail of a transform: fault hook, then checks.
 
-        The fault hook sees the whole (L, N) output, so an injected
-        corruption lands in one word of one limb - exactly the per-limb
-        fault model.  The transform checksum then verifies every limb row
-        in one vectorized pass.
+        An installed fault injector corrupts the *output* (a compute fault
+        in a pass - the input stays clean, so both checks below have a
+        clean reference); the hook sees the whole (L, N) output, so the
+        corruption lands in one word of one limb.  When the integrity
+        switch is on, the end-of-op transform checksum
+        (:meth:`verify_transform`) runs after every transform, and every
+        k-th transform is additionally re-executed and compared.  With
+        neither installed this costs two None tests.
         """
         injector = _faults.active_injector()
         if injector is not None:
@@ -633,19 +436,44 @@ class BatchedNttContext:
                             )
         return out
 
+    # -- end-of-op transform checksums ------------------------------------
+    #
+    # The transform is linear, so one fixed linear functional of each
+    # output row can be predicted from the input row in O(N).  Evaluating
+    # the residue polynomial at x=1 gives both directions:
+    #
+    # * forward:  out[j] enumerates x(w_j) over the primitive 2N-th roots
+    #   w_j = psi^(2*br(j)+1); summing the geometric series in k shows
+    #   sum_j out[j] == N * in[0]  (mod q).
+    # * inverse:  out(1) = sum_k out[k] expressed through the interpolation
+    #   formula is (1/N) * sum_j c_j * in[j] with c_j = 2*w_j/(w_j - 1)
+    #   (using w_j^N = -1), a per-limb constant row.
+    #
+    # A corrupted output word shifts the checked sum by a nonzero delta
+    # mod q (bit flips below the modulus width cannot be multiples of q),
+    # so single-word compute faults are caught with certainty at the cost
+    # of one vector sum (forward) or one multiply-accumulate row (inverse).
+
     def _inverse_check_matrix(self) -> np.ndarray:
+        """The (L, N) rows c_j = 2*w_j / (w_j - 1) mod q, built once."""
         c = self._inv_check_mat
         if c is None:
-            c = np.stack([ctx._inverse_check_vector() for ctx in self._limbs])
+            q, psi = self.q_col, self._psi_col
+            # w_j = psi^(2*br(j)+1) = psi * (psi^2)^br(j), all limbs at once.
+            squares = power_table(psi * psi % q, self.degree, q)
+            w = psi * squares[:, bit_reverse_permutation(self.degree)] % q
+            # (w - 1)^-1 by Fermat, with per-limb exponents q - 2.
+            inv = mod_pow_vec((w + q - np.uint64(1)) % q, q - np.uint64(2), q)
+            c = np.uint64(2) * w % q * inv % q
             self._inv_check_mat = c
         return c
 
     def verify_transform(self, data, out, inverse: bool) -> None:
         """Row-wise transform checksums of a batched (i)NTT in one pass.
 
-        Same linear functionals as :meth:`NttContext.verify_transform`,
-        evaluated for all L limbs with per-row moduli; raises
-        :class:`FaultDetectedError` naming the mismatching limbs.
+        Evaluates the linear functionals above for all L limbs with
+        per-row moduli; raises :class:`FaultDetectedError` naming the
+        mismatching limbs.
         """
         with obs.span("reliability.ntt.checksum", "reliability"):
             obs.count("reliability.ntt.checksum")
@@ -666,23 +494,3 @@ class BatchedNttContext:
                     f"{'iNTT' if inverse else 'NTT'} pass",
                     limbs=bad, degree=self.degree,
                 )
-
-
-def naive_negacyclic_convolution(a, b, modulus: int) -> np.ndarray:
-    """O(N^2) schoolbook product in Z_q[x]/(x^N+1); test oracle for the NTT."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    n = a.shape[0]
-    out = [0] * n
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            prod = ai * int(b[j])
-            if k < n:
-                out[k] = (out[k] + prod) % modulus
-            else:
-                out[k - n] = (out[k - n] - prod) % modulus
-    return np.array(out, dtype=np.uint64)

@@ -196,54 +196,6 @@ class RnsPoly:
         """Forget the last residue row (used when operands must align)."""
         return RnsPoly(self.basis.drop_last(), self.data[:-1], self.domain)
 
-    def rescale(self) -> "RnsPoly":
-        """Divide by the last modulus q_l, rounding: the CKKS rescale.
-
-        Computes (x - [x]_{q_l}) / q_l over the remaining basis.  Requires
-        the coefficient-domain residues of the last row, so callers in the
-        EVAL domain pay one INTT + (L-1) NTTs, as the hardware does.
-        """
-        if self.level < 2:
-            raise NoiseBudgetExhaustedError(
-                "cannot rescale a level-1 polynomial; bootstrap to restore "
-                "budget"
-            )
-        was_eval = self.domain == EVAL
-        poly = self.to_coeff() if was_eval else self
-        q_last = poly.basis.moduli[-1]
-        last_row = poly.data[-1]
-        new_basis = poly.basis.drop_last()
-        # Centered correction keeps the rounding error at most 1/2.
-        centered = last_row.astype(np.int64) - np.int64(q_last) * (
-            last_row > np.uint64(q_last // 2)
-        )
-        # Limb-batched: per-limb q_last inverses are a cached column, the
-        # centered correction broadcasts against the (L-1, 1) moduli, and
-        # the whole divide-and-round is two vector expressions.
-        q_col = new_basis.moduli_col
-        inv_col = poly.basis.rescale_inv_col
-        corr = np.mod(centered[None, :], q_col.astype(np.int64)).astype(np.uint64)
-        out = (poly.data[:-1] + q_col - corr) % q_col * inv_col % q_col
-        result = RnsPoly(new_basis, out, COEFF)
-        return result.to_eval() if was_eval else result
-
-    def change_basis(self, dest: RnsBasis, exact: bool = False) -> "RnsPoly":
-        """changeRNSBase: re-express this polynomial in another basis.
-
-        ``exact=False`` uses the fast conversion (Listing 1 / the CRB unit),
-        which may add a small multiple of Q; ``exact=True`` uses big-int CRT.
-        Operates on coefficient-domain data, as Listing 1 does (INTT before,
-        NTT after).
-        """
-        was_eval = self.domain == EVAL
-        poly = self.to_coeff() if was_eval else self
-        if exact:
-            data = poly.basis.convert_exact(poly.data, dest)
-        else:
-            data = poly.basis.convert_approx(poly.data, dest)
-        result = RnsPoly(dest, data, COEFF)
-        return result.to_eval() if was_eval else result
-
     def to_integers(self) -> np.ndarray:
         """Centered big-int coefficients (coefficient domain)."""
         return self.basis.to_integers(self.to_coeff().data, centered=True)
@@ -258,8 +210,10 @@ def batch_rescale(polys: list[RnsPoly]) -> list[RnsPoly]:
     halves this way).  EVAL-domain inputs additionally take the lazy
     path: only the dropped limb is inverse-transformed and only the
     correction is forward-transformed, instead of round-tripping all L
-    limbs.  Bit-exact against per-poly :meth:`RnsPoly.rescale` (which
-    tests keep as the reference oracle) by NTT linearity.
+    limbs.  Bit-exact by NTT linearity against rescaling each polynomial
+    on its own through a full INTT/NTT round trip (the oracle in
+    ``tests/fhe/oracles.py``), and pinned by the known-answer vectors in
+    ``tests/fhe/kat/``.
     """
     first = polys[0]
     for p in polys[1:]:

@@ -7,15 +7,14 @@ A ciphertext modulus Q = q_1 * ... * q_L is represented by the tuple of
 different basis using only multiply-accumulate operations.  CraterLake's CRB
 unit spatially unrolls exactly the loop nest implemented here.
 
-Two conversions are provided:
-
-* :meth:`RnsBasis.convert_approx` - the fast (HPS-style) floating-point-free
-  conversion used inside keyswitching.  It computes
-  ``y_j = sum_i [x_i * (Q/q_i)^{-1}]_{q_i} * (Q/q_i) mod p_j`` which equals
-  ``x + a*Q (mod p_j)`` for a small integer ``a < L``.  The extra multiple of
-  Q is absorbed by CKKS noise, exactly as in HEAAN/Lattigo/SEAL.
-* :meth:`RnsBasis.convert_exact` - CRT reconstruction through Python big
-  integers; used by the encoder, decryption and tests.
+:meth:`RnsBasis.convert_approx` is the fast (HPS-style) conversion used
+inside keyswitching.  It computes
+``y_j = sum_i [x_i * (Q/q_i)^{-1}]_{q_i} * (Q/q_i) mod p_j`` which equals
+``x + a*Q (mod p_j)`` for a small integer ``a < L``.  The extra multiple of
+Q is absorbed by CKKS noise, exactly as in HEAAN/Lattigo/SEAL.  Exact
+conversion (CRT reconstruction through Python big integers) is a test
+oracle in ``tests/fhe/oracles.py``; the library only reconstructs wide
+integers through :meth:`RnsBasis.to_integers`.
 """
 
 from __future__ import annotations
@@ -304,8 +303,3 @@ class RnsBasis:
             # 2^31, so the extra term keeps the low sum exact in uint64.
             lo += t.neg_qmod_col * overflow
         return ((hi % t.dest_col << np.uint64(16)) + lo) % t.dest_col
-
-    def convert_exact(self, residues: np.ndarray, dest: "RnsBasis") -> np.ndarray:
-        """Exact (centered) base conversion through big-int CRT; test oracle."""
-        values = self.to_integers(residues, centered=True)
-        return dest.to_residues(values)

@@ -5,8 +5,8 @@ switch.  Every instrumentation point in the codebase goes through the
 module-level helpers (:func:`count`, :func:`span`, :func:`emit_op`),
 which check the switch first and fall through to shared no-op objects
 when tracing is disabled - one attribute load and one comparison, so the
-hot paths (``NttContext.forward``, the simulator's op loop) pay nothing
-measurable with tracing off.
+hot paths (``BatchedNttContext.forward``, the simulator's op loop) pay
+nothing measurable with tracing off.
 
 Three event kinds, matching what the layers can observe:
 

@@ -13,9 +13,9 @@ chip:
 * ``limb``  - residue words of a ciphertext operand (register-file or
   scratch data corrupted at rest, caught by operand checksums verified
   at keyswitch boundaries);
-* ``ntt``   - an NTT butterfly output *inside* a keyswitch (a compute
+* ``ntt``   - an NTT pass output *inside* a keyswitch (a compute
   fault, caught deterministically by the end-of-op transform checksum -
-  see ``NttContext.verify_transform``);
+  see ``BatchedNttContext.verify_transform``);
 * ``rf``    - residue words of a random register-file *resident* (a
   live ciphertext not consumed next; caught by the eviction sweep the
   keyswitch boundary hook runs over the resident pool, modeling

@@ -137,9 +137,9 @@ class IntegrityConfig:
     they are loaded (the HBM-transfer trust boundary);
     ``ntt_checksum`` verifies the end-of-op transform checksum after
     every NTT/iNTT - an O(N) linearity invariant (see
-    ``NttContext.verify_transform``) that deterministically catches any
-    single corrupted output word, closing the butterfly-fault detection
-    gap the re-execution spot check left;
+    ``BatchedNttContext.verify_transform``) that deterministically
+    catches any single corrupted output word, closing the pass-fault
+    detection gap the re-execution spot check left;
     ``ntt_recheck_every`` re-executes every k-th NTT and compares (a
     double-execution spot check that also covers multi-word corruptions;
     0 disables);

@@ -380,7 +380,7 @@ class RecoveryStats:
     detections: int = 0           # FaultDetectedErrors caught
     rollbacks: int = 0            # checkpoint restores performed
     restarts: int = 0             # full-program restarts
-    replayed_ops: int = 0         # step executions beyond the first
+    replayed_steps: int = 0       # step executions beyond the first
     checkpoints_taken: int = 0
     checkpoint_words: float = 0.0
     checkpoint_cycles: float = 0.0
@@ -498,8 +498,8 @@ class RecoveringExecutor:
                 fn = steps[i][1]
                 fn(self.ctx, state)
                 if i in executed:
-                    stats.replayed_ops += 1
-                    obs.count("reliability.recovery.replayed_ops")
+                    stats.replayed_steps += 1
+                    obs.count("reliability.recovery.replayed_steps")
                     if self.step_cycles is not None:
                         stats.replay_cycles += self.step_cycles[i]
                 else:
@@ -561,7 +561,7 @@ class RecoverySiteStats:
     aborted: int = 0      # detected but recovery exhausted every escalation
     undetected: int = 0   # no detector fired and the final output is wrong
     benign: int = 0       # no detector fired yet the output is still right
-    replayed_ops: int = 0  # total step re-executions across this site's trials
+    replayed_steps: int = 0  # step re-executions across this site's trials
 
     @property
     def detected(self) -> int:
@@ -572,8 +572,8 @@ class RecoverySiteStats:
         return self.recovered / self.detected if self.detected else 0.0
 
     @property
-    def mean_ops_to_recover(self) -> float:
-        return self.replayed_ops / self.recovered if self.recovered else 0.0
+    def mean_steps_to_recover(self) -> float:
+        return self.replayed_steps / self.recovered if self.recovered else 0.0
 
 
 @dataclass
@@ -630,11 +630,11 @@ class RecoveryCampaignResult:
             rows.append([
                 site, s.injected, s.detected, s.recovered, s.aborted,
                 s.undetected, f"{s.recovery_rate:.1%}",
-                f"{s.mean_ops_to_recover:.1f}",
+                f"{s.mean_steps_to_recover:.1f}",
             ])
         table = format_table(
             ["site", "injected", "detected", "recovered", "aborted",
-             "undetected", "rec rate", "ops/rec"],
+             "undetected", "rec rate", "steps/rec"],
             rows,
             title=f"Recovery campaign (seed={self.seed}, "
                   f"{self.ops_per_run} ops/run)",
@@ -836,7 +836,7 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
             if stats.detections:
                 if matches:
                     stats_site.recovered += 1
-                    stats_site.replayed_ops += stats.replayed_ops
+                    stats_site.replayed_steps += stats.replayed_steps
                     obs.count(
                         f"reliability.recovery.campaign.recovered.{site}")
                 else:

@@ -1,13 +1,13 @@
 """Differential harness: limb-batched kernels vs their per-limb oracles.
 
 The vectorized hot path must be *bit-identical* to the scalar reference
-kernels that stay in the tree as oracles:
+kernels in ``tests/fhe/oracles.py``:
 
 ===========================  =========================================
 batched kernel               reference oracle
 ===========================  =========================================
 ``BatchedNttContext``        per-limb ``NttContext`` loops
-``batch_rescale``            per-poly ``RnsPoly.rescale``
+``batch_rescale``            per-poly ``rescale``
 ``mod_down_pair``            two ``mod_down`` calls
 EVAL-domain ``automorphism`` COEFF automorphism through an NTT round trip
 split-MAC ``convert_approx`` per-term-reduced accumulation loop
@@ -27,10 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe.keyswitch import mod_down, mod_down_pair
+from repro.fhe.keyswitch import mod_down_pair
 from repro.fhe.ntt import (
     BatchedNttContext,
-    NttContext,
     bit_reverse_permutation,
     eval_automorphism_permutation,
     power_table,
@@ -42,6 +41,7 @@ from repro.fhe.rns import RnsBasis
 from repro.reliability.errors import ParameterError
 
 from tests.fhe.conftest import rand_rows
+from tests.fhe.oracles import NttContext, mod_down, rescale
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +171,20 @@ def test_batched_tables_stack_per_limb_tables(prime_pool):
 
 
 def test_inverse_check_vector_relation(prime_pool):
-    """Integrity checksum: the vectorized check vector satisfies the iNTT
-    relation verify_transform relies on, sum(c * a_eval) == N * sum(iNTT)."""
-    q, degree = prime_pool[1], 64
-    ctx = NttContext.get(q, degree)
+    """Integrity checksum: every row of the vectorized check matrix
+    satisfies the iNTT relation verify_transform relies on,
+    sum(c * a_eval) == N * sum(iNTT), limb by limb."""
+    moduli, degree = prime_pool[:3], 64
+    ctx = BatchedNttContext.get(moduli, degree)
     rng = np.random.default_rng(5)
-    data = rng.integers(0, q, degree, dtype=np.uint64)
+    data = np.stack([rng.integers(0, q, degree, dtype=np.uint64)
+                     for q in moduli])
     out = ctx.inverse(data)
-    lhs = int((ctx._inverse_check_vector() * data % np.uint64(q)).sum() % q)
-    rhs = degree % q * (int(out.sum()) % q) % q
-    assert lhs == rhs
+    check = ctx._inverse_check_matrix()
+    for i, q in enumerate(moduli):
+        lhs = int((check[i] * data[i] % np.uint64(q)).sum() % q)
+        rhs = degree % q * (int(out[i].sum()) % q) % q
+        assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ def test_automorphism_permutation_cached():
 
 
 # ---------------------------------------------------------------------------
-# batch_rescale vs per-poly RnsPoly.rescale
+# batch_rescale vs per-poly rescale
 # ---------------------------------------------------------------------------
 
 @given(limbs=st.integers(min_value=2, max_value=6),
@@ -233,7 +237,7 @@ def test_batch_rescale_bit_exact(make_basis, limbs, count, domain, seed):
              for i in range(count)]
     got = batch_rescale(polys)
     for g, p in zip(got, polys):
-        want = p.rescale()
+        want = rescale(p)
         assert g.domain == want.domain == domain
         assert g.basis == want.basis
         assert np.array_equal(g.data, want.data)
@@ -249,7 +253,7 @@ def test_batch_rescale_bit_exact_with_a_narrow_limb(domain):
     polys = [RnsPoly(basis, rand_rows(basis, degree, seed), domain)
              for seed in (3, 4)]
     for g, p in zip(batch_rescale(polys), polys):
-        assert np.array_equal(g.data, p.rescale().data)
+        assert np.array_equal(g.data, rescale(p).data)
 
 
 def test_batch_rescale_rejects_depleted(make_basis):
@@ -269,21 +273,19 @@ def test_batch_rescale_rejects_depleted(make_basis):
 @settings(max_examples=25, deadline=None)
 def test_mod_down_pair_bit_exact(make_basis, q_limbs, aux_limbs, seed):
     """The shared-transform pair path equals two independent mod_down
-    calls (the oracle), for both halves, in EVAL and COEFF domains."""
+    calls (the oracle), for both halves; COEFF input is rejected."""
     degree = 64
     q_basis = make_basis(q_limbs)
     aux_basis = make_basis(aux_limbs, offset=q_limbs)
     target = q_basis.extend(aux_basis)
-    for domain in (EVAL, COEFF):
-        p0 = RnsPoly(target, rand_rows(target, degree, seed), domain)
-        p1 = RnsPoly(target, rand_rows(target, degree, seed + 1), domain)
-        g0, g1 = mod_down_pair(p0, p1, q_basis, aux_basis)
-        w0 = mod_down(p0, q_basis, aux_basis)
-        w1 = mod_down(p1, q_basis, aux_basis)
-        assert np.array_equal(g0.to_coeff().data, w0.to_coeff().data)
-        assert np.array_equal(g1.to_coeff().data, w1.to_coeff().data)
-        if domain == EVAL:
-            assert g0.domain == EVAL and g1.domain == EVAL
+    p0 = RnsPoly(target, rand_rows(target, degree, seed), EVAL)
+    p1 = RnsPoly(target, rand_rows(target, degree, seed + 1), EVAL)
+    g0, g1 = mod_down_pair(p0, p1, q_basis, aux_basis)
+    assert g0.domain == EVAL and g1.domain == EVAL
+    assert np.array_equal(g0.data, mod_down(p0, q_basis, aux_basis).data)
+    assert np.array_equal(g1.data, mod_down(p1, q_basis, aux_basis).data)
+    with pytest.raises(ParameterError, match="EVAL"):
+        mod_down_pair(p0.to_coeff(), p1, q_basis, aux_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,17 @@ from repro.core.cost import (
     hoist_modup_cost,
     hoisted_rotate_keyswitch_cost,
 )
+from repro.fhe.ckks import CkksContext, CkksParams
 from repro.fhe.hoisting import HoistedRotator, hoisted_rotations, hoisting_savings
+from repro.fhe.keyswitch import boosted_keyswitch, digit_bases
+from repro.fhe.poly import COEFF, EVAL, RnsPoly
+from repro.obs import collector as obs
 from repro.reliability.errors import ParameterError
+
+from tests.fhe.oracles import change_basis, mod_down
+
+#: Session fixtures with t-digit keyswitching at L = 6 (t * alpha = L).
+_BY_DIGITS = {1: "fhe", 2: "fhe_2digit", 3: "fhe_3digit"}
 
 
 def test_hoisted_rotation_matches_plain(fhe):
@@ -30,6 +39,83 @@ def test_hoisted_rotation_matches_plain(fhe):
         assert np.max(np.abs(got - plain)) < 1e-3, steps
 
 
+def _oracle_rotation(ctx, ct, steps, hint, alpha):
+    """The textbook hoisted rotation: raise every digit over Q*P with
+    ``change_basis``, apply the automorphism in COEFF, NTT, multiply-
+    accumulate the hint, then ModDown each accumulator on its own."""
+    aux = ctx.aux_basis[:alpha]
+    target = ct.basis.extend(aux)
+    k = ctx.rotation_exponent(steps)
+    coeff = ct.c1.to_coeff().data
+    acc0 = acc1 = RnsPoly.zero(target, ct.degree, EVAL)
+    start = 0
+    for i, digit in enumerate(digit_bases(ct.basis, alpha)):
+        rows = coeff[start:start + len(digit)]
+        start += len(digit)
+        raised = change_basis(RnsPoly(digit, rows, COEFF), target)
+        raised = raised.automorphism(k).to_eval()
+        b_rows, a_rows = hint.restricted_rows(i, target)
+        acc0 = acc0 + raised * RnsPoly(target, b_rows, EVAL)
+        acc1 = acc1 + raised * RnsPoly(target, a_rows, EVAL)
+    return (ct.c0.automorphism(k) + mod_down(acc0, ct.basis, aux),
+            mod_down(acc1, ct.basis, aux))
+
+
+@pytest.mark.parametrize("digits,level", [(1, 6), (2, 6), (3, 6), (3, 5),
+                                          (2, 3)])
+def test_hoisted_rotation_bit_exact_against_oracle(request, digits, level):
+    """The rotator's EVAL-domain ModUp, permuted digits and paired ModDown
+    give the oracle's (c0, c1) bit for bit, at the top level and below."""
+    fix = request.getfixturevalue(_BY_DIGITS[digits])
+    ctx, sk = fix.ctx, fix.sk
+    ct = ctx.drop_to_level(
+        ctx.encrypt_values(sk, fix.random_values(40 + level)), level)
+    rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
+    for steps in (1, 3):
+        hint = ctx.rotation_hint(sk, steps)
+        got = rotator.rotate(steps, hint)
+        want0, want1 = _oracle_rotation(ctx, ct, steps, hint,
+                                        ctx.params.alpha)
+        assert got.c0.domain == got.c1.domain == EVAL
+        assert np.array_equal(got.c0.data, want0.data)
+        assert np.array_equal(got.c1.data, want1.data)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3])
+def test_hoisted_group_ntt_rows_match_cost_model(request, digits):
+    """At the top level (t * alpha = L) a hoisted group of k rotations
+    transforms exactly the NTT passes the cycle model prices: one
+    hoist_modup_cost plus k hoisted_rotate_keyswitch_cost."""
+    fix = request.getfixturevalue(_BY_DIGITS[digits])
+    ctx, sk = fix.ctx, fix.sk
+    level, n, k = ctx.params.max_level, ctx.params.degree, 3
+    assert digits * ctx.params.alpha == level
+    ct = ctx.encrypt_values(sk, fix.random_values(50))
+    hints = [ctx.rotation_hint(sk, s) for s in range(1, k + 1)]
+    with obs.collecting() as col:
+        rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
+        for steps, hint in enumerate(hints, start=1):
+            rotator.rotate(steps, hint)
+    want = (_ntt_passes(hoist_modup_cost(_CFG, n, level, digits))
+            + k * _ntt_passes(
+                hoisted_rotate_keyswitch_cost(_CFG, n, level, digits))) / n
+    assert col.counters["fhe.batch.ntt_rows"] == want
+
+
+def test_rotator_rejects_hint_of_another_digit_width():
+    """A hint generated for another digit count fails up front with the
+    same ParameterError the fused keyswitch raises."""
+    ctx = CkksContext(CkksParams(degree=64, max_level=4, digits=1, seed=6))
+    sk = ctx.keygen()
+    ct = ctx.encrypt_values(sk, [0.5, -0.25])
+    hint = ctx.rotation_hint(sk, 1, digits=2)
+    rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
+    with pytest.raises(ParameterError, match="different special basis"):
+        rotator.rotate(1, hint)
+    with pytest.raises(ParameterError, match="different special basis"):
+        boosted_keyswitch(ct.c1, hint, ctx.aux_basis)
+
+
 def test_hoisting_empty_plan(fhe):
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(32))
     assert hoisted_rotations(fhe.ctx, ct, {}) == {}
@@ -39,12 +125,12 @@ def test_hoisted_rotator_reuses_decomposition(fhe):
     ctx, sk = fhe.ctx, fhe.sk
     ct = ctx.encrypt_values(sk, fhe.random_values(33))
     rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
-    digits_before = [d.data.copy() for d in rotator.raised_digits]
+    digits_before = [d.copy() for d in rotator.raised_digits]
     rotator.rotate(1, ctx.rotation_hint(sk, 1))
     rotator.rotate(2, ctx.rotation_hint(sk, 2))
     # The shared decomposition is never mutated by rotations.
     for before, after in zip(digits_before, rotator.raised_digits):
-        assert np.array_equal(before, after.data)
+        assert np.array_equal(before, after)
 
 
 _CFG = ChipConfig()

@@ -9,11 +9,12 @@ from repro.fhe.keyswitch import (
     boosted_keyswitch,
     digit_bases,
     generate_hint,
-    mod_down,
     standard_keyswitch,
 )
 from repro.fhe.poly import EVAL, RnsPoly
 from repro.fhe.rns import RnsBasis
+
+from tests.fhe.oracles import change_basis, mod_down
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,7 @@ def _reference_accumulate(poly, hint, target):
     for i, digit in enumerate(digit_bases(poly.basis, hint.alpha)):
         rows = coeff[offset : offset + len(digit)]
         offset += len(digit)
-        raised = RnsPoly(digit, rows, "coeff").change_basis(target).to_eval()
+        raised = change_basis(RnsPoly(digit, rows, "coeff"), target).to_eval()
         b_rows, a_rows = hint.restricted_rows(i, target)
         acc0 = acc0 + raised * RnsPoly(target, b_rows, EVAL)
         acc1 = acc1 + raised * RnsPoly(target, a_rows, EVAL)

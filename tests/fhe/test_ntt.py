@@ -1,16 +1,17 @@
-"""Negacyclic NTT: roundtrip, linearity, convolution against the oracle."""
+"""The per-limb NTT oracle: roundtrip, linearity, convolution against the
+schoolbook product.  The library's transform is checked against this
+oracle in test_batched_kernels.py and against frozen vectors in
+test_ntt_kat.py."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe.ntt import (
-    NttContext,
-    bit_reverse_permutation,
-    naive_negacyclic_convolution,
-)
+from repro.fhe.ntt import BatchedNttContext, bit_reverse_permutation
 from repro.fhe.primes import find_ntt_primes
+
+from tests.fhe.oracles import NttContext, naive_negacyclic_convolution
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,9 @@ def test_context_cache_returns_same_instance():
 
 
 def test_modulus_width_guard():
+    # Above 2^31 the float64 passes would lose exactness.
+    with pytest.raises(ValueError):
+        BatchedNttContext(((1 << 32) + 15,), 64)
     with pytest.raises(ValueError):
         NttContext((1 << 32) + 15, 64)  # would overflow uint64 butterflies
 

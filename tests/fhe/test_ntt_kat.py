@@ -1,7 +1,8 @@
 """Known-answer vectors for the negacyclic NTT.
 
 ``kat/ntt_kat.json`` was generated once from the per-limb radix-2
-:class:`~repro.fhe.ntt.NttContext` and is frozen: the transform is pinned
+``NttContext`` (now the oracle in ``oracles.py``) and is frozen: the
+transform is pinned
 by data, not by a second implementation.  The four-step
 :class:`~repro.fhe.ntt.BatchedNttContext` must reproduce every vector,
 alone, stacked over the limb axis, and with a leading batch axis.
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fhe.ntt import BatchedNttContext, NttContext
+from repro.fhe.ntt import BatchedNttContext
+
+from tests.fhe.oracles import NttContext
 
 KAT = json.loads((Path(__file__).parent / "kat" / "ntt_kat.json").read_text())
 

@@ -1,7 +1,7 @@
 """Perf-regression gate for the limb-batched kernels.
 
 Times the batched kernel against the per-limb/per-poly reference oracle
-*in the same process on the same data* at a fixed shape (N=4096, L=8),
+(``tests/fhe/oracles.py``) *in the same process on the same data* at a fixed shape (N=4096, L=8),
 and the NTT alone at the serving shapes (N=256, 5 and 10 limbs), and
 fails if a speedup ratio drops below the floor recorded in
 ``tests/baselines/fhe_perf_floor.json``.  Because both sides run on the
@@ -23,10 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fhe.ntt import BatchedNttContext, NttContext
+from repro.fhe.ntt import BatchedNttContext
 from repro.fhe.poly import EVAL, RnsPoly, batch_rescale
 from repro.fhe.primes import find_ntt_primes
 from repro.fhe.rns import RnsBasis
+
+from tests.fhe.oracles import NttContext, rescale
 
 FLOOR_FILE = Path(__file__).parent.parent / "baselines" / "fhe_perf_floor.json"
 SPEC = json.loads(FLOOR_FILE.read_text())
@@ -61,10 +63,10 @@ def _check_ntt_floors(floors, basis, data, reps: int) -> None:
     limbs = [NttContext.get(q, data.shape[1]) for q in basis.moduli]
 
     def per_limb_forward():
-        return np.stack([c._forward(data[i]) for i, c in enumerate(limbs)])
+        return np.stack([c.forward(data[i]) for i, c in enumerate(limbs)])
 
     def per_limb_inverse():
-        return np.stack([c._inverse(data[i]) for i, c in enumerate(limbs)])
+        return np.stack([c.inverse(data[i]) for i, c in enumerate(limbs)])
 
     shape = f"N={data.shape[1]}, L={len(limbs)}"
     fwd_ratio = _best_of(per_limb_forward, reps) / _best_of(
@@ -101,7 +103,7 @@ def test_batch_rescale_beats_per_poly_floor(gate):
         RnsPoly(basis, data, EVAL),
         RnsPoly(basis, data * np.uint64(3) % basis.moduli_col, EVAL),
     ]
-    ratio = _best_of(lambda: [p.rescale() for p in polys]) / _best_of(
+    ratio = _best_of(lambda: [rescale(p) for p in polys]) / _best_of(
         lambda: batch_rescale(polys))
     assert ratio >= floors["rescale"], (
         f"batch_rescale speedup {ratio:.2f}x fell below the floor "

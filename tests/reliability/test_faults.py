@@ -127,7 +127,7 @@ def test_limb_fault_in_raised_digits_is_detected(sealed_fhe):
 
     injector = FaultInjector(seed=11)
     injector.arm(LIMB)
-    assert injector.maybe_corrupt(LIMB, rotator.raised_digits[0].data)
+    assert injector.maybe_corrupt(LIMB, rotator.raised_digits[0])
     with pytest.raises(FaultDetectedError, match="hoisted raised digit"):
         rotator.rotate(1, hint)
 

@@ -103,13 +103,13 @@ def test_ntt_recheck_detects_injected_compute_fault():
     """End to end through the NTT layer: corrupt a transform output and
     the every-k-th re-execution check must flag it (transform checksum
     disabled here to isolate the recheck path)."""
-    from repro.fhe.ntt import NttContext
+    from repro.fhe.ntt import BatchedNttContext
     from repro.reliability.errors import FaultDetectedError
     from repro.reliability.faults import NTT, FaultInjector, install, uninstall
 
-    ntt = NttContext.get(998244353, 64)
+    ntt = BatchedNttContext.get((998244353,), 64)
     rng = np.random.default_rng(0)
-    data = rng.integers(0, 998244353, size=64, dtype=np.uint64)
+    data = rng.integers(0, 998244353, size=(1, 64), dtype=np.uint64)
 
     injector = FaultInjector(seed=1)
     install(injector)
@@ -131,13 +131,13 @@ def test_ntt_recheck_detects_injected_compute_fault():
 def test_ntt_transform_checksum_detects_any_single_word_fault():
     """The O(N) end-of-op checksum is deterministic: a corrupted output
     word in either transform direction raises, wherever it lands."""
-    from repro.fhe.ntt import NttContext
+    from repro.fhe.ntt import BatchedNttContext
     from repro.reliability.errors import FaultDetectedError
     from repro.reliability.faults import NTT, FaultInjector, install, uninstall
 
-    ntt = NttContext.get(998244353, 64)
+    ntt = BatchedNttContext.get((998244353,), 64)
     rng = np.random.default_rng(7)
-    data = rng.integers(0, 998244353, size=64, dtype=np.uint64)
+    data = rng.integers(0, 998244353, size=(1, 64), dtype=np.uint64)
 
     for seed in range(8):  # varies which word/bit the injector flips
         injector = FaultInjector(seed=seed)

@@ -80,7 +80,7 @@ def test_clean_run_is_inert(rctx):
     ref = _reference(ctx, sk, rot)
     assert stats.detections == 0
     assert stats.rollbacks == 0
-    assert stats.replayed_ops == 0
+    assert stats.replayed_steps == 0
     assert stats.checkpoints_taken > 0
     assert stats.recovered
     assert np.array_equal(state["acc"].c0.data, ref.c0.data)
@@ -105,7 +105,7 @@ def test_transient_fault_rolls_back_and_replays(rctx):
     ref = _reference(ctx, sk, rot)
     assert stats.detections >= 1
     assert stats.rollbacks >= 1
-    assert stats.replayed_ops >= 1
+    assert stats.replayed_steps >= 1
     assert stats.recovered
     # Replay is deterministic: the recovered output is bit-identical to
     # the fault-free run's.
@@ -229,7 +229,7 @@ def test_executor_prices_checkpoints_and_replays(rctx):
                              cfg=cfg, step_cycles=[5.0] * len(steps))
     _, stats = exe.run(trial, _state(ctx, sk))
     assert stats.checkpoint_cycles > 0
-    assert stats.replay_cycles == 5.0 * stats.replayed_ops
+    assert stats.replay_cycles == 5.0 * stats.replayed_steps
     assert stats.overhead_cycles == (stats.checkpoint_cycles
                                      + stats.replay_cycles)
 
@@ -292,4 +292,4 @@ def test_recovery_campaign_reproducible(recovery_campaign):
     for site, stats in recovery_campaign.sites.items():
         assert again.sites[site].injected == stats.injected
         assert again.sites[site].recovered == stats.recovered
-        assert again.sites[site].replayed_ops == stats.replayed_ops
+        assert again.sites[site].replayed_steps == stats.replayed_steps
