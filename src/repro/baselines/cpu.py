@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import ChipConfig
-from repro.core.cost import op_cost
+from repro.core.cost import CostTable
 from repro.ir import INPUT, OUTPUT, Program
 
 # Fitted against the paper's packed-bootstrapping CPU time (17.2 s);
@@ -51,11 +51,12 @@ class CpuModel:
         mults = 0.0
         adds = 0.0
         stream_words = 0.0
+        costs = CostTable(_CPU_COST_CONFIG, program.degree)
         for op in program.ops:
             if op.kind in (INPUT, OUTPUT):
                 stream_words += 2 * program.degree * op.level
                 continue
-            cost = op_cost(_CPU_COST_CONFIG, op, program.degree)
+            cost = costs[op].cost
             mults += cost.scalar_mults
             adds += cost.scalar_adds
             # Hints and plaintexts blow out the LLC; charge their streaming.

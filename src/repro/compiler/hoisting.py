@@ -58,7 +58,7 @@ a recompile.
 from __future__ import annotations
 
 from repro.core.config import ChipConfig
-from repro.core.cost import op_cost, op_latency
+from repro.core.cost import CostTable
 from repro.ir import HOIST_MODUP, ROTATE, ROTATE_HOISTED, HomOp, Program
 from repro.obs import collector as obs
 
@@ -77,7 +77,7 @@ def hoist_rotations(program: Program, cfg: ChipConfig | None = None,
 
 def _hoist_rotations(program: Program, cfg: ChipConfig,
                      min_group: int) -> Program:
-    n = program.degree
+    costs = CostTable(cfg, program.degree)
 
     # Group plain rotations by the SSA version of their source operand at
     # the same (level, digits).  Redefinition of a name (non-SSA streams)
@@ -106,8 +106,8 @@ def _hoist_rotations(program: Program, cfg: ChipConfig,
         raised = f"{src}@up{gidx}"
         hoist_op = HomOp(kind=HOIST_MODUP, level=level, result=raised,
                          operands=(src,), digits=digits, tag=first.tag)
-        rotate_cycles = op_cost(cfg, first, n).compute_cycles(cfg)
-        hoist_cycles = op_cost(cfg, hoist_op, n).compute_cycles(cfg)
+        rotate_cycles = costs[first].cycles
+        hoist_cycles = costs[hoist_op].cycles
         # Members rotating by the same amount compute the same value, so
         # they batch into one ROTATE_HOISTED with repeat = m and the KSH
         # generator runs once per batch instead of once per member.  The
@@ -130,14 +130,14 @@ def _hoist_rotations(program: Program, cfg: ChipConfig,
                           hint_id=rep.hint_id, digits=digits, tag=rep.tag,
                           steps=rep.steps, repeat=len(batch))
             probes[batch[0]] = probe
-            hoisted_total += op_cost(cfg, probe, n).compute_cycles(cfg)
+            hoisted_total += costs[probe].cycles
         # The rewrite introduces a hoist -> rotation dependence chain the
         # fused ops did not have; on serial machines that exposes two
         # pipeline fills.  Charge them (and give the fused side none, a
         # conservative comparison) so tiny groups on small rings are not
         # pessimized for a few hundred cycles of compute savings.
-        latency = (op_latency(cfg, hoist_op, n)
-                   + op_latency(cfg, next(iter(probes.values())), n))
+        latency = (costs[hoist_op].latency
+                   + costs[next(iter(probes.values()))].latency)
         if hoist_cycles + hoisted_total + latency >= k * rotate_cycles:
             obs.count("compiler.hoist.unprofitable_groups")
             continue

@@ -15,6 +15,13 @@ reproduce Table 1's operation counts:
 Register-file pressure is modeled as stream counts (2 reads + 1 write per
 un-chained vector op; NTT/automorphism are 1R+1W); vector chaining divides
 total port traffic by the paper's measured 3.5x (Sec. 5.4).
+
+An op's cost depends only on its *shape* - ``(kind, level, digits,
+repeat)`` - and the machine, so consumers that price whole op streams
+(the simulator, the CPU model, the pod partitioner, the hoisting pass,
+the interpreter's replay pricing) read a :class:`CostTable` built per
+call: one :func:`op_cost` per distinct shape (at most a few hundred per
+benchmark) instead of one per op.
 """
 
 from __future__ import annotations
@@ -462,6 +469,54 @@ def op_latency(cfg: ChipConfig, op: HomOp, degree: int) -> float:
         return 0.0
     depth = _PIPELINE_DEPTH.get(op.kind, 0)
     return depth * (cfg.passes(degree) + cfg.fu_stage_latency)
+
+
+@dataclass(frozen=True)
+class ShapeCost:
+    """Everything the cycle model reads about one op shape on one machine.
+
+    ``fu_cycles`` holds ``(class, elements / max(1, capacity))`` pairs in
+    ``cost.fu_elements`` order, the per-FU busy time the simulator adds
+    into ``fu_busy_cycles``.  Entries are shared by every op of the
+    shape: ``cost`` must never be mutated (merge it *into* an
+    accumulator instead).
+    """
+
+    cost: OpCost
+    cycles: float     # cost.compute_cycles(cfg)
+    latency: float    # op_latency(cfg, op, degree)
+    fu_cycles: tuple[tuple[str, float], ...]
+
+
+class CostTable:
+    """Op costs on one ``(cfg, degree)``, memoized by op shape.
+
+    Build one per pricing call; there is deliberately no process-wide
+    cache.  ``table[op]`` is the :class:`ShapeCost` of ``op``'s
+    ``(kind, level, digits, repeat)`` - the only fields :func:`op_cost`
+    and :func:`op_latency` read - computed on first use.
+    """
+
+    def __init__(self, cfg: ChipConfig, degree: int):
+        self.cfg = cfg
+        self.degree = degree
+        self._entries: dict[tuple, ShapeCost] = {}
+
+    def __getitem__(self, op: HomOp) -> ShapeCost:
+        key = (op.kind, op.level, op.digits, op.repeat)
+        entry = self._entries.get(key)
+        if entry is None:
+            cfg = self.cfg
+            cost = op_cost(cfg, op, self.degree)
+            entry = self._entries[key] = ShapeCost(
+                cost=cost,
+                cycles=cost.compute_cycles(cfg),
+                latency=op_latency(cfg, op, self.degree),
+                fu_cycles=tuple(
+                    (cls, elements / max(1.0, _class_capacity(cfg, cls)))
+                    for cls, elements in cost.fu_elements.items()),
+            )
+        return entry
 
 
 def ciphertext_words(degree: int, level: int) -> int:

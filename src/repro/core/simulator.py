@@ -5,13 +5,18 @@ modeling
 
 * per-op compute time as the limiting resource among FU classes, register
   file ports (with vector chaining's reduction) and the transpose network
-  (`repro.core.cost`);
+  (`repro.core.cost`), read from a :class:`~repro.core.cost.CostTable`
+  built per run: the schedule is static (Sec. 6), so an op's cost is a
+  function of its shape and each distinct shape is priced once;
 * the single-level register file as a Belady-MIN-managed store of
   ciphertexts, plaintexts and keyswitch hints - the compiler's eviction
   policy (Sec. 6) - with *free-on-last-use* dead-dropping: a resident
   whose next use is the ``inf`` sentinel is released the moment its last
   consumer issues, so dead values never occupy capacity or surface as
-  Belady victims;
+  Belady victims.  Victims come off a lazy-deletion heap in a fixed
+  order: farthest next use, then fewest words, then oldest insertion
+  (a next-use update keeps a resident's seniority; a redefinition or a
+  reload does not);
 * HBM as a bandwidth-limited stream, overlapped with compute through
   decoupled data orchestration: memory for op i streams when the
   compute head reaches it, overlapping op i-1's compute.
@@ -27,15 +32,14 @@ enabled, as ``sim.*`` counters (see docs/TRACING.md).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig
 from repro.core.cost import (
+    CostTable,
     OpCost,
-    _class_capacity,
     ciphertext_words,
-    op_cost,
-    op_latency,
     plaintext_words,
     raised_words,
 )
@@ -133,37 +137,78 @@ class _Resident:
     category: str
     dirty: bool
     next_use: float  # op index of next use; inf if none
+    seq: int = 0     # insertion order: the Belady tie-break among equals
 
 
 class _RegisterFile:
-    """Belady-MIN managed on-chip storage (the compiler's plan, Sec. 6)."""
+    """Belady-MIN managed on-chip storage (the compiler's plan, Sec. 6).
+
+    Victims come off a lazy-deletion min-heap of ``(-next_use, words,
+    seq, name)``: the resident used farthest in the future, then the
+    smallest, then the oldest insertion.  A ``next_use`` change pushes a
+    fresh entry (:meth:`set_next_use`); a popped entry whose ``seq`` or
+    ``next_use`` no longer matches its resident is stale and skipped.
+    """
 
     def __init__(self, capacity_words: float):
         self.capacity = capacity_words
         self.objects: dict[str, _Resident] = {}
         self.used = 0.0
         self.peak = 0.0
+        self._heap: list[tuple[float, float, int, str]] = []
+        self._seq = 0
 
     def lookup(self, obj: str) -> _Resident | None:
         return self.objects.get(obj)
 
+    def set_next_use(self, obj: str, record: _Resident,
+                     next_use: float) -> None:
+        """Move resident ``obj``'s next use; its seniority is kept."""
+        if record.next_use != next_use:
+            record.next_use = next_use
+            self._push(obj, record)
+
+    def _push(self, obj: str, record: _Resident) -> None:
+        heap = self._heap
+        if len(heap) > 4 * len(self.objects) + 64:
+            heap[:] = [(-r.next_use, r.words, r.seq, name)
+                       for name, r in self.objects.items()]
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, (-record.next_use, record.words,
+                                  record.seq, obj))
+
+    def _pop_victim(self) -> tuple[str, _Resident]:
+        heap = self._heap
+        objects = self.objects
+        while True:
+            neg_next, _, seq, obj = heapq.heappop(heap)
+            record = objects.get(obj)
+            if (record is not None and record.seq == seq
+                    and record.next_use == -neg_next):
+                del objects[obj]
+                return obj, record
+
     def insert(self, obj: str, words: float, category: str, dirty: bool,
                next_use: float) -> list[tuple[str, _Resident]]:
-        """Make obj resident; returns evicted (name, record) pairs."""
+        """Make obj resident; returns evicted (name, record) pairs.
+
+        A resident of the same name is released first, with no writeback:
+        the new value overwrites it."""
         evicted = []
+        self.drop(obj)
         if words > self.capacity:
             # Operand larger than the register file: it streams through;
             # model as transient residency (no eviction bookkeeping).
             return evicted
         while self.used + words > self.capacity:
-            victim = max(
-                self.objects, key=lambda o: (self.objects[o].next_use,
-                                             -self.objects[o].words)
-            )
-            record = self.objects.pop(victim)
+            victim, record = self._pop_victim()
             self.used -= record.words
             evicted.append((victim, record))
-        self.objects[obj] = _Resident(words, category, dirty, next_use)
+        self._seq += 1
+        record = _Resident(words, category, dirty, next_use, self._seq)
+        self.objects[obj] = record
+        self._push(obj, record)
         self.used += words
         self.peak = max(self.peak, self.used)
         return evicted
@@ -277,6 +322,7 @@ def simulate(program: Program, cfg: ChipConfig,
     ops = program.ops
     rf = _RegisterFile(cfg.register_file_words)
     next_use = _next_use_table(program)
+    costs = CostTable(cfg, n)
 
     fu_busy: dict[str, float] = {}
     prev_result: str | None = None
@@ -302,7 +348,7 @@ def simulate(program: Program, cfg: ChipConfig,
         from memory (0 when already resident, e.g. reuse)."""
         record = rf.lookup(obj)
         if record is not None:
-            record.next_use = uses_at
+            rf.set_next_use(obj, record, uses_at)
             return 0.0
         moved = words
         if category == KSH:
@@ -348,7 +394,7 @@ def simulate(program: Program, cfg: ChipConfig,
     def record(op, index: int, crit_before: float, mem_before: float,
                compute_start: float, compute_cycles: float,
                stall: float, mem_words: float,
-               fu_cycles: dict[str, float] | None = None) -> None:
+               fu_cycles: tuple[tuple[str, float], ...] = ()) -> None:
         """Emit one OpEvent; ``cycles`` is the critical-path advance, so
         the events telescope exactly to the final cycle count."""
         tr.emit_op(obs.OpEvent(
@@ -358,7 +404,7 @@ def simulate(program: Program, cfg: ChipConfig,
             compute_start=compute_start, compute_cycles=compute_cycles,
             mem_start=mem_before, mem_cycles=mem_clock - mem_before,
             stall_cycles=stall, mem_words=mem_words, evictions=evicted[0],
-            fu_cycles=dict(fu_cycles) if fu_cycles else {},
+            fu_cycles=dict(fu_cycles),
             chip=chip,
         ))
         tr.count("sim.ops")
@@ -388,7 +434,7 @@ def simulate(program: Program, cfg: ChipConfig,
                 # stays valid but clean (a later eviction needs no second
                 # writeback), and it is released outright on its last use.
                 rec.dirty = False
-                rec.next_use = uses.get(operand, _INF)
+                rf.set_next_use(operand, rec, uses.get(operand, _INF))
                 if rec.next_use == _INF:
                     rf.drop(operand)
                     dead_drops[0] += 1
@@ -406,7 +452,8 @@ def simulate(program: Program, cfg: ChipConfig,
 
         # Operand residency: stream everything this op needs that is not
         # already resident.
-        cost = op_cost(cfg, op, n) if op.kind != INPUT else None
+        shape = costs[op] if op.kind != INPUT else None
+        cost = shape.cost if shape is not None else None
         for obj, words, category in _fetch_plan(op, cost, n):
             mem_words += fetch(obj, words, category, uses.get(obj, _INF))
         own_cycles = mem_words / words_per_cycle
@@ -441,23 +488,20 @@ def simulate(program: Program, cfg: ChipConfig,
         # previous op is done and its own stream has arrived; compute never
         # runs ahead of the in-order memory stream.
         mem_clock += own_cycles
-        cycles = cost.compute_cycles(cfg)
+        cycles = shape.cycles
         # Pipeline-fill latency is exposed only when this op consumes the
         # previous op's result (a true dependence chain); independent ops
         # overlap in the static schedule.
         chained = prev_result is not None and prev_result in op.operands
         if chained:
-            cycles += op_latency(cfg, op, n)
+            cycles += shape.latency
         prev_result = op.result
         compute_start = max(comp_clock, mem_clock)
         stall = compute_start - comp_clock
         total_stall += stall
         comp_clock = compute_start + cycles
-        op_fu_cycles: dict[str, float] = {}
-        for cls, elements in cost.fu_elements.items():
-            capacity = max(1.0, _class_capacity(cfg, cls))
-            op_fu_cycles[cls] = elements / capacity
-            fu_busy[cls] = fu_busy.get(cls, 0.0) + elements / capacity
+        for cls, busy in shape.fu_cycles:
+            fu_busy[cls] = fu_busy.get(cls, 0.0) + busy
 
         # Free-on-last-use: dead residents this op just consumed never
         # become Belady victims.
@@ -486,7 +530,7 @@ def simulate(program: Program, cfg: ChipConfig,
             if chained and cfg.chaining:
                 tr.count("sim.chain_hits")
             record(op, i, crit_before, mem_before, compute_start, cycles,
-                   stall, mem_words, op_fu_cycles)
+                   stall, mem_words, shape.fu_cycles)
 
     if tr is not None and total_stall:
         tr.count("sim.stall_cycles", total_stall)

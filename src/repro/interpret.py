@@ -115,10 +115,10 @@ class Plan:
     def step_cycles(self, cfg) -> list[float]:
         """Compute cycles the cycle model charges for each step's ops:
         what an executor pays again when it replays the step."""
-        from repro.core.cost import op_cost
+        from repro.core.cost import CostTable
 
-        n = self.program.degree
-        return [sum(op_cost(cfg, op, n).compute_cycles(cfg)
+        costs = CostTable(cfg, self.program.degree)
+        return [sum(costs[op].cycles
                     for op in step.ops if op.kind not in (INPUT, OUTPUT))
                 for step in self.steps]
 

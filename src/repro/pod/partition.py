@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import ChipConfig
-from repro.core.cost import ciphertext_words, op_cost, raised_words
+from repro.core.cost import CostTable, ciphertext_words, raised_words
 from repro.ir import HOIST_MODUP, INPUT, OUTPUT, HomOp, Program
 from repro.obs import collector as obs
 from repro.pod.config import DATA_PARALLEL, MODEL_PARALLEL, PodConfig
@@ -94,12 +94,14 @@ def _value_words(n: int, op: HomOp) -> float:
     return ciphertext_words(n, op.level)
 
 
-def _op_weight(cfg: ChipConfig, op: HomOp, n: int) -> float:
-    """Balance weight in cycles: FU time for compute ops, stream time
-    for memory-only INPUT/OUTPUT ops."""
-    if op.kind in (INPUT, OUTPUT):
-        return ciphertext_words(n, op.level) / cfg.hbm_words_per_cycle
-    return op_cost(cfg, op, n).compute_cycles(cfg)
+def _op_weights(program: Program, cfg: ChipConfig) -> list[float]:
+    """Balance weight of each op in cycles: FU time for compute ops,
+    stream time for memory-only INPUT/OUTPUT ops."""
+    n = program.degree
+    costs = CostTable(cfg, n)
+    return [ciphertext_words(n, op.level) / cfg.hbm_words_per_cycle
+            if op.kind in (INPUT, OUTPUT) else costs[op].cycles
+            for op in program.ops]
 
 
 def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
@@ -108,8 +110,7 @@ def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
     rotations: the raised digit object is an on-chip forwarding format,
     not something to put on a wire."""
     ops = program.ops
-    n = program.degree
-    weights = [_op_weight(cfg, op, n) for op in ops]
+    weights = _op_weights(program, cfg)
     total = sum(weights)
     bounds: list[int] = []
     acc = 0.0
@@ -145,8 +146,7 @@ def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
     n_ops = len(ops)
     if chips <= 1 or n_ops < 2:
         return []
-    weights = np.fromiter((_op_weight(cfg, op, n) for op in ops),
-                          dtype=float, count=n_ops)
+    weights = np.array(_op_weights(program, cfg), dtype=float)
     prefix = np.zeros(n_ops + 1)
     np.cumsum(weights, out=prefix[1:])
 

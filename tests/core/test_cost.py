@@ -144,3 +144,69 @@ def test_latency_model():
 def test_word_helpers():
     assert ciphertext_words(N, 60) == 2 * N * 60
     assert plaintext_words(N, 60) == N * 60
+
+
+# -- the shape-keyed cost table ------------------------------------------
+
+
+def _fresh(cfg, op, degree):
+    from repro.core.cost import _class_capacity
+
+    cost = op_cost(cfg, op, degree)
+    return (cost, cost.compute_cycles(cfg), op_latency(cfg, op, degree),
+            tuple((cls, el / max(1.0, _class_capacity(cfg, cls)))
+                  for cls, el in cost.fu_elements.items()))
+
+
+def _entry_tuple(entry):
+    return (entry.cost, entry.cycles, entry.latency, entry.fu_cycles)
+
+
+@pytest.mark.parametrize("name", ["packed_bootstrap", "lola_cifar"])
+def test_cost_table_entries_equal_fresh_op_cost_after_simulate(
+        name, monkeypatch):
+    """Every entry the simulator's table served equals a fresh
+    ``op_cost`` for each op of its shape, both on first use and after
+    the run: entries are shared between ops, and no consumer mutates
+    one."""
+    from repro.baselines import f1plus_config
+    from repro.core import cost as cost_module
+    from repro.core import simulator
+    from repro.ir import INPUT, OUTPUT
+    from repro.workloads import benchmark
+
+    program = benchmark(name)
+    for cfg in (CFG, f1plus_config()):
+        tables = []
+
+        class Recording(cost_module.CostTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(simulator, "CostTable", Recording)
+        simulator.simulate(program, cfg)
+        (table,) = tables
+        compute_ops = [op for op in program.ops
+                       if op.kind not in (INPUT, OUTPUT)]
+        shapes = {(op.kind, op.level, op.digits, op.repeat)
+                  for op in compute_ops}
+        assert len(table._entries) == len(shapes) < len(compute_ops)
+        for op in compute_ops:
+            assert _entry_tuple(table[op]) == _fresh(cfg, op, program.degree)
+        assert len(table._entries) == len(shapes)  # no entry rebuilt
+
+
+def test_cost_table_keys_on_shape_only():
+    from repro.core.cost import CostTable
+
+    table = CostTable(CFG, N)
+    a = HomOp(kind=ROTATE, level=20, result="a", operands=("x",),
+              hint_id="h1", steps=1, digits=2, tag="t")
+    b = HomOp(kind=ROTATE, level=20, result="b", operands=("y",),
+              hint_id="h2", steps=5, digits=2)
+    assert table[a] is table[b]
+    assert table[a] is not table[HomOp(kind=ROTATE, level=20, result="c",
+                                       operands=("x",), hint_id="h1",
+                                       digits=2, repeat=3)]
+    assert len(table._entries) == 2

@@ -145,6 +145,25 @@ def test_output_drops_stored_record_for_non_ssa_streams():
     assert res.dead_drops >= 2
 
 
+def test_output_of_a_live_value_keeps_it_resident_and_clean():
+    """Storing a value that a later op still reads leaves it resident
+    (no reload) and clean: the store already backed it in memory."""
+    prog = Program(name="midstore", degree=65536, max_level=10)
+    prog.append(HomOp(kind="input", level=10, result="x"))
+    prog.append(HomOp(kind="add", level=10, result="y", operands=("x", "x")))
+    prog.append(HomOp(kind="output", level=10, result="out_y",
+                      operands=("y",)))
+    prog.append(HomOp(kind="add", level=10, result="z", operands=("y", "x")))
+    prog.append(HomOp(kind="output", level=10, result="out_z",
+                      operands=("z",)))
+    res = simulate(prog, CFG)
+    ct = 2 * 65536 * 10
+    assert res.traffic_words["interm_load"] == 0
+    assert res.traffic_words["interm_store"] == 2 * ct  # the two stores
+    # x, y and z each dropped at their last use.
+    assert res.dead_drops == 3
+
+
 def test_op_events_telescope_to_cycles():
     from repro.obs import collector as obs
 
@@ -212,3 +231,26 @@ def test_tag_cycles_scale_with_occupancy_repeat():
     # load, so reduce's share may shrink with occupancy - never grow.
     assert full.tag_cycles["reduce"] <= lean.tag_cycles["reduce"] + 1e-9
     assert full.cycles > lean.cycles
+
+
+def test_redefined_name_does_not_leak_register_file():
+    """``ADD x <- (x, y)`` overwrites x: the old record is released (no
+    writeback, its value is gone), so 400 redefinitions hold two
+    ciphertexts, not 400, and nothing is evicted or spilled."""
+    n, level = 65536, 10
+    prog = Program(name="redefine", degree=n, max_level=level)
+    prog.append(HomOp(kind="input", level=level, result="x"))
+    prog.append(HomOp(kind="input", level=level, result="y"))
+    for _ in range(400):
+        prog.append(HomOp(kind="add", level=level, result="x",
+                          operands=("x", "y")))
+    prog.append(HomOp(kind="output", level=level, result="out_x",
+                      operands=("x",)))
+    prog.append(HomOp(kind="output", level=level, result="out_y",
+                      operands=("y",)))
+    res = simulate(prog, CFG)
+    ct = 2 * n * level
+    assert res.peak_resident_words == 2 * ct
+    assert res.rf_evictions == 0
+    assert res.traffic_words["interm_load"] == 0
+    assert res.traffic_words["interm_store"] == 2 * ct  # the two OUTPUTs

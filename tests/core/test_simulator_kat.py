@@ -1,0 +1,92 @@
+"""Known-answer vectors for the cycle model.
+
+``kat/simulate_kat.json`` holds ``repr(dataclasses.asdict(result))`` for
+every case below (``_run``) and ``repr`` of ``CpuModel.seconds`` per
+benchmark.  They were generated once from the per-op cost path and the
+``max``-scan register file (the oracle in ``oracles.py``) that the
+shape-keyed cost table and the heap Belady replaced.  ``repr`` of a
+float round-trips exactly, so string equality is bit-identity of every
+:class:`~repro.core.simulator.SimResult` field.  The vectors are
+frozen: a case that stops matching is a modeled number that moved.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from repro.baselines import CpuModel, f1plus_config
+from repro.compiler.cache import compile_program
+from repro.core.config import ChipConfig
+from repro.core.simulator import simulate
+from repro.workloads import ALL_BENCHMARKS, benchmark
+
+KAT_PATH = Path(__file__).parent / "kat" / "simulate_kat.json"
+
+_CONFIGS = {"craterlake": ChipConfig, "f1plus": f1plus_config}
+
+
+@lru_cache(maxsize=None)
+def _program(name: str, compiled: bool):
+    program = benchmark(name)
+    return compile_program(program, ChipConfig()) if compiled else program
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_programs():
+    yield
+    _program.cache_clear()
+
+
+def _cases() -> dict[str, tuple]:
+    """Case id -> (benchmark, compiled, config, register-file MB or None,
+    checkpoint_every)."""
+    cases = {}
+    for name in ALL_BENCHMARKS:
+        for cfg in _CONFIGS:
+            cases[f"{name}/{cfg}"] = (name, False, cfg, None, 0)
+    cases["packed_bootstrap/compiled/craterlake"] = (
+        "packed_bootstrap", True, "craterlake", None, 0)
+    cases["packed_bootstrap/craterlake/ckpt3"] = (
+        "packed_bootstrap", False, "craterlake", None, 3)
+    cases["resnet20/craterlake-64MB"] = (
+        "resnet20", False, "craterlake", 64, 0)
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(case: tuple) -> str:
+    name, compiled, cfg_name, rf_mb, ckpt = case
+    cfg = _CONFIGS[cfg_name]()
+    if rf_mb is not None:
+        cfg = cfg.with_register_file(rf_mb)
+    result = simulate(_program(name, compiled), cfg, checkpoint_every=ckpt)
+    return repr(asdict(result))
+
+
+@pytest.fixture(scope="module")
+def kat() -> dict:
+    return json.loads(KAT_PATH.read_text())
+
+
+def test_kat_covers_every_case(kat):
+    assert set(kat["simulate"]) == set(CASES)
+    assert set(kat["cpu_seconds"]) == set(ALL_BENCHMARKS)
+
+
+@pytest.mark.parametrize("cid", sorted(CASES))
+def test_simulate_reproduces_kat(kat, cid):
+    assert _run(CASES[cid]) == kat["simulate"][cid]
+
+
+def test_cpu_model_reproduces_kat(kat):
+    cpu = CpuModel()
+    for name in ALL_BENCHMARKS:
+        seconds = cpu.seconds(_program(name, False))
+        assert repr(seconds) == kat["cpu_seconds"][name]
