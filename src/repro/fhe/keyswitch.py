@@ -68,11 +68,12 @@ class KeySwitchHint:
     full_basis: RnsBasis  # Q_max extended by P
     aux_count: int  # number of special primes (0 => standard keyswitching)
     label: str = "ksh"
-    # Per-digit (b_sums, a_sums) limb checksums over the full basis, present
-    # when the hint was generated with integrity=True; verified on every
-    # restricted_rows() load while the reliability integrity switch is on.
+    # Per-digit (2, len(full_basis)) limb checksums of the (b, a) halves,
+    # present when the hint was generated with integrity=True; verified
+    # on every restricted_rows() load while the integrity switch is on.
     checksums: list | None = None
     _a_cache: dict = field(default_factory=dict, repr=False)
+    _pairs: dict = field(default_factory=dict, repr=False)  # digit -> (b, a)
     _rows: dict = field(default_factory=dict, repr=False)  # basis -> rows
 
     @property
@@ -105,12 +106,23 @@ class KeySwitchHint:
         rows = sum(p.level for p in self.b_polys)
         return rows * self.b_polys[0].degree
 
-    def restricted_rows(self, index: int, basis: RnsBasis) -> tuple[np.ndarray, np.ndarray]:
-        """(b, a) residue rows of digit ``index`` restricted to ``basis``.
+    def pair(self, index: int) -> np.ndarray:
+        """Digit ``index``'s stored half over its regenerated half: a
+        (2, len(full_basis), N) array, stacked once per digit."""
+        pair = self._pairs.get(index)
+        if pair is None:
+            pair = np.stack((self.b_polys[index].data,
+                             self.a_poly(index).data))
+            self._pairs[index] = pair
+        return pair
+
+    def restricted_rows(self, index: int, basis: RnsBasis) -> np.ndarray:
+        """Digit ``index``'s (b, a) rows restricted to ``basis``, stacked:
+        a fresh (2, len(basis), N) array, b over a.
 
         This is the hint's HBM trust boundary: the fancy-index copy below
         models the streaming load, so an installed fault injector corrupts
-        the *transferred* rows (never the stored hint), and the integrity
+        the *transferred* b rows (never the stored hint), and the integrity
         switch verifies the transfer against the generation-time checksums.
         """
         take = self._rows.get(basis.moduli)
@@ -118,21 +130,26 @@ class KeySwitchHint:
             full = self.full_basis.moduli
             take = np.array([full.index(q) for q in basis.moduli])
             self._rows[basis.moduli] = take
-        b_rows = self.b_polys[index].data[take]
-        a_rows = self.a_poly(index).data[take]
+        rows = self.pair(index).take(take, axis=1)
         injector = _faults.active_injector()
         if injector is not None:
-            injector.maybe_corrupt(_faults.HBM, b_rows)
+            injector.maybe_corrupt(_faults.HBM, rows[0])
         integ = _guards.integrity_active()
         if (integ is not None and integ.verify_hints
                 and self.checksums is not None):
-            b_sums, a_sums = self.checksums[index]
+            reference = self.checksums[index][:, take]
             with obs.span("reliability.hint.verify", "reliability"):
-                verify_limbs(b_rows, basis.moduli_col, b_sums[take],
-                             f"hint {self.label} digit {index} (b)")
-                verify_limbs(a_rows, basis.moduli_col, a_sums[take],
-                             f"hint {self.label} digit {index} (a)")
-        return b_rows, a_rows
+                if np.array_equal(limb_checksums(rows, basis.moduli_col),
+                                  reference):
+                    obs.count("reliability.checksum.verified", 2)
+                else:
+                    # A fault: name the damaged half and its limbs.
+                    for half, what in enumerate("ba"):
+                        verify_limbs(rows[half], basis.moduli_col,
+                                     reference[half],
+                                     f"hint {self.label} digit {index} "
+                                     f"({what})")
+        return rows
 
 
 def generate_hint(
@@ -191,11 +208,8 @@ def generate_hint(
     )
     if integrity:
         with obs.span("reliability.checksum.seal", "reliability"):
-            hint.checksums = [
-                (limb_checksums(b.data, full.moduli_col),
-                 limb_checksums(hint.a_poly(i).data, full.moduli_col))
-                for i, b in enumerate(b_polys)
-            ]
+            hint.checksums = [limb_checksums(hint.pair(i), full.moduli_col)
+                              for i in range(len(b_polys))]
     return hint
 
 
@@ -236,66 +250,66 @@ def mod_up(poly: RnsPoly, alpha: int, target: RnsBasis) -> Iterator[np.ndarray]:
 
 def multiply_accumulate(
     raised: Iterable[np.ndarray], hint: KeySwitchHint, target: RnsBasis
-) -> tuple[RnsPoly, RnsPoly]:
+) -> np.ndarray:
     """sum_i raised_i * ksh_i over ``target`` (Listing 1 lines 5-6,
     generalized to t digits): the hint's (b, a) rows of digit i times the
-    i-th raised digit, accumulated in the EVAL domain."""
+    i-th raised digit, accumulated in the EVAL domain.
+
+    Returns both accumulators as one stacked (2, len(target), N) array,
+    the form :func:`mod_down_pair` consumes; each digit's loaded hint
+    rows are multiplied in place, so a digit costs one multiply and one
+    reduction over both halves."""
     q_col = target.moduli_col
-    acc0 = acc1 = None
+    acc = None
     for i, digit in enumerate(raised):
-        b_rows, a_rows = hint.restricted_rows(i, target)
-        prod0 = digit * b_rows % q_col
-        prod1 = digit * a_rows % q_col
-        if acc0 is None:
-            acc0, acc1 = prod0, prod1
+        prod = hint.restricted_rows(i, target)
+        prod *= digit
+        prod %= q_col
+        if acc is None:
+            acc = prod
         else:
             # Canonical summands: one conditional subtraction reduces.
-            acc0 += prod0
-            acc0 = np.minimum(acc0, acc0 - q_col)
-            acc1 += prod1
-            acc1 = np.minimum(acc1, acc1 - q_col)
-    return RnsPoly(target, acc0, EVAL), RnsPoly(target, acc1, EVAL)
+            acc += prod
+            np.minimum(acc, acc - q_col, out=acc)
+    return acc
 
 
 def mod_down_pair(
-    p0: RnsPoly, p1: RnsPoly, q_basis: RnsBasis, aux_basis: RnsBasis
+    acc: np.ndarray, q_basis: RnsBasis, aux_basis: RnsBasis
 ) -> tuple[RnsPoly, RnsPoly]:
     """ModDown (Listing 1 lines 7-10) of both keyswitch accumulators:
     (p - ModUp([p]_P)) * P^-1 over ``q_basis``, the rounding step that
     removes the P-expansion after hint application.
 
-    Both inputs are EVAL-domain polynomials over ``q_basis`` extended by
-    ``aux_basis``.  The pair is stacked, so each transform is one batched
-    call over a (2, ..., N) tensor, and only the P special-basis rows are
+    ``acc`` is the stacked (2, len(q_basis) + len(aux_basis), N) EVAL
+    accumulator :func:`multiply_accumulate` returns, so each transform is
+    one batched call over both halves.  Only the P special-basis rows are
     inverse-transformed (the base conversion needs their coefficients)
     and only the Q-basis correction is forward-transformed - the Q rows
     of the accumulators never leave the EVAL domain, because subtraction
-    and the P^{-1} multiply commute with the NTT modulo each q_i.  This
-    is bit-exact against dividing each polynomial on its own in the
+    and the P^{-1} multiply commute with the NTT modulo each q_i.  The
+    base conversion takes both halves' coefficients in one call.  This is
+    bit-exact against dividing each polynomial on its own in the
     coefficient domain (the oracle in ``tests/fhe/oracles.py``).
-
-    The base conversion handles both coefficient blocks in one call
-    (``convert_approx`` is column-independent, so concatenating the two
-    polynomials along the coefficient axis is exact).
     """
-    _guards.check_eval_domain(p0, "mod_down_pair")
-    _guards.check_eval_domain(p1, "mod_down_pair")
     n_q = len(q_basis)
-    degree = p0.degree
+    if acc.ndim != 3 or acc.shape[:2] != (2, n_q + len(aux_basis)):
+        raise ParameterError(
+            "ModDown takes a stacked (2, len(Q) + len(P), N) accumulator",
+            shape=acc.shape, q=n_q, aux=len(aux_basis),
+        )
+    degree = acc.shape[-1]
     aux_coeff = BatchedNttContext.get(aux_basis.moduli, degree).inverse(
-        np.stack([p0.data[n_q:], p1.data[n_q:]])
-    )
-    p_rows = np.concatenate([aux_coeff[0], aux_coeff[1]], axis=1)
-    corr = aux_basis.convert_approx(p_rows, q_basis)
+        acc[:, n_q:])
     corr = BatchedNttContext.get(q_basis.moduli, degree).forward(
-        np.stack([corr[:, :degree], corr[:, degree:]])
-    )
+        aux_basis.convert_approx(aux_coeff, q_basis))
     q_col = q_basis.moduli_col
-    inv_col = q_basis.scalar_inverse_col(aux_basis.modulus)
-    q_rows = np.stack([p0.data[:n_q], p1.data[:n_q]])
-    w = q_rows + q_col - corr  # canonical operands: below 2q
-    out = np.minimum(w, w - q_col, out=w) * inv_col % q_col
-    return RnsPoly(q_basis, out[0], EVAL), RnsPoly(q_basis, out[1], EVAL)
+    w = acc[:, :n_q] + q_col
+    w -= corr  # canonical operands: below 2q
+    np.minimum(w, w - q_col, out=w)
+    w *= q_basis.scalar_inverse_col(aux_basis.modulus)
+    w %= q_col
+    return RnsPoly(q_basis, w[0], EVAL), RnsPoly(q_basis, w[1], EVAL)
 
 
 def check_special_basis(hint: KeySwitchHint, aux_basis: RnsBasis) -> None:
@@ -322,9 +336,9 @@ def boosted_keyswitch(
         obs.count("fhe.keyswitch.boosted")
         q_level = poly.basis
         target = q_level.extend(aux_basis)
-        acc0, acc1 = multiply_accumulate(
+        acc = multiply_accumulate(
             mod_up(poly, hint.alpha, target), hint, target)
-        ks0, ks1 = mod_down_pair(acc0, acc1, q_level, aux_basis)
+        ks0, ks1 = mod_down_pair(acc, q_level, aux_basis)
         # The keyswitch working set displaces register-file residents: let
         # an installed integrity boundary hook sweep the evictees' seals.
         _guards.keyswitch_boundary()
@@ -348,7 +362,7 @@ def standard_keyswitch(
     with obs.span("keyswitch.standard", "fhe"):
         obs.count("fhe.keyswitch.standard")
         q_level = poly.basis
-        acc0, acc1 = multiply_accumulate(
+        acc = multiply_accumulate(
             mod_up(poly, hint.alpha, q_level), hint, q_level)
         _guards.keyswitch_boundary()
-        return acc0, acc1
+        return RnsPoly(q_level, acc[0], EVAL), RnsPoly(q_level, acc[1], EVAL)

@@ -103,6 +103,10 @@ def mod_pow_vec(base: np.ndarray, exponent, modulus) -> np.ndarray:
     return out
 
 
+#: Largest degree: the inverse transform checksum sums N products below
+#: 2^47 in uint64 (see BatchedNttContext.verify_transform).
+_MAX_DEGREE = 1 << 17
+
 #: Largest four-step factor, as log2: every pass is a DFT of at most 64
 #: points, so a pass's partial sums stay below 2^53 (see BatchedNttContext).
 _FACTOR_BITS = 6
@@ -139,7 +143,7 @@ def _split16(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Pass:
-    """One four-step pass: a DFT of ``n`` points along one axis.
+    """One four-step pass's tables: a DFT of ``n`` points along one axis.
 
     The data is viewed as ``(L, A, n, B)`` (row-major, A = product of the
     earlier factors, B of the later ones).  Every pass but the last
@@ -150,13 +154,12 @@ class _Pass:
     partial sums as contiguous blocks.
     """
 
-    __slots__ = ("n", "left", "shape", "fwd", "inv", "q", "qinv",
-                 "fwd_tw", "inv_tw")
+    __slots__ = ("n", "left", "shape", "fwd", "inv", "fwd_tw", "inv_tw")
 
-    def __init__(self, n, a, b, left, fwd, inv, q, qinv, tw, itw):
+    def __init__(self, n, a, b, left, fwd, inv, tw, itw):
         self.n = n
         self.left = left
-        limbs = q.shape[0]
+        limbs = fwd.shape[0]
         self.shape = (limbs, a, n, b) if left else (limbs, a, n)
         # Matrices come indexed [limb, out, in].
         mats = [np.stack(_split16(m)) for m in (fwd, inv)]
@@ -166,8 +169,6 @@ class _Pass:
             mats = [np.ascontiguousarray(m.transpose(0, 1, 3, 2))
                     for m in mats]
         self.fwd, self.inv = mats
-        self.q = q.reshape(self.shape)
-        self.qinv = qinv.reshape(self.shape)
         # Twiddles (None on the first pass), split like the matrices:
         # forward multiplies the data entering the pass, inverse the data
         # leaving its inverse matmul.
@@ -176,54 +177,107 @@ class _Pass:
                 (2,) + self.shape)
             for t in (tw, itw))
 
-    @staticmethod
-    def _widen(table: np.ndarray, lead) -> np.ndarray:
-        """View a (2, ...) split table against ``lead`` batch axes."""
-        return table.reshape(table.shape[:1] + (1,) * len(lead)
-                             + table.shape[1:]) if lead else table
 
-    def apply(self, x, mats, lead, out, k) -> np.ndarray:
-        """Exact ``mats @ x`` mod q along this pass's axis.
+def _widen(table: np.ndarray, lead) -> np.ndarray:
+    """View a (2, ...) split table against ``lead`` batch axes."""
+    return table.reshape(table.shape[:1] + (1,) * len(lead)
+                         + table.shape[1:])
 
-        ``x`` is ``lead + shape`` holding integers below 2^31 in magnitude;
-        the result, written to scratch ``out`` and returned as a view, is
-        balanced (see :meth:`fold`).
+
+class _Plan:
+    """One transform direction at one batch shape, fully pre-shaped.
+
+    A transform is a list of ``steps``, one per matmul or twiddle
+    multiply: the ufunc calls that write its hi/lo products into scratch
+    (each operand a table view or the view the previous step left its
+    result in), then the views its fold works on.  Running it is a fixed
+    sequence of ufunc calls with no reshapes or shape arithmetic.  The
+    moduli and twiddle tables are spread over the batch axes once, here:
+    numpy runs an elementwise op on same-shape contiguous operands on its
+    fast path, and a broadcast one through its slower general loop.
+    """
+
+    __slots__ = ("x", "steps", "q_last", "shifted", "wide", "q_full",
+                 "below")
+
+    def __init__(self, passes, lead, forward, bufs, q_full, q_f64, qinv):
+        def spread(table):
+            if not lead:
+                return table
+            return np.ascontiguousarray(
+                np.broadcast_to(table, lead + table.shape))
+
+        prod, twid, k = bufs
+        q_f64, qinv = spread(q_f64), spread(qinv)
+        self.x = x = twid[:k.size].reshape(lead + passes[0].shape)
+        self.steps = []
+
+        def step(calls, out):
+            nonlocal x
+            hi = out[0]
+            self.steps.append((calls, hi, out[1], k.reshape(hi.shape),
+                               q_f64.reshape(hi.shape),
+                               qinv.reshape(hi.shape)))
+            x = hi
+
+        def twiddle(table, p):
+            shape = lead + p.shape
+            out = twid.reshape((2,) + shape)
+            src = x.reshape(shape)
+            step(tuple((np.multiply, src, spread(t), o)
+                       for t, o in zip(table, out)), out)
+
+        def matmul(table, p):
+            out = prod.reshape((2,) + lead + p.shape)
+            # An explicit unit axis against the tables' hi/lo axis.
+            src = x.reshape((1,) + lead + p.shape)
+            table = _widen(table, lead)
+            a, b = (table, src) if p.left else (src, table)
+            step(((np.matmul, a, b, out),), out)
+
+        for i, p in enumerate(passes):
+            if forward and i:
+                twiddle(p.fwd_tw, p)
+            matmul(p.fwd if forward else p.inv, p)
+            if not forward and i < len(passes) - 1:
+                twiddle(p.inv_tw, p)
+        self.q_last = q_f64.reshape(x.shape)
+        self.shifted = k.reshape(x.shape)
+        self.q_full = spread(q_full)
+        self.wide = k.reshape(self.q_full.shape)
+        self.below = twid[:k.size].view(np.uint64).reshape(self.wide.shape)
+
+    def run(self, data: np.ndarray) -> np.ndarray:
+        """The transform of ``data`` (shaped like the plan's batch) as a
+        fresh canonical uint64 array.
+
+        Each step's product holds exact integers below 2^52 in magnitude
+        (matmul partial sums, or twiddle products below 2^45), and its
+        fold reduces ``hi * 2^16 + lo`` mod q with two ``rint``
+        remainders: ``hi`` first, so that (hi mod q) * 2^16 + lo < 2^46 +
+        2^52 stays exact, then the sum.  Each leaves the residue balanced,
+        in about [-q/2, q/2] as floats.
         """
-        x = x.reshape((1,) + lead + self.shape)
-        out = out.reshape((2,) + lead + self.shape)
-        mats = self._widen(mats, lead)
-        if self.left:
-            np.matmul(mats, x, out=out)
-        else:
-            np.matmul(x, mats, out=out)
-        return self.fold(out[0], out[1], k)
-
-    def twiddle(self, x, tw, lead, out, k) -> np.ndarray:
-        """``x * tw mod q``, elementwise: the same split and fold as a
-        matmul, on products below 2^45."""
-        out = out.reshape((2,) + lead + self.shape)
-        np.multiply(x.reshape(lead + self.shape), self._widen(tw, lead),
-                    out=out)
-        return self.fold(out[0], out[1], k)
-
-    def fold(self, hi, lo, k) -> np.ndarray:
-        """``hi * 2^16 + lo`` mod q for exact |hi|, |lo| < 2^52, in place.
-
-        Two ``rint`` remainders: ``hi`` first, so that (hi mod q) * 2^16
-        + lo < 2^46 + 2^52 stays exact, then the sum.  Each leaves the
-        residue balanced, in about [-q/2, q/2] as floats.  ``k`` is
-        scratch of ``hi``'s size.
-        """
-        k = k.reshape(hi.shape)
-        for step in range(2):
-            if step:
-                hi *= 65536.0
-                hi += lo
-            np.multiply(hi, self.qinv, out=k)
+        np.copyto(self.x, data.reshape(self.x.shape), casting="unsafe")
+        for calls, hi, lo, k, q, qinv in self.steps:
+            for fn, a, b, out in calls:
+                fn(a, b, out=out)
+            np.multiply(hi, qinv, out=k)
             np.rint(k, out=k)
-            k *= self.q
+            k *= q
             hi -= k
-        return hi
+            hi *= 65536.0
+            hi += lo
+            np.multiply(hi, qinv, out=k)
+            np.rint(k, out=k)
+            k *= q
+            hi -= k
+        # Balanced floats -> canonical uint64: x + q lies in (0, 2q), and
+        # one conditional subtraction (unsigned wraparound) finishes.
+        np.add(hi, self.q_last, out=self.shifted)
+        u = self.wide.astype(np.uint64)
+        np.subtract(u, self.q_full, out=self.below)
+        return np.minimum(u, self.below, out=u)
 
 
 class BatchedNttContext:
@@ -275,6 +329,11 @@ class BatchedNttContext:
                 "modulus must fit in 31 bits: the exactness bound of the "
                 "float64 passes", modulus_bits=wide[0].bit_length(),
             )
+        if degree > _MAX_DEGREE:
+            raise ParameterError(
+                "degree above 2^17: the exactness bound of the inverse "
+                "transform checksum", degree=degree,
+            )
         # One primitive 2N-th root of unity per limb.
         self._psi_col = np.array([root_of_unity(q, 2 * degree)
                                   for q in self.moduli],
@@ -284,8 +343,12 @@ class BatchedNttContext:
                                   dtype=np.uint64)[:, None]
         self._q_full = np.ascontiguousarray(
             np.broadcast_to(self.q_col, (len(self.moduli), degree)))
-        self._inv_check_mat: np.ndarray | None = None
+        # The moduli and their reciprocals as float64, for the folds.
+        self._q_f64 = self._q_full.astype(np.float64)
+        self._qinv = 1.0 / self._q_f64
+        self._inv_check: np.ndarray | None = None
         self._work: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._plans: dict[tuple, _Plan] = {}
         self._passes = self._build_passes()
 
     def _build_passes(self) -> list[_Pass]:
@@ -295,8 +358,6 @@ class BatchedNttContext:
         psi = power_table(self._psi_col, two_n, q)
         n_inv = np.array([pow(n, int(m) - 2, int(m)) for m in self.moduli],
                          dtype=np.uint64)[:, None, None]
-        q_f64 = self._q_full.astype(np.float64)
-        qinv = 1.0 / q_f64
         passes = []
         for i, ni in enumerate(self.factors):
             a = int(np.prod(self.factors[:i]))
@@ -319,16 +380,19 @@ class BatchedNttContext:
                 tw = psi[:, t].reshape(len(q), n)
                 itw = psi[:, (two_n - t) % two_n].reshape(len(q), n)
             passes.append(_Pass(ni, a, b, i < len(self.factors) - 1,
-                                fwd, inv, q_f64, qinv, tw, itw))
+                                fwd, inv, tw, itw))
         return passes
 
     @classmethod
     def get(cls, moduli, degree: int) -> "BatchedNttContext":
-        key = (tuple(int(q) for q in moduli), degree)
-        ctx = cls._cache.get(key)
+        """The cached context; a moduli tuple (what every basis holds)
+        is looked up as given, anything else normalized first."""
+        if type(moduli) is not tuple:
+            moduli = tuple(int(q) for q in moduli)
+        ctx = cls._cache.get((moduli, degree))
         if ctx is None:
-            ctx = cls(key[0], degree)
-            cls._cache[key] = ctx
+            ctx = cls(moduli, degree)
+            cls._cache[(ctx.moduli, degree)] = ctx
         return ctx
 
     @property
@@ -362,47 +426,35 @@ class BatchedNttContext:
             out = self._inverse(data)
         return self._post_transform(data, out, self._inverse, True)
 
-    def _scratch(self, lead) -> tuple[np.ndarray, ...]:
-        """Flat float64 buffers reused by every transform of this shape:
-        the matmul products, the twiddle products (whose first half also
-        takes the input) and the remainder quotients.  Fresh
+    def _plan(self, lead, forward: bool) -> _Plan:
+        """The pre-shaped plan for one direction at batch shape ``lead``.
+
+        Both directions at one shape share three flat float64 scratch
+        buffers: the matmul products, the twiddle products (whose first
+        half also takes the input) and the remainder quotients.  Fresh
         multi-megabyte temporaries per pass would cost more in page
         faults than the arithmetic at large N."""
-        bufs = self._work.get(lead)
-        if bufs is None:
-            size = int(np.prod(lead, dtype=np.int64)) * self._q_full.size
-            bufs = (np.empty(2 * size), np.empty(2 * size), np.empty(size))
-            self._work[lead] = bufs
-        return bufs
+        plan = self._plans.get((lead, forward))
+        if plan is None:
+            bufs = self._work.get(lead)
+            if bufs is None:
+                size = int(np.prod(lead, dtype=np.int64)) * self._q_full.size
+                bufs = (np.empty(2 * size), np.empty(2 * size),
+                        np.empty(size))
+                self._work[lead] = bufs
+            passes = self._passes if forward else self._passes[::-1]
+            plan = _Plan(passes, lead, forward, bufs, self._q_full,
+                         self._q_f64, self._qinv)
+            self._plans[(lead, forward)] = plan
+        return plan
 
     def _forward(self, data: np.ndarray) -> np.ndarray:
-        return self._transform(data, self._passes, True)
+        return self._plan(data.shape[:-2], True).run(data)
 
     def _inverse(self, data: np.ndarray) -> np.ndarray:
-        return self._transform(data, self._passes[::-1], False)
-
-    def _transform(self, data, passes, forward: bool) -> np.ndarray:
-        """Run ``passes`` in order: forward twiddles enter a pass, inverse
-        ones leave it, so both directions alternate matmul and twiddle."""
-        data = np.asarray(data)
-        lead = data.shape[:-2]
-        prod, twid, k = self._scratch(lead)
-        x = twid[:k.size].reshape(lead + passes[0].shape)
-        np.copyto(x, data.reshape(x.shape), casting="unsafe")
-        for i, p in enumerate(passes):
-            if forward and i:
-                x = p.twiddle(x, p.fwd_tw, lead, twid, k)
-            x = p.apply(x, p.fwd if forward else p.inv, lead, prod, k)
-            if not forward and i < len(passes) - 1:
-                x = p.twiddle(x, p.inv_tw, lead, twid, k)
-        # Balanced floats -> canonical uint64: x + q lies in (0, 2q), and
-        # one conditional subtraction (unsigned wraparound) finishes.
-        shifted = k.reshape(x.shape)
-        np.add(x, passes[-1].q, out=shifted)
-        u = shifted.astype(np.uint64).reshape(lead + self._q_full.shape)
-        below = twid[:u.size].view(np.uint64).reshape(u.shape)
-        np.subtract(u, self._q_full, out=below)
-        return np.minimum(u, below, out=u)
+        """Passes in reverse: forward twiddles enter a pass, inverse ones
+        leave it, so both directions alternate matmul and twiddle."""
+        return self._plan(data.shape[:-2], False).run(data)
 
     def _post_transform(self, data, out, kernel, inverse: bool):
         """Reliability tail of a transform: fault hook, then checks.
@@ -454,10 +506,15 @@ class BatchedNttContext:
     # so single-word compute faults are caught with certainty at the cost
     # of one vector sum (forward) or one multiply-accumulate row (inverse).
 
-    def _inverse_check_matrix(self) -> np.ndarray:
-        """The (L, N) rows c_j = 2*w_j / (w_j - 1) mod q, built once."""
-        c = self._inv_check_mat
-        if c is None:
+    def _inverse_check_halves(self) -> np.ndarray:
+        """The (L, N) rows c_j = 2*w_j / (w_j - 1) mod q, built once, as
+        their 16-bit halves stacked on a leading axis: (c >> 16, c & 0xFFFF).
+
+        A half times a residue is below 2^47, so a row of up to 2^17 such
+        products sums exactly in uint64 and the check needs no per-word
+        remainder."""
+        halves = self._inv_check
+        if halves is None:
             q, psi = self.q_col, self._psi_col
             # w_j = psi^(2*br(j)+1) = psi * (psi^2)^br(j), all limbs at once.
             squares = power_table(psi * psi % q, self.degree, q)
@@ -465,8 +522,9 @@ class BatchedNttContext:
             # (w - 1)^-1 by Fermat, with per-limb exponents q - 2.
             inv = mod_pow_vec((w + q - np.uint64(1)) % q, q - np.uint64(2), q)
             c = np.uint64(2) * w % q * inv % q
-            self._inv_check_mat = c
-        return c
+            halves = np.stack([c >> np.uint64(16), c & np.uint64(0xFFFF)])
+            self._inv_check = halves
+        return halves
 
     def verify_transform(self, data, out, inverse: bool) -> None:
         """Row-wise transform checksums of a batched (i)NTT in one pass.
@@ -481,8 +539,10 @@ class BatchedNttContext:
             n_mod = self.n_mod_col[:, 0]
             data = np.asarray(data, dtype=np.uint64)
             if inverse:
-                expect = (self._inverse_check_matrix() * data % self.q_col
-                          ).sum(axis=-1, dtype=np.uint64) % q
+                halves = _widen(self._inverse_check_halves(),
+                                data.shape[:-2])
+                sums = (halves * data).sum(axis=-1, dtype=np.uint64) % q
+                expect = ((sums[0] << np.uint64(16)) + sums[1]) % q
                 got = n_mod * (out.sum(axis=-1, dtype=np.uint64) % q) % q
             else:
                 expect = n_mod * data[..., 0] % q

@@ -37,29 +37,53 @@ class _ConversionTables(NamedTuple):
     src_f64_col: np.ndarray    # source moduli, (L, 1) float64
     dest_col: np.ndarray       # dest moduli, (L', 1) uint64
     neg_qmod_col: np.ndarray   # -Q mod p_j, (L', 1) uint64
-    c_hi: np.ndarray           # high 16 bits of C^T
-    c_lo: np.ndarray           # low 16 bits of C^T
+    halves: np.ndarray         # C^T's 16-bit halves, hi over lo: (2L', L) float64
 
 
-# (source moduli, dest moduli) -> tables; see RnsBasis._conversion_tables.
-_CONVERSION_TABLES: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                         _ConversionTables] = {}
+#: Source limbs one float64 MAC may sum: each term is a 16-bit constant
+#: half times a residue below 2^31, so below 2^47, and 64 of them sum
+#: below 2^53 - exact in float64.  Larger sources are summed in chunks.
+_MAC_LIMBS = 64
 
 
 class RnsBasis:
-    """An ordered tuple of coprime NTT-friendly moduli."""
+    """An ordered tuple of coprime NTT-friendly moduli.
 
-    def __init__(self, moduli):
+    Bases are interned per moduli tuple: ``RnsBasis(moduli)``, slices,
+    :meth:`extend` and :meth:`drop_last` all return the one instance for
+    those moduli, so its cached columns, scalar inverses and conversion
+    tables are built once per process, not once per derived basis.
+    Instances are immutable.
+    """
+
+    _interned: dict[tuple[int, ...], "RnsBasis"] = {}
+
+    def __new__(cls, moduli):
+        if type(moduli) is tuple:
+            basis = cls._interned.get(moduli)
+            if basis is not None:
+                return basis
         moduli = tuple(int(q) for q in moduli)
+        basis = cls._interned.get(moduli)
+        if basis is not None:
+            return basis
         if not moduli:
             raise ParameterError("an RNS basis needs at least one modulus")
         if len(set(moduli)) != len(moduli):
             raise ParameterError("moduli must be distinct")
-        self.moduli = moduli
-        # ARK-style reuse cache: scalar-inverse columns are pure functions
-        # of the basis, so they are computed once per (basis, value) and
-        # replayed on every keyswitch.
-        self._inv_cache: dict[int, np.ndarray] = {}
+        basis = super().__new__(cls)
+        basis.moduli = moduli
+        # ARK-style reuse caches: scalar-inverse columns and the
+        # changeRNSBase tables are pure functions of the basis, so they
+        # are computed once per (basis, value) and replayed on every
+        # keyswitch.
+        basis._inv_cache = {}
+        basis._tables = {}
+        cls._interned[moduli] = basis
+        return basis
+
+    def __reduce__(self):
+        return RnsBasis, (self.moduli,)
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -225,12 +249,9 @@ class RnsBasis:
         return self._conversion_tables(dest).constants
 
     def _conversion_tables(self, dest: "RnsBasis") -> _ConversionTables:
-        """The changeRNSBase tables for ``self -> dest``, cached per pair of
-        moduli tuples at module level: bases are rebuilt by every slice,
-        ``extend`` and ``drop_last``, and any two with the same moduli
-        share one set of tables."""
-        key = (self.moduli, dest.moduli)
-        cached = _CONVERSION_TABLES.get(key)
+        """The changeRNSBase tables for ``self -> dest``, cached on the
+        (interned) source basis per destination basis."""
+        cached = self._tables.get(dest)
         if cached is not None:
             obs.count("fhe.cache.conversion.hit")
             return cached
@@ -242,28 +263,30 @@ class RnsBasis:
         neg_qmod_col = np.array(
             [-self.modulus % pj for pj in dest.moduli], dtype=np.uint64
         )[:, None]
-        # 16-bit halves of the transposed constant matrix: the MAC in
-        # convert_approx accumulates hi/lo partial dot products without any
-        # per-term reduction (terms stay < 2^47, so thousands of source
-        # limbs fit in uint64) and reduces once per destination row.
-        c_t = np.ascontiguousarray(c.T)
-        mask = np.uint64(0xFFFF)
+        # 16-bit halves of the transposed constant matrix, the high
+        # halves' rows stacked over the low halves': one float64 matmul
+        # in convert_approx yields both partial dot products.
+        c_t = c.T
+        halves = np.concatenate([c_t >> np.uint64(16),
+                                 c_t & np.uint64(0xFFFF)]).astype(np.float64)
         tables = _ConversionTables(
             c, self.moduli_col, self._q_hat_inv_col,
             self.moduli_col.astype(np.float64), dest.moduli_col,
-            neg_qmod_col, c_t >> np.uint64(16), c_t & mask)
-        _CONVERSION_TABLES[key] = tables
+            neg_qmod_col, halves)
+        self._tables[dest] = tables
         return tables
 
     def convert_approx(
         self, residues: np.ndarray, dest: "RnsBasis", correct: bool = True
     ) -> np.ndarray:
-        """Fast base conversion of (L, N) residues into basis ``dest``.
+        """Fast base conversion of (..., L, N) residues into basis ``dest``.
 
         Structure mirrors Listing 1: scale each source residue by
         (Q/q_i)^{-1} mod q_i, then multiply-accumulate rows against the
         constant matrix.  The accumulation over source moduli is what the
-        CRB unit buffers on chip.
+        CRB unit buffers on chip.  Leading axes batch independent
+        polynomials through the same MAC (both keyswitch accumulators in
+        one ModDown), with an (..., L', N) result.
 
         With ``correct`` (the HPS floating-point trick used by production
         RNS implementations), the integer overflow count
@@ -271,35 +294,41 @@ class RnsBasis:
         and v*Q subtracted, so the result is x + a*Q with |a| <= 1 instead
         of 0 <= a < L - an order-of-magnitude keyswitch-noise reduction.
         """
-        if residues.shape[0] != len(self):
+        if residues.ndim < 2 or residues.shape[-2] != len(self):
             raise ParameterError(
                 "residue count does not match basis size",
-                rows=residues.shape[0], basis=len(self),
+                shape=residues.shape, basis=len(self),
             )
         t = self._conversion_tables(dest)
         # Limb-batched scaling: one broadcast multiply for all source rows.
-        scaled = residues * t.q_hat_inv_col % t.src_col
-        # Division-free MAC over every destination modulus at once.  The
-        # constants are split into 16-bit halves, so hi/lo partial dot
-        # products accumulate exactly in uint64 (terms < 2^47, far more
-        # source limbs than any basis has before overflow) and the whole
-        # matrix-vector product costs two integer matmuls plus two
-        # reductions per destination row instead of one division per term.
-        # Exact integer arithmetic ends at the same canonical residue, so
-        # the result is bit-identical to the per-term-reduced kernel.
-        hi = t.c_hi @ scaled
-        lo = t.c_lo @ scaled
+        scaled = (residues * t.q_hat_inv_col % t.src_col).astype(np.float64)
+        # Division-free MAC over every destination modulus at once: the
+        # constants' 16-bit halves against the scaled residues, one float64
+        # BLAS matmul per chunk of _MAC_LIMBS source limbs.  Each partial
+        # sum is an integer below 2^53, hence exact, and chunks add in
+        # uint64.  Exact integer arithmetic ends at the same canonical
+        # residue, so the result is bit-identical to the per-term-reduced
+        # kernel.
+        mac = None
+        for start in range(0, len(self), _MAC_LIMBS):
+            stop = start + _MAC_LIMBS
+            part = np.matmul(t.halves[:, start:stop],
+                             scaled[..., start:stop, :]).astype(np.uint64)
+            mac = part if mac is None else mac + part
+        rows = len(dest)
+        hi, lo = mac[..., :rows, :], mac[..., rows:, :]
         if correct:
             # Summation order affects the final ulp, and the rounded
             # overflow estimate must match the row-by-row float loop
             # (0.0 + row_0 + row_1 + ...) bit for bit.  A reduction over
-            # axis 0 of a C-contiguous matrix with two or more columns
-            # adds whole rows in exactly that order (pairwise summation
-            # only applies along the contiguous axis, which a single
-            # column would collapse into), so one pass gives the same sum.
-            fraction = (scaled / t.src_f64_col).sum(axis=0)
+            # the limb axis of a C-contiguous tensor with two or more
+            # columns adds whole rows in exactly that order (pairwise
+            # summation only applies along the contiguous axis, which a
+            # single column would collapse into), so one pass gives the
+            # same sum.
+            fraction = (scaled / t.src_f64_col).sum(axis=-2)
             overflow = np.rint(fraction).astype(np.uint64)
             # Subtract v*Q inside the same MAC: v <= L and -Q mod p_j <
             # 2^31, so the extra term keeps the low sum exact in uint64.
-            lo += t.neg_qmod_col * overflow
+            lo += t.neg_qmod_col * overflow[..., None, :]
         return ((hi % t.dest_col << np.uint64(16)) + lo) % t.dest_col

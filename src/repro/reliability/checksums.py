@@ -35,6 +35,17 @@ def limb_checksums(data: np.ndarray, moduli) -> np.ndarray:
     return sums % np.asarray(moduli, dtype=np.uint64).reshape(-1)
 
 
+def pair_checksums(first: np.ndarray, second: np.ndarray,
+                   moduli) -> np.ndarray:
+    """:func:`limb_checksums` of two same-basis (L, N) matrices (a
+    ciphertext's halves) as one (2, L) array, without stacking them."""
+    sums = np.empty((2, first.shape[0]), dtype=np.uint64)
+    np.add.reduce(first, axis=-1, out=sums[0])
+    np.add.reduce(second, axis=-1, out=sums[1])
+    sums %= np.asarray(moduli, dtype=np.uint64).reshape(-1)
+    return sums
+
+
 def mismatched_limbs(data: np.ndarray, moduli,
                      reference: np.ndarray) -> list[int]:
     """Indices of limbs whose current checksum differs from ``reference``."""

@@ -118,14 +118,6 @@ def check_min_level(ct, needed: int, op: str) -> None:
         )
 
 
-def check_eval_domain(poly, op: str) -> None:
-    if poly.domain != "eval":
-        raise ParameterError(
-            f"{op} requires EVAL-domain input; call to_eval() first",
-            op=op, domain=poly.domain,
-        )
-
-
 # -- module-level integrity switch ------------------------------------------
 
 

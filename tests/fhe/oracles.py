@@ -3,7 +3,8 @@
 Each oracle is the plain textbook form of a kernel the library runs in a
 faster, batched shape: a per-limb radix-2 NTT, per-polynomial rescale and
 ModDown that round-trip every row through the coefficient domain, and a
-ModUp through ``change_basis``.  The differential tests, the perf gate
+ModUp through ``change_basis``, whose fast conversion reduces term by
+term.  The differential tests, the perf gate
 and the known-answer vectors in ``kat/`` compare the library against
 them.  They carry no tracing and no fault hooks: they are the reference,
 not the thing under test.
@@ -136,21 +137,54 @@ def convert_exact(basis: RnsBasis, residues: np.ndarray,
     return dest.to_residues(basis.to_integers(residues, centered=True))
 
 
+def convert_per_term(basis: RnsBasis, residues: np.ndarray, dest: RnsBasis,
+                     correct: bool = True) -> np.ndarray:
+    """Fast base conversion of (L, N) residues term by term: Listing 1's
+    loop nest, reducing every product before it is accumulated.
+
+    Each source row is scaled by (Q/q_i)^{-1} mod q_i; each destination
+    row accumulates scaled_i * ((Q/q_i) mod p_j) mod p_j over the source
+    rows.  With ``correct`` the HPS overflow estimate v = round(sum_i
+    scaled_i / q_i), summed row by row in float64 from 0.0, is subtracted
+    as v*Q mod p_j.
+    """
+    q_total = basis.modulus
+    q_hats = [q_total // q for q in basis.moduli]
+    scaled = [residues[i] * np.uint64(pow(h % q, -1, q)) % np.uint64(q)
+              for i, (h, q) in enumerate(zip(q_hats, basis.moduli))]
+    width = residues.shape[1]
+    if correct:
+        fraction = np.zeros(width, dtype=np.float64)
+        for row, q in zip(scaled, basis.moduli):
+            fraction += row.astype(np.float64) / q
+        overflow = np.rint(fraction).astype(np.uint64)
+    out = np.empty((len(dest), width), dtype=np.uint64)
+    for j, p in enumerate(dest.moduli):
+        pj = np.uint64(p)
+        acc = np.zeros(width, dtype=np.uint64)
+        for row, h in zip(scaled, q_hats):
+            acc = (acc + row * np.uint64(h % p) % pj) % pj
+        if correct:
+            acc = (acc + pj - overflow % pj * np.uint64(q_total % p) % pj) % pj
+        out[j] = acc
+    return out
+
+
 def change_basis(poly: RnsPoly, dest: RnsBasis,
                  exact: bool = False) -> RnsPoly:
     """changeRNSBase: re-express ``poly`` in another basis.
 
-    ``exact=False`` is the fast conversion (Listing 1 / the CRB unit),
-    which may add a small multiple of Q; ``exact=True`` is big-int CRT.
-    Converts coefficient-domain data, as Listing 1 does (INTT before,
-    NTT after).
+    ``exact=False`` is the fast conversion (Listing 1 / the CRB unit,
+    computed term by term by :func:`convert_per_term`), which may add a
+    small multiple of Q; ``exact=True`` is big-int CRT.  Converts
+    coefficient-domain data, as Listing 1 does (INTT before, NTT after).
     """
     was_eval = poly.domain == EVAL
     coeff = poly.to_coeff()
     if exact:
         data = convert_exact(coeff.basis, coeff.data, dest)
     else:
-        data = coeff.basis.convert_approx(coeff.data, dest)
+        data = convert_per_term(coeff.basis, coeff.data, dest)
     result = RnsPoly(dest, data, COEFF)
     return result.to_eval() if was_eval else result
 

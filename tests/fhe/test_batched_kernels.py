@@ -41,7 +41,13 @@ from repro.fhe.rns import RnsBasis
 from repro.reliability.errors import ParameterError
 
 from tests.fhe.conftest import rand_rows
-from tests.fhe.oracles import NttContext, mod_down, rescale
+from tests.fhe.oracles import (
+    NttContext,
+    change_basis,
+    convert_per_term,
+    mod_down,
+    rescale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +172,9 @@ def test_batched_tables_stack_per_limb_tables(prime_pool):
                     assert getattr(want, name) is None
                     continue
                 assert np.array_equal(table[:, i], getattr(want, name)[:, 0])
-            assert np.array_equal(got.q[i], want.q[0])
+        for name in ("_q_f64", "_qinv"):
+            assert np.array_equal(getattr(batched, name)[i],
+                                  getattr(single, name)[0])
         assert batched.q_col[i, 0] == q
 
 
@@ -180,7 +188,8 @@ def test_inverse_check_vector_relation(prime_pool):
     data = np.stack([rng.integers(0, q, degree, dtype=np.uint64)
                      for q in moduli])
     out = ctx.inverse(data)
-    check = ctx._inverse_check_matrix()
+    hi, lo = ctx._inverse_check_halves()
+    check = (hi << np.uint64(16)) + lo
     for i, q in enumerate(moduli):
         lhs = int((check[i] * data[i] % np.uint64(q)).sum() % q)
         rhs = degree % q * (int(out[i].sum()) % q) % q
@@ -272,20 +281,24 @@ def test_batch_rescale_rejects_depleted(make_basis):
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_mod_down_pair_bit_exact(make_basis, q_limbs, aux_limbs, seed):
-    """The shared-transform pair path equals two independent mod_down
-    calls (the oracle), for both halves; COEFF input is rejected."""
+    """The shared-transform pair path on a stacked accumulator equals two
+    independent mod_down calls (the oracle), for both halves; an
+    accumulator that is not a (2, len(Q) + len(P), N) stack is
+    rejected."""
     degree = 64
     q_basis = make_basis(q_limbs)
     aux_basis = make_basis(aux_limbs, offset=q_limbs)
     target = q_basis.extend(aux_basis)
     p0 = RnsPoly(target, rand_rows(target, degree, seed), EVAL)
     p1 = RnsPoly(target, rand_rows(target, degree, seed + 1), EVAL)
-    g0, g1 = mod_down_pair(p0, p1, q_basis, aux_basis)
+    acc = np.stack([p0.data, p1.data])
+    g0, g1 = mod_down_pair(acc, q_basis, aux_basis)
     assert g0.domain == EVAL and g1.domain == EVAL
     assert np.array_equal(g0.data, mod_down(p0, q_basis, aux_basis).data)
     assert np.array_equal(g1.data, mod_down(p1, q_basis, aux_basis).data)
-    with pytest.raises(ParameterError, match="EVAL"):
-        mod_down_pair(p0.to_coeff(), p1, q_basis, aux_basis)
+    for bad in (acc[0], acc[:, 1:], acc[:1]):
+        with pytest.raises(ParameterError, match="accumulator"):
+            mod_down_pair(bad, q_basis, aux_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +319,79 @@ def test_convert_approx_bit_exact(make_basis, src_limbs, dst_limbs, correct,
     dst = make_basis(dst_limbs, offset=src_limbs)
     residues = rand_rows(src, degree, seed)
     got = src.convert_approx(residues, dst, correct=correct)
-    scaled = residues * src._q_hat_inv_col % src.moduli_col
-    overflow = None
-    if correct:
-        fraction = np.zeros(degree, dtype=np.float64)
-        for i, qi in enumerate(src.moduli):
-            fraction += scaled[i].astype(np.float64) / qi
-        overflow = np.rint(fraction).astype(np.uint64)
-    consts = src.conversion_constants(dst)
-    for j, pj in enumerate(dst.moduli):
-        pj64 = np.uint64(pj)
-        acc = (scaled * consts[:, j, None] % pj64).sum(
-            axis=0, dtype=np.uint64) % pj64
-        if correct:
-            q_mod = np.uint64(src.modulus % pj)
-            acc = (acc + (pj64 - overflow % pj64 * q_mod % pj64)) % pj64
-        assert np.array_equal(got[j], acc)
+    assert np.array_equal(
+        got, convert_per_term(src, residues, dst, correct=correct))
+
+
+# ---------------------------------------------------------------------------
+# The float64 MAC in convert_approx: exact up to and past 64 source limbs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_pool():
+    """31-bit primes - the widest the library takes, so constants and
+    residues push MAC terms toward the 2^47 bound - enough for 300
+    source limbs plus 8 destination limbs."""
+    return tuple(find_ntt_primes(308, 31, 64))
+
+
+def _conversion_input(src: RnsBasis, width: int, case: str,
+                      seed: int) -> np.ndarray:
+    """(L, width) residues: uniform, every residue q - 1, or residues
+    that scale to q - 1 - the largest value each MAC term can see."""
+    if case == "random":
+        return rand_rows(src, width, seed)
+    q_col = src.moduli_col
+    top = np.broadcast_to(q_col - np.uint64(1), (len(src), width))
+    if case == "q-1":
+        return top.copy()
+    # x_i = (q_i - 1) * (Q/q_i) mod q_i scales by (Q/q_i)^{-1} to q_i - 1.
+    q_hat = np.array([src.modulus // q % q for q in src.moduli],
+                     dtype=np.uint64)[:, None]
+    return top * q_hat % q_col
+
+
+@given(src_limbs=st.sampled_from([1, 5, 40, 64]),
+       dst_limbs=st.integers(min_value=1, max_value=8),
+       shape=st.sampled_from(["N", "2N", "2xN"]),
+       case=st.sampled_from(["random", "q-1", "scaled q-1"]),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_float_mac_conversion_matches_change_basis(wide_pool, src_limbs,
+                                                   dst_limbs, shape, case,
+                                                   seed):
+    """The float64 hi/lo MAC is exact for up to 64 source limbs: every
+    output word equals the per-term ``change_basis`` oracle's, for an
+    N-wide and a 2N-wide (L, width) input and for two N-wide inputs
+    stacked on a leading axis (how ModDown converts both halves)."""
+    degree = 64
+    src = RnsBasis(wide_pool[:src_limbs])
+    dst = RnsBasis(wide_pool[src_limbs:src_limbs + dst_limbs])
+    width = 2 * degree if shape == "2N" else degree
+    halves = [_conversion_input(src, width, case, seed + i)
+              for i in range(2 if shape == "2xN" else 1)]
+    got = src.convert_approx(
+        np.stack(halves) if shape == "2xN" else halves[0], dst)
+    want = [change_basis(RnsPoly(src, x, COEFF), dst).data for x in halves]
+    assert np.array_equal(got, np.stack(want) if shape == "2xN" else want[0])
+
+
+@pytest.mark.parametrize("src_limbs", [65, 300])
+@pytest.mark.parametrize("case", ["random", "scaled q-1"])
+def test_float_mac_conversion_past_64_limbs_exact_or_rejected(wide_pool,
+                                                              src_limbs,
+                                                              case):
+    """Past 64 source limbs one float64 dot product could round: the
+    conversion must still be exact, or refuse with ParameterError."""
+    src = RnsBasis(wide_pool[:src_limbs])
+    dst = RnsBasis(wide_pool[src_limbs:src_limbs + 8])
+    residues = _conversion_input(src, 64, case, src_limbs)
+    try:
+        got = src.convert_approx(residues, dst)
+    except ParameterError:
+        return
+    assert np.array_equal(
+        got, change_basis(RnsPoly(src, residues, COEFF), dst).data)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Times the batched kernel against the per-limb/per-poly reference oracle
 (``tests/fhe/oracles.py``) *in the same process on the same data* at a fixed shape (N=4096, L=8),
-and the NTT alone at the serving shapes (N=256, 5 and 10 limbs), and
-fails if a speedup ratio drops below the floor recorded in
-``tests/baselines/fhe_perf_floor.json``.  Because both sides run on the
+the NTT alone at the serving shapes (N=256, 5 and 10 limbs), and the
+keyswitch's base conversion and stacked ModDown at serve's shape (N=256,
+5 limbs each side), and fails if a speedup ratio drops below the floor
+recorded in ``tests/baselines/fhe_perf_floor.json``.  Because both sides run on the
 same machine in the same run, the gate is machine-relative: absolute
 speed does not matter, only the batching advantage.  A refactor that
 quietly reintroduces a per-limb Python loop drives the ratio to ~1.0
@@ -23,12 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.fhe.keyswitch import mod_down_pair
 from repro.fhe.ntt import BatchedNttContext
-from repro.fhe.poly import EVAL, RnsPoly, batch_rescale
+from repro.fhe.poly import COEFF, EVAL, RnsPoly, batch_rescale
 from repro.fhe.primes import find_ntt_primes
 from repro.fhe.rns import RnsBasis
 
-from tests.fhe.oracles import NttContext, rescale
+from tests.fhe.oracles import NttContext, change_basis, mod_down, rescale
 
 FLOOR_FILE = Path(__file__).parent.parent / "baselines" / "fhe_perf_floor.json"
 SPEC = json.loads(FLOOR_FILE.read_text())
@@ -124,4 +126,39 @@ def test_eval_automorphism_beats_roundtrip_floor(gate):
         f"EVAL-domain automorphism speedup {ratio:.2f}x fell below the "
         f"floor {floors['eval_automorphism']}x - rotations are paying "
         "for NTTs again?"
+    )
+
+
+@pytest.fixture(scope="module")
+def keyswitch_gate():
+    spec = SPEC["serving_keyswitch"]
+    limbs = spec["limbs"]
+    basis, data = _shape(spec["degree"], 2 * limbs)
+    return spec["floors"], basis[:limbs], basis[limbs:], data
+
+
+def test_convert_approx_beats_per_term_floor_at_serving_shape(keyswitch_gate):
+    floors, src, dest, data = keyswitch_gate
+    rows = data[:len(src)]
+    poly = RnsPoly(src, rows, COEFF)
+    ratio = _best_of(lambda: change_basis(poly, dest), reps=30) / _best_of(
+        lambda: src.convert_approx(rows, dest), reps=30)
+    assert ratio >= floors["convert_approx"], (
+        f"convert_approx speedup {ratio:.2f}x fell below the floor "
+        f"{floors['convert_approx']}x - the BLAS MAC regressed?"
+    )
+
+
+def test_stacked_mod_down_beats_per_poly_floor_at_serving_shape(
+        keyswitch_gate):
+    floors, q_basis, aux_basis, data = keyswitch_gate
+    target = q_basis.extend(aux_basis)
+    acc = np.stack([data, data * np.uint64(3) % target.moduli_col])
+    polys = [RnsPoly(target, half, EVAL) for half in acc]
+    ratio = _best_of(
+        lambda: [mod_down(p, q_basis, aux_basis) for p in polys], reps=30
+    ) / _best_of(lambda: mod_down_pair(acc, q_basis, aux_basis), reps=30)
+    assert ratio >= floors["mod_down"], (
+        f"stacked ModDown speedup {ratio:.2f}x fell below the floor "
+        f"{floors['mod_down']}x - the accumulator is being split again?"
     )

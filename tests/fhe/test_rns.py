@@ -1,5 +1,8 @@
 """RNS bases and the changeRNSBase kernel (Listing 1's core loop)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +64,21 @@ def test_drop_last(basis):
     assert basis.drop_last(3) == RnsBasis(PRIMES[:1])
     with pytest.raises(ValueError):
         basis.drop_last(4)
+
+
+def test_bases_are_interned_per_moduli_tuple(basis, dest):
+    """Every way of naming a moduli tuple yields the one basis, so its
+    cached columns and conversion tables are built once."""
+    assert RnsBasis(list(PRIMES[:4])) is basis
+    assert RnsBasis(np.array(PRIMES[:4], dtype=np.uint64)) is basis
+    assert basis[:2] is RnsBasis(PRIMES[:2]) is basis.drop_last(2)
+    assert basis.extend(dest) is RnsBasis(PRIMES[:8])
+    assert RnsBasis(PRIMES[:8])[:4] is basis
+    assert pickle.loads(pickle.dumps(basis)) is basis
+    assert copy.deepcopy(basis) is basis
+    assert basis[:3].moduli_col is basis.drop_last().moduli_col
+    assert (basis.conversion_constants(dest)
+            is RnsBasis(PRIMES[:4]).conversion_constants(dest[:]))
 
 
 def test_residue_roundtrip_signed(basis):
