@@ -123,9 +123,9 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
                     cache: CompileCache | None = None) -> Program:
     """Lower ``program`` for ``cfg``, optionally through a compile cache.
 
-    The pipeline is rotation hoisting (``min_group=2``), whose cost-model
-    gate means the result is never slower than the input program.  It
-    is deterministic, which is what makes a cached schedule a
+    The pipeline is rotation hoisting, whose cost-model gate means the
+    result is never slower than the input program.  It is
+    deterministic, which is what makes a cached schedule a
     *bit-identical* substitute for recompiling.
 
     On a hit the cached op stream is returned under the caller's
@@ -145,7 +145,7 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
             out.ops = list(hit.ops)
             return out
     with obs.span("compiler.compile", "compiler"):
-        lowered = hoist_rotations(program, cfg, min_group=2)
+        lowered = hoist_rotations(program, cfg)
     if cache is not None:
         cache.put(key, lowered)
     return lowered

@@ -63,20 +63,19 @@ from repro.ir import HOIST_MODUP, ROTATE, ROTATE_HOISTED, HomOp, Program
 from repro.obs import collector as obs
 
 
-def hoist_rotations(program: Program, cfg: ChipConfig | None = None,
-                    min_group: int = 2) -> Program:
+def hoist_rotations(program: Program,
+                    cfg: ChipConfig | None = None) -> Program:
     """Return a new Program with profitable rotation groups hoisted.
 
     ``cfg`` is the machine the profitability test targets (default: the
-    CraterLake configuration); ``min_group`` the smallest group size even
-    considered (the cost test already rejects singletons).
+    CraterLake configuration).  Only groups of two or more rotations are
+    considered (the cost test rejects singletons anyway).
     """
     with obs.span("compiler.hoist_rotations", "compiler"):
-        return _hoist_rotations(program, cfg or ChipConfig(), min_group)
+        return _hoist_rotations(program, cfg or ChipConfig())
 
 
-def _hoist_rotations(program: Program, cfg: ChipConfig,
-                     min_group: int) -> Program:
+def _hoist_rotations(program: Program, cfg: ChipConfig) -> Program:
     costs = CostTable(cfg, program.degree)
 
     # Group plain rotations by the SSA version of their source operand at
@@ -100,7 +99,7 @@ def _hoist_rotations(program: Program, cfg: ChipConfig,
     for gidx, ((src, ver, level, digits), members) in enumerate(
             sorted(groups.items(), key=lambda kv: kv[1][0])):
         k = len(members)
-        if k < min_group:
+        if k < 2:
             continue
         first = program.ops[members[0]]
         raised = f"{src}@up{gidx}"

@@ -419,14 +419,12 @@ class CkksContext:
         """Degrade-mode repairs before a ct x ct multiply."""
         if not self.policy.degrade or self._degrading:
             return a, b
+        # A ct x ct multiply's rescale needs a level below it to land on.
         if a is b:
-            a = b = self._normalize_scale(
-                self._ensure_level(a, self.policy.min_level + 1, op), op)
+            a = b = self._normalize_scale(self._ensure_level(a, 2, op), op)
             return a, b
-        a = self._normalize_scale(
-            self._ensure_level(a, self.policy.min_level + 1, op), op)
-        b = self._normalize_scale(
-            self._ensure_level(b, self.policy.min_level + 1, op), op)
+        a = self._normalize_scale(self._ensure_level(a, 2, op), op)
+        b = self._normalize_scale(self._ensure_level(b, 2, op), op)
         if a.level != b.level:  # repairs may have desynced the bases
             target = min(a.level, b.level)
             a = self.drop_to_level(a, target)

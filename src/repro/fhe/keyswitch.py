@@ -135,8 +135,7 @@ class KeySwitchHint:
         if injector is not None:
             injector.maybe_corrupt(_faults.HBM, rows[0])
         integ = _guards.integrity_active()
-        if (integ is not None and integ.verify_hints
-                and self.checksums is not None):
+        if integ is not None and self.checksums is not None:
             reference = self.checksums[index][:, take]
             with obs.span("reliability.hint.verify", "reliability"):
                 if np.array_equal(limb_checksums(rows, basis.moduli_col),

@@ -14,7 +14,7 @@ failure domains), and the gates are absolute -
 
 Stubborn link faults (every fourth link trial) corrupt consecutive
 retransmits of the same transfer - still inside the pod's
-``link_retries`` budget, so the executor absorbs them; the campaign
+``LINK_RETRIES`` budget, so the executor absorbs them; the campaign
 reports them separately because they exercise the backoff path.
 
 Run it from the command line::

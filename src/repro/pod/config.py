@@ -26,6 +26,10 @@ DATA_PARALLEL = "data"
 MODEL_PARALLEL = "model"
 STRATEGIES = (DATA_PARALLEL, MODEL_PARALLEL)
 
+# Fault-recovery budgets for the pod failure domains.
+LINK_RETRIES = 3        # retransmits of a corrupted transfer before escalating
+CHECKPOINT_ROUNDS = 2   # pod checkpoint every k lock-step rounds
+
 
 @dataclass(frozen=True)
 class PodConfig:
@@ -41,9 +45,6 @@ class PodConfig:
     link_gbps: float = 100.0          # per direction, per link
     link_latency_cycles: float = 500.0  # per-hop fixed cost (SerDes + route)
     strategy: str = DATA_PARALLEL
-    # Fault-recovery budgets for the pod failure domains.
-    link_retries: int = 3             # retransmits before escalating
-    checkpoint_rounds: int = 2        # pod checkpoint every k lock-step rounds
     seed: int = 2022
 
     def __post_init__(self):
@@ -59,12 +60,6 @@ class PodConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown pod strategy {self.strategy!r}",
                               known=STRATEGIES)
-        if self.link_retries < 0:
-            raise ConfigError("link_retries cannot be negative",
-                              link_retries=self.link_retries)
-        if self.checkpoint_rounds < 1:
-            raise ConfigError("checkpoint_rounds must be >= 1",
-                              checkpoint_rounds=self.checkpoint_rounds)
 
     # -- derived quantities --------------------------------------------------
 

@@ -21,8 +21,8 @@ failure domains:
   receiver's restore re-verifies the per-limb seals, so any flipped bit
   raises and the payload is never accepted.  The sender retransmits
   from its intact copy with seeded exponential backoff
-  (:data:`~repro.reliability.backoff.RETRY_BACKOFF`) up to the pod's
-  ``link_retries`` budget, then escalates with
+  (:data:`~repro.reliability.backoff.RETRY_BACKOFF`) up to
+  :data:`~repro.pod.config.LINK_RETRIES` times, then escalates with
   :class:`~repro.reliability.errors.InterconnectError`.
 
 Execution state is a per-logical-chip dict of named ciphertexts; a step
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import collector as obs
-from repro.pod.config import PodConfig
+from repro.pod.config import CHECKPOINT_ROUNDS, LINK_RETRIES, PodConfig
 from repro.reliability.backoff import RETRY_BACKOFF
 from repro.reliability.errors import (
     ChipFailure,
@@ -187,7 +187,7 @@ class PodExecutor:
             raise ParameterError("transfer of a value the sender lacks",
                                  src=t.src, name=t.name)
         snap = snapshot_ciphertext(sender[t.name])  # sealed, sender-side
-        attempts = self.pod.link_retries + 1
+        attempts = LINK_RETRIES + 1
         for attempt in range(attempts):
             wire = CiphertextSnapshot(
                 moduli=snap.moduli,
@@ -223,7 +223,7 @@ class PodExecutor:
         raise InterconnectError(
             "link retransmit budget exhausted; transfer never arrived "
             "intact", src=t.src, dst=t.dst, name=t.name,
-            retries=self.pod.link_retries)
+            retries=LINK_RETRIES)
 
     # -- main loop ----------------------------------------------------------
 
@@ -264,6 +264,6 @@ class PodExecutor:
                 obs.count("pod.steps")
             for t in self.transfers.get(r, ()):  # round-boundary dataflow
                 self._transfer(t)
-            if (r + 1) % self.pod.checkpoint_rounds == 0:
+            if (r + 1) % CHECKPOINT_ROUNDS == 0:
                 self._checkpoint_all()
         return self.states

@@ -107,7 +107,6 @@ def _output_words(program: Program) -> float:
 
 def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
                   alive: tuple[int, ...] | None = None,
-                  checkpoint_every: int = 0,
                   cache: CompileCache | None = None) -> list[SimResult]:
     """Simulate every model-parallel shard with its boundary transfers
     double-buffered: each shard's ``link_in`` / ``link_out`` rides a
@@ -139,14 +138,13 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
         if cache is not None:
             shard_prog = compile_program(shard_prog, cfg, cache=cache)
         results.append(simulate(
-            shard_prog, cfg, checkpoint_every,
-            overlap_streams=overlap or None,
+            shard_prog, cfg, overlap_streams=overlap or None,
             chip=alive[j] if alive is not None else j))
     return results
 
 
 def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
-                 failed_chips=(), checkpoint_every: int = 0,
+                 failed_chips=(),
                  cache: CompileCache | None = None) -> PodResult:
     """Run ``program`` on a ``pod`` of ``cfg`` chips; see module docstring.
 
@@ -196,8 +194,8 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                 # no per-chip event stream to distinguish them.
                 chip_results[c] = shared
                 continue
-            shared = simulate(replica, cfg, checkpoint_every,
-                              overlap_streams=streams, chip=c)
+            shared = simulate(replica, cfg, overlap_streams=streams,
+                              chip=c)
             chip_results[c] = shared
         slowest = max(r.serialized_cycles for r in chip_results.values())
         result = PodResult(
@@ -211,13 +209,11 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
     else:
         part = partition(program, cfg, pod, chips=k)
         # The min-cut gate already priced the winning partition through
-        # stage_results; reuse its runs when nothing (tracing, compile
-        # cache, checkpoint traffic) would change the outcome.
+        # stage_results; reuse its runs when nothing (tracing, the
+        # compile cache) would change the outcome.
         results = part._gate_results
-        if (results is None or tr is not None or cache is not None
-                or checkpoint_every):
+        if results is None or tr is not None or cache is not None:
             results = stage_results(part, cfg, pod, alive=alive,
-                                    checkpoint_every=checkpoint_every,
                                     cache=cache)
         chip_results = {alive[j]: res for j, res in enumerate(results)}
         link_words = sum(e.words * e.hops for e in part.edges)

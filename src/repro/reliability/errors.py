@@ -157,7 +157,7 @@ class InterconnectError(FaultDetectedError):
     valid inputs), so existing recovery ladders treat it as a detected
     fault.  The receiver never accepts the payload; the sender
     retransmits from its intact copy with seeded backoff, up to the
-    pod's ``link_retries`` budget, after which it escalates as
+    pod's ``LINK_RETRIES`` budget, after which it escalates as
     unrecoverable.  Context carries the link (sender, receiver) and the
     retry count.
     """

@@ -259,8 +259,8 @@ def _check_seconds(collector) -> float:
 
 
 def run_campaign(seed: int = 2022, faults: int = 1000, degree: int = 256,
-                 max_level: int = 6, pool_size: int = 8, clean_ops: int = 64,
-                 ntt_recheck_every: int = 0) -> CampaignResult:
+                 max_level: int = 6, pool_size: int = 8,
+                 clean_ops: int = 64) -> CampaignResult:
     """Inject ``faults`` seeded corruptions and measure what gets caught.
 
     Builds one CKKS context with checksum sealing on, a pool of
@@ -307,9 +307,7 @@ def run_campaign(seed: int = 2022, faults: int = 1000, degree: int = 256,
             for resident in pool:
                 ctx.verify_integrity(resident, "rf evictee")
 
-    integrity = guards.IntegrityConfig(verify_hints=True, ntt_checksum=True,
-                                       ntt_recheck_every=ntt_recheck_every,
-                                       boundary_hook=evict_sweep)
+    integrity = guards.IntegrityConfig(boundary_hook=evict_sweep)
 
     stats = {site: SiteStats() for site in SITES}
     false_positives = 0

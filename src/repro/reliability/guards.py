@@ -20,7 +20,7 @@ default, so untraced runs pay a single ``is None`` test.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.reliability.errors import (
     LevelMismatchError,
@@ -63,11 +63,6 @@ class ReliabilityPolicy:
     mode: str = STRICT
     track_noise: bool = False
     checksums: bool = False
-    # Degradation details: bootstrap whenever an op would need to go
-    # below this level, and keep this many headroom bits before deciding
-    # a multiply's scale no longer fits the live modulus.
-    min_level: int = 1
-    headroom_margin_bits: float = 2.0
 
     def __post_init__(self):
         if self.mode not in (STRICT, DEGRADE):
@@ -75,9 +70,6 @@ class ReliabilityPolicy:
                 f"unknown reliability mode {self.mode!r}",
                 expected=f"{STRICT!r} or {DEGRADE!r}",
             )
-        if self.min_level < 1:
-            raise ParameterError("min_level must be >= 1",
-                                 min_level=self.min_level)
 
     @property
     def degrade(self) -> bool:
@@ -125,8 +117,8 @@ def check_min_level(ct, needed: int, op: str) -> None:
 class IntegrityConfig:
     """What the sub-context layers verify while the switch is on.
 
-    ``verify_hints`` checks per-limb checksums of keyswitch-hint rows as
-    they are loaded (the HBM-transfer trust boundary);
+    Keyswitch-hint rows are always checked against their per-limb
+    checksums as they are loaded (the HBM-transfer trust boundary);
     ``ntt_checksum`` verifies the end-of-op transform checksum after
     every NTT/iNTT - an O(N) linearity invariant (see
     ``BatchedNttContext.verify_transform``) that deterministically
@@ -137,18 +129,18 @@ class IntegrityConfig:
     0 disables);
     ``boundary_hook`` is invoked at every keyswitch boundary - the
     natural detection point for register-file residents about to be
-    displaced by the keyswitch working set.  Fault campaigns install an
-    eviction sweep here that re-verifies each evictee's seal before its
-    words would be written back.
+    displaced by the keyswitch working set.  Executors install
+    :meth:`~repro.reliability.recovery.RecoveringExecutor.evict_sweep`
+    here, which re-verifies each evictee's seal before its words would
+    be written back.
     """
 
-    verify_hints: bool = True
     ntt_checksum: bool = True
     ntt_recheck_every: int = 0
     boundary_hook: object | None = None  # callable () -> None
     # Running transform count; the NTT layer increments it so "every k-th"
     # is deterministic per integrity scope, not per process.
-    ntt_calls: int = 0
+    ntt_calls: int = field(default=0, init=False)
 
 
 _integrity: IntegrityConfig | None = None

@@ -165,8 +165,8 @@ class Checkpoint:
         return sum(s.size_words() for s in self.entries.values())
 
 
-def take_checkpoint(ctx, state: dict, step: int, label: str = "",
-                    verify: bool = True) -> Checkpoint:
+def take_checkpoint(ctx, state: dict, step: int,
+                    label: str = "") -> Checkpoint:
     """Snapshot every ciphertext in ``state`` after verifying its seal.
 
     The verification is what keeps rollback targets trustworthy: a limb
@@ -178,8 +178,7 @@ def take_checkpoint(ctx, state: dict, step: int, label: str = "",
         obs.count("reliability.recovery.checkpoints")
         entries = {}
         for name, ct in state.items():
-            if verify:
-                ctx.verify_integrity(ct, f"checkpoint entry {name!r}")
+            ctx.verify_integrity(ct, f"checkpoint entry {name!r}")
             entries[name] = snapshot_ciphertext(ct)
         return Checkpoint(step=step, entries=entries, label=label)
 
@@ -351,16 +350,15 @@ class RecoveryPolicy:
     (`repro.serve`) passes its seeded rng so jittered schedules stay
     reproducible.  Where the pause *happens* is the executor's ``sleep``
     hook: ``time.sleep`` by default, a virtual clock under simulation.
-    ``verify_checkpoints``: verify every entry's seal at checkpoint time
-    (strongly recommended: an unverified checkpoint taken between a
-    corruption and its detection poisons every rollback to it).
+    Checkpoints always verify every entry's seal (an unverified
+    checkpoint taken between a corruption and its detection would poison
+    every rollback to it).
     """
 
     checkpoint_every: int = 4
     max_retries: int = 3
     max_restarts: int = 1
     backoff: Backoff | None = None
-    verify_checkpoints: bool = True
 
     def __post_init__(self):
         if self.checkpoint_every < 1:
@@ -427,16 +425,13 @@ class RecoveringExecutor:
         # simulation (no wall-clock calls in deterministic campaigns).
         self._sleep = sleep if sleep is not None else time.sleep
         self._rng = rng  # jitter source for policy.backoff
-        # Live view of the running program's state dict, for integrity
-        # boundary hooks (e.g. the RF eviction sweep) that need to see
-        # the current residents mid-keyswitch.
-        self.state: dict | None = None
+        # Live view of the running program's state dict: the residents
+        # :meth:`evict_sweep` verifies mid-keyswitch.
+        self._state: dict | None = None
 
     def _checkpoint(self, state: dict, step: int,
                     stats: RecoveryStats) -> Checkpoint:
-        ckpt = take_checkpoint(self.ctx, state, step,
-                               label=f"step{step}",
-                               verify=self.policy.verify_checkpoints)
+        ckpt = take_checkpoint(self.ctx, state, step, label=f"step{step}")
         if self.cfg is not None:
             ckpt.cycles = checkpoint_cycles(ckpt, self.cfg)
             stats.checkpoint_cycles += ckpt.cycles
@@ -465,6 +460,21 @@ class RecoveringExecutor:
         obs.count("reliability.recovery.rollbacks")
         return state, initial.step
 
+    def evict_sweep(self) -> None:
+        """Verify every resident of the running program's state.
+
+        Install as the integrity ``boundary_hook``: a keyswitch's working
+        set displaces the register file, so each resident's words are
+        about to be written back - a corrupted one raises
+        ``FaultDetectedError`` here, inside the step, and the executor
+        rolls back.  A no-op before :meth:`run` starts.
+        """
+        if self._state is None:
+            return
+        with obs.span("reliability.rf.evict_verify", "reliability"):
+            for name, ct in self._state.items():
+                self.ctx.verify_integrity(ct, f"rf evictee {name!r}")
+
     def run(self, steps, state: dict) -> tuple[dict, RecoveryStats]:
         """Execute ``steps`` over ``state``; returns (final state, stats).
 
@@ -473,9 +483,8 @@ class RecoveringExecutor:
         """
         policy = self.policy
         stats = RecoveryStats()
-        self.state = state
-        initial = take_checkpoint(self.ctx, state, 0, label="initial",
-                                  verify=policy.verify_checkpoints)
+        self._state = state
+        initial = take_checkpoint(self.ctx, state, 0, label="initial")
         executed: set[int] = set()
         # Retries are scoped to the faulting step: earlier steps replaying
         # cleanly after a rollback is expected, not progress against the
@@ -524,7 +533,7 @@ class RecoveringExecutor:
                         self.store.drop_latest()
                     state, i = self._restore(self.store.latest(), initial,
                                              stats)
-                    self.state = state
+                    self._state = state
                 elif stats.restarts < policy.max_restarts:
                     stats.restarts += 1
                     obs.count("reliability.recovery.restarts")
@@ -532,7 +541,7 @@ class RecoveringExecutor:
                     while self.store.drop_latest() is not None:
                         pass
                     state = restore_checkpoint(initial)
-                    self.state = state
+                    self._state = state
                     i = 0
                     # Restart replays everything already executed once.
                 else:
@@ -741,19 +750,8 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
         return RecoveringExecutor(ctx, policy, store=RingBufferStore(4),
                                   cfg=cfg, step_cycles=step_cycles)
 
-    def evict_sweep(exe):
-        """Keyswitch boundary: verify each RF resident being displaced."""
-        def hook():
-            if exe.state is None:
-                return
-            with obs.span("reliability.rf.evict_verify", "reliability"):
-                for name, ct in exe.state.items():
-                    ctx.verify_integrity(ct, f"rf evictee {name!r}")
-        return hook
-
     def run_once(exe, trial_steps):
-        integ = guards.IntegrityConfig(verify_hints=True, ntt_checksum=True,
-                                       boundary_hook=evict_sweep(exe))
+        integ = guards.IntegrityConfig(boundary_hook=exe.evict_sweep)
         with guards.integrity(integ):
             return exe.run(trial_steps, restore_checkpoint(master))
 

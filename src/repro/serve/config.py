@@ -2,10 +2,11 @@
 
 One frozen dataclass holds every robustness knob of `repro.serve`:
 capacity (queue depth, packing geometry), deadlines, the degradation
-ladder, retries, and the per-tenant circuit breaker.  Construction
-runs :func:`repro.reliability.validate.validate_config`, which
-recognizes serve configs structurally and rejects nonsense (zero queue
-depth, negative deadline, a block that does not tile the slot count)
+watermark, retries, and the per-tenant circuit breaker; policy values
+nothing varies are module constants.  Construction runs
+:func:`repro.reliability.validate.validate_config`, which recognizes
+serve configs structurally and rejects nonsense (zero queue depth,
+negative deadline, a block that does not tile the slot count)
 with :class:`~repro.reliability.errors.ConfigError` before a single
 request is accepted - the same fail-in-microseconds contract the chip
 simulator gives (program, ChipConfig) pairings.
@@ -24,6 +25,12 @@ from dataclasses import dataclass, replace
 
 from repro.reliability.backoff import RETRY_BACKOFF
 from repro.reliability.validate import validate_config
+
+# Fixed serving policy: values no deployment has needed to change.
+DEGRADE_BATCH_DIVISOR = 2    # a degraded dispatch packs max_batch // 2
+EXECUTOR_RETRIES = 1         # in-executor checkpoint replays per attempt
+EXECUTOR_RESTARTS = 1        # in-executor full restarts per attempt
+PAYLOAD_LIMIT = 8.0          # max |value| accepted at admission
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,6 @@ class ServeConfig:
     # -- admission control / load shedding --------------------------------
     queue_depth: int = 64        # bound on queued requests (hard)
     default_deadline_s: float = 5e-3   # deadline when the client sets none
-    admission_slack: float = 1.0 # scale on the wait estimate used by the
-    #                              deadline-feasibility check (>1 sheds
-    #                              earlier, <1 gambles on the estimate)
 
     # -- batching / graceful degradation ----------------------------------
     batch_window_s: float = 2e-4 # max wait for a batch to fill
@@ -56,21 +60,11 @@ class ServeConfig:
     #                              waiting for full batches and halves the
     #                              packing target, trading throughput for
     #                              bounded latency *before* shedding
-    degrade_batch_divisor: int = 2
 
     # -- retries / faults --------------------------------------------------
     max_retries: int = 2         # serve-level batch re-executions, each
     #                              paused by RETRY_BACKOFF
-    admission_retry_budget: float = 1.0  # fraction of the worst-case
-    #                              retry/backoff budget folded into the
-    #                              admission ETA.  1.0 = a request is only
-    #                              admitted if its deadline survives every
-    #                              retry pausing at the backoff ceiling;
-    #                              0.0 restores the old optimistic ETA
-    #                              that shed *after* burning chip time
     checkpoint_every: int = 2    # RecoveringExecutor checkpoint cadence
-    executor_retries: int = 1    # in-executor checkpoint replays
-    executor_restarts: int = 1   # in-executor full restarts
 
     # -- per-tenant circuit breaker ---------------------------------------
     breaker_threshold: int = 3   # consecutive failures before opening
@@ -80,9 +74,6 @@ class ServeConfig:
     verify_responses: bool = False  # clean-replay every completed batch
     #                              and compare decrypted slots bit-exactly
     #                              (the campaign's 0-wrong-answer check)
-
-    # -- payload sanity (tenant-attributable) ------------------------------
-    payload_limit: float = 8.0   # max |value| accepted at admission
 
     def __post_init__(self):
         validate_config(self)
@@ -100,13 +91,12 @@ class ServeConfig:
         """Worst-case serve-level backoff a faulted batch accumulates.
 
         ``max_retries`` pauses, each bounded by the *ceiling* pause (the
-        last retry's exponential step at full positive jitter), scaled
-        by ``admission_retry_budget``.  The admission ETA folds this in
-        so a request whose deadline only holds if nothing ever faults is
-        shed up front instead of expiring after occupying the chip.
+        last retry's exponential step at full positive jitter).  The
+        admission ETA folds all of it in, so a request whose deadline
+        only holds if nothing ever faults is shed up front instead of
+        expiring after occupying the chip.
         """
-        return self.admission_retry_budget * self.max_retries \
-            * RETRY_BACKOFF.ceiling(self.max_retries)
+        return self.max_retries * RETRY_BACKOFF.ceiling(self.max_retries)
 
     def with_(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (re-validated)."""

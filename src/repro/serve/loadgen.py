@@ -37,7 +37,7 @@ from repro.reliability.errors import (
     ParameterError,
 )
 from repro.serve.clock import VirtualClock
-from repro.serve.config import ServeConfig
+from repro.serve.config import PAYLOAD_LIMIT, ServeConfig
 from repro.serve.request import COMPLETED, EXPIRED, FAILED
 from repro.serve.server import Server
 from repro.workloads.serving import SERVE_KINDS, slot_reference
@@ -296,7 +296,7 @@ def run_campaign(spec: LoadSpec | None = None,
             if rng.random() < 0.5:
                 payload[int(rng.integers(cfg.block_slots))] = np.nan
             else:
-                payload = payload * (cfg.payload_limit * 10.0)
+                payload = payload * (PAYLOAD_LIMIT * 10.0)
         if rng.random() < spec.tight_fraction:
             deadline = float(rng.uniform(spec.tight_lo_s, spec.tight_hi_s))
         else:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.reliability.errors import ParameterError
+from repro.serve.config import PAYLOAD_LIMIT
 from repro.serve.request import Request
 
 
@@ -46,12 +47,10 @@ class BatchLayout:
 class SlotPacker:
     """Packs validated tenant payloads into one slot vector."""
 
-    def __init__(self, slots: int, block_slots: int, max_batch: int,
-                 payload_limit: float):
+    def __init__(self, slots: int, block_slots: int, max_batch: int):
         self.slots = slots
         self.block_slots = block_slots
         self.max_batch = max_batch
-        self.payload_limit = payload_limit
 
     # -- admission-side validation (tenant-attributable on failure) --------
 
@@ -73,10 +72,10 @@ class SlotPacker:
                 "tenant's block corrupts every co-packed tenant",
                 bad=int(np.sum(~np.isfinite(vec))))
         peak = float(np.max(np.abs(vec))) if vec.size else 0.0
-        if peak > self.payload_limit:
+        if peak > PAYLOAD_LIMIT:
             raise ParameterError(
                 "payload magnitude exceeds the admission limit",
-                peak=peak, limit=self.payload_limit)
+                peak=peak, limit=PAYLOAD_LIMIT)
         return vec
 
     # -- pack / unpack -----------------------------------------------------

@@ -66,7 +66,12 @@ from repro.reliability.recovery import (
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.clock import VirtualClock
-from repro.serve.config import ServeConfig
+from repro.serve.config import (
+    DEGRADE_BATCH_DIVISOR,
+    EXECUTOR_RESTARTS,
+    EXECUTOR_RETRIES,
+    ServeConfig,
+)
 from repro.serve.packing import SlotPacker
 from repro.serve.request import (
     COMPLETED,
@@ -139,8 +144,7 @@ class Server:
         self.hints = {s: self.ctx.rotation_hint(self.sk, s)
                       for s in rotation_strides(c.block_slots)}
         self.weights = serving_weights(c.seed + 1, c.slots, c.block_slots)
-        self.packer = SlotPacker(c.slots, c.block_slots, c.max_batch,
-                                 c.payload_limit)
+        self.packer = SlotPacker(c.slots, c.block_slots, c.max_batch)
         self._plans = {}            # (kind, occupancy) -> (plan, prices)
         self._service = {}          # (kind, occupancy) -> (seconds, tags)
 
@@ -369,7 +373,7 @@ class Server:
         deadline = now + (deadline_s if deadline_s is not None
                           else self.cfg.default_deadline_s)
         eta = self._eta(kind, now)
-        if now + self.cfg.admission_slack * eta > deadline:
+        if now + eta > deadline:
             self._shed(SHED_DEADLINE)
             raise DeadlineExceeded(
                 "deadline infeasible at admission", tenant=tenant,
@@ -430,7 +434,7 @@ class Server:
             * self.cfg.queue_depth
         target = self.cfg.max_batch
         if degraded:
-            target = max(1, target // self.cfg.degrade_batch_divisor)
+            target = max(1, target // DEGRADE_BATCH_DIVISOR)
 
         # EDF: the most urgent request picks the batch's kind, then
         # same-kind requests fill the ciphertext in deadline order.
@@ -601,11 +605,10 @@ class Server:
 
     def _run_attempt(self, run_steps, plan, step_cycles, master):
         """One executor run from the batch's master ciphertext."""
-        c = self.cfg
         policy = RecoveryPolicy(
-            checkpoint_every=c.checkpoint_every,
-            max_retries=c.executor_retries,
-            max_restarts=c.executor_restarts,
+            checkpoint_every=self.cfg.checkpoint_every,
+            max_retries=EXECUTOR_RETRIES,
+            max_restarts=EXECUTOR_RESTARTS,
             backoff=RETRY_BACKOFF)
         pauses: list[float] = []
         exe = RecoveringExecutor(
@@ -613,15 +616,7 @@ class Server:
             step_cycles=step_cycles,
             sleep=pauses.append,  # virtual: charged to batch duration
             rng=self._rng)
-
-        def evict_sweep():
-            if exe.state is None:
-                return
-            for name, ct in exe.state.items():
-                self.ctx.verify_integrity(ct, f"rf evictee {name!r}")
-
-        integ = guards.IntegrityConfig(verify_hints=True, ntt_checksum=True,
-                                       boundary_hook=evict_sweep)
+        integ = guards.IntegrityConfig(boundary_hook=exe.evict_sweep)
         with guards.integrity(integ):
             return exe.run(run_steps, self._initial_state(plan, master))
 

@@ -246,12 +246,12 @@ def test_cache_counters_flow_through_obs():
 def test_compile_program_matches_manual_pipeline():
     cfg = ChipConfig()
     for program in (docs_example_program(), benchmark("packed_bootstrap")):
-        manual = hoist_rotations(program, cfg, 2)
+        manual = hoist_rotations(program, cfg)
         compiled = compile_program(program, cfg)
         assert compiled.ops == manual.ops  # op-for-op
         assert compiled == manual
     program = docs_example_program()
-    manual = hoist_rotations(program, cfg, 2)
+    manual = hoist_rotations(program, cfg)
     cache = CompileCache()
     first = compile_program(program, cfg, cache=cache)
     again = compile_program(program, cfg, cache=cache)

@@ -124,10 +124,9 @@ def test_hoisted_program_is_bit_exact_and_never_slower(fhe, groups,
 
 def test_singleton_groups_are_never_rewritten():
     # Exact-complement split => hoisting a lone rotation is break-even,
-    # and the profitability gate is strict, so even min_group=1 leaves
-    # the program untouched.
+    # so singletons are never candidates and the program is untouched.
     program = _build_program([[2]])
-    hoisted = hoist_rotations(program, _CFG, min_group=1)
+    hoisted = hoist_rotations(program, _CFG)
     assert [op.kind for op in hoisted.ops] == [op.kind for op in program.ops]
     assert not any(op.kind == HOIST_MODUP for op in hoisted.ops)
 

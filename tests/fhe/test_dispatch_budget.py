@@ -49,7 +49,7 @@ def serving():
         policy=guards.ReliabilityPolicy(checksums=True))
     sk = ctx.keygen()
     ct = ctx.encrypt_values(sk, np.linspace(-1, 1, ctx.params.slots))
-    integ = guards.IntegrityConfig(verify_hints=True, ntt_checksum=True)
+    integ = guards.IntegrityConfig()
     with guards.integrity(integ):
         yield ctx, sk, ct
 

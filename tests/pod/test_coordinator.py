@@ -10,6 +10,7 @@ import pytest
 
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.pod import PodConfig, PodExecutor, Transfer
+from repro.pod.config import LINK_RETRIES
 from repro.reliability import guards
 from repro.reliability.errors import (
     ChipFailure,
@@ -111,22 +112,20 @@ def test_link_corruption_detected_and_retransmitted(pod_fixture, reference):
 def test_stubborn_link_fault_exhausts_then_succeeds(pod_fixture, reference):
     """A corruption burst one shy of the budget still recovers."""
     ctx, rot, initial = pod_fixture
-    pod = PodConfig(chips=CHIPS, seed=7, link_retries=3)
     inj = FaultInjector(seed=5)
-    inj.arm(LINK, skip=0, count=3)
-    ex = build(ctx, rot, initial, injector=inj, pod=pod)
+    inj.arm(LINK, skip=0, count=LINK_RETRIES)
+    ex = build(ctx, rot, initial, injector=inj)
     final = ex.run()
-    assert ex.stats.link_faults_detected == 3
-    assert ex.stats.retransmits == 3
+    assert ex.stats.link_faults_detected == LINK_RETRIES
+    assert ex.stats.retransmits == LINK_RETRIES
     assert states_equal(final, reference)
 
 
 def test_link_budget_exhaustion_escalates_typed(pod_fixture):
     ctx, rot, initial = pod_fixture
-    pod = PodConfig(chips=CHIPS, seed=7, link_retries=2)
     inj = FaultInjector(seed=5)
-    inj.arm(LINK, skip=0, count=3)  # every attempt corrupted
-    ex = build(ctx, rot, initial, injector=inj, pod=pod)
+    inj.arm(LINK, skip=0, count=LINK_RETRIES + 1)  # every attempt corrupted
+    ex = build(ctx, rot, initial, injector=inj)
     with pytest.raises(InterconnectError):
         ex.run()
 

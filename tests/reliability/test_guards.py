@@ -47,11 +47,6 @@ def test_unknown_mode_rejected():
         ReliabilityPolicy(mode="fastest")
 
 
-def test_min_level_must_be_positive():
-    with pytest.raises(ParameterError, match="min_level"):
-        ReliabilityPolicy(min_level=0)
-
-
 # -- guard helpers ----------------------------------------------------------
 
 def test_check_same_basis_passes_and_raises():
@@ -86,7 +81,6 @@ def test_integrity_scope_restores_previous_state():
     with guards.integrity(IntegrityConfig(ntt_recheck_every=4)) as cfg:
         assert guards.integrity_active() is cfg
         assert cfg.ntt_recheck_every == 4
-        assert cfg.verify_hints
     assert guards.integrity_active() is None
 
 

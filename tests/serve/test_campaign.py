@@ -16,6 +16,11 @@ from repro.obs import collector as obs
 from repro.reliability.backoff import RETRY_BACKOFF
 from repro.serve import ServeConfig
 from repro.serve.clock import VirtualClock
+from repro.serve.config import (
+    DEGRADE_BATCH_DIVISOR,
+    EXECUTOR_RESTARTS,
+    EXECUTOR_RETRIES,
+)
 from repro.serve.loadgen import (
     STUBBORN,
     LoadSpec,
@@ -111,8 +116,7 @@ def test_stubborn_faults_defeat_executor_but_not_serve():
     assert res.retries > 0              # executor was defeated
     assert res.failed == 0              # serve retries absorbed it all
     assert res.wrong_answers == 0
-    assert STUBBORN > ServeConfig().executor_retries \
-        + ServeConfig().executor_restarts
+    assert STUBBORN > EXECUTOR_RETRIES + EXECUTOR_RESTARTS
 
 
 def test_fault_planner_is_deterministic():
@@ -137,6 +141,18 @@ def test_campaign_with_external_collector_keeps_it_open():
         assert collector.counters.get("serve.offered") == 10.0
     finally:
         obs.disable()
+
+
+def test_serve_eviction_sweep_is_spanned():
+    """Serve's register-file eviction sweep records its integrity span,
+    so serve traces count the sweep's time like the campaigns do."""
+    with obs.collecting() as collector:
+        run_campaign(small_spec(requests=10, fault_rate=0.0,
+                                poison_tenant=None),
+                     ServeConfig(seed=5))
+    calls, _ = collector.span_totals().get("reliability.rf.evict_verify",
+                                           (0, 0.0))
+    assert calls > 0
 
 
 def test_virtual_clock_only_no_wallclock_in_serve():
@@ -185,7 +201,7 @@ def test_degradation_halves_batches_under_backlog():
     assert srv.batches[0].degraded
     assert srv.batches[0].requests
     assert len(srv.batches[0].requests) \
-        == cfg.max_batch // cfg.degrade_batch_divisor
+        == cfg.max_batch // DEGRADE_BATCH_DIVISOR
     assert srv.tally["degraded_dispatches"] == 1
 
 

@@ -46,8 +46,7 @@ def _complete_batch(server, kind, payloads):
 # -- packer mechanics ---------------------------------------------------------
 
 def test_pack_layout_and_unpack_roundtrip():
-    packer = SlotPacker(slots=128, block_slots=16, max_batch=8,
-                        payload_limit=8.0)
+    packer = SlotPacker(slots=128, block_slots=16, max_batch=8)
     reqs = [Request(id=i, tenant=f"t{i}", kind="logreg",
                     payload=np.full(16, float(i)), submitted=0.0,
                     deadline=1.0) for i in range(3)]
@@ -62,8 +61,7 @@ def test_pack_layout_and_unpack_roundtrip():
 
 
 def test_pack_rejects_empty_and_oversized():
-    packer = SlotPacker(slots=128, block_slots=16, max_batch=2,
-                        payload_limit=8.0)
+    packer = SlotPacker(slots=128, block_slots=16, max_batch=2)
     with pytest.raises(ParameterError):
         packer.pack([])
     reqs = [Request(id=i, tenant="t", kind="logreg",

@@ -31,7 +31,6 @@ def test_retry_budget_formula():
     c = cfg(max_retries=2)
     # RETRY_BACKOFF's ceiling pause = base * factor**(retries-1) * (1 + jitter).
     assert c.retry_budget_s() == pytest.approx(2 * 1e-4 * 2.0 * 1.25)
-    assert cfg(admission_retry_budget=0.0).retry_budget_s() == 0.0
     assert cfg(max_retries=0).retry_budget_s() == 0.0
 
 
@@ -50,14 +49,6 @@ def test_eta_includes_retry_budget():
     # Past the budgeted ETA: admitted.
     s.submit("t0", "logreg", np.zeros(16),
              deadline_s=s._eta("logreg", 0.0) * 1.01)
-    assert s.tally["admitted"] == 1
-
-
-def test_budget_knob_restores_optimistic_admission():
-    s = Server(cfg(admission_retry_budget=0.0))
-    base = Server(cfg())
-    tight = base._eta("logreg", 0.0) - 0.5 * base.cfg.retry_budget_s()
-    s.submit("t0", "logreg", np.zeros(16), deadline_s=tight)
     assert s.tally["admitted"] == 1
 
 
