@@ -22,51 +22,37 @@ Run it from the command line::
     PYTHONPATH=src python -m repro.pod --campaign
     PYTHONPATH=src python -m repro.pod --campaign --check
 
-``--check`` regression-gates the result against
-``tests/pod/baseline.json`` exactly like the serving campaign.
+``--check`` compares the result against ``tests/pod/baseline.json``
+with the check every campaign shares (`repro.reliability.campaign`).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.pod.config import PodConfig
 from repro.pod.coordinator import PodExecutor, Transfer
+from repro.reliability.campaign import SiteStats, SiteTotals, render
 from repro.reliability.errors import ChipFailure, InterconnectError
 from repro.reliability.faults import CHIP, LINK, FaultInjector
 
 
 @dataclass
-class PodSiteStats:
-    injected: int = 0
-    detected: int = 0
-
-    @property
-    def detection_rate(self) -> float:
-        return self.detected / self.injected if self.injected else 0.0
-
-
-@dataclass
-class PodCampaignResult:
+class PodCampaignResult(SiteTotals):
     """One pod campaign's aggregate outcome (JSON-stable)."""
 
     seed: int
-    events: int                  # faults actually injected
     chips: int
     rounds: int
     trials: int
     clean_trials: int
-    sites: dict[str, PodSiteStats]
+    sites: dict[str, SiteStats]
     distinct_links: int          # links that saw >= 1 corruption
     distinct_chips_failed: int
     false_positives: int
-    wrong_answers: int
-    unrecovered: int
     stubborn_faults: int
     migrations: int
     replayed_steps: int
@@ -75,18 +61,18 @@ class PodCampaignResult:
     checkpoints: int
     total_seconds: float
 
-    def detection_rate(self, site: str) -> float:
-        return self.sites[site].detection_rate
+    @property
+    def events(self) -> int:
+        """Faults actually injected."""
+        return self.injected
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed, "events": self.events, "chips": self.chips,
             "rounds": self.rounds, "trials": self.trials,
             "clean_trials": self.clean_trials,
-            "sites": {
-                site: {"injected": s.injected, "detected": s.detected}
-                for site, s in self.sites.items()
-            },
+            "sites": {site: s.to_json(("injected", "detected"))
+                      for site, s in self.sites.items()},
             "distinct_links": self.distinct_links,
             "distinct_chips_failed": self.distinct_chips_failed,
             "false_positives": self.false_positives,
@@ -100,36 +86,25 @@ class PodCampaignResult:
         }
 
     def report(self) -> str:
-        from repro.analysis.report import format_table
-
-        rows = [
-            [site, s.injected, s.detected, f"{s.detection_rate:.1%}"]
-            for site, s in self.sites.items()
-        ]
-        table = format_table(
-            ["site", "injected", "detected", "rate"], rows,
-            title=f"Pod fault campaign (seed={self.seed}, "
-                  f"{self.chips} chips)",
-        )
-        lines = [
-            table,
-            "",
-            f"trials: {self.trials} faulted + {self.clean_trials} clean "
-            f"({self.events} faults injected)",
-            f"coverage: {self.distinct_links} distinct links corrupted, "
-            f"{self.distinct_chips_failed} distinct chips fail-stopped, "
-            f"{self.stubborn_faults} stubborn (multi-retransmit) faults",
-            f"recovery: {self.migrations} shard migrations, "
-            f"{self.replayed_steps} steps replayed, "
-            f"{self.retransmits} retransmits "
-            f"({self.backoff_s * 1e3:.2f} ms virtual backoff), "
-            f"{self.checkpoints} pod checkpoints",
-            f"verdict: {self.wrong_answers} wrong answers, "
-            f"{self.unrecovered} unrecovered, "
-            f"{self.false_positives} clean-run false positives "
-            f"({self.total_seconds:.1f}s wall)",
-        ]
-        return "\n".join(lines)
+        return render(
+            f"Pod fault campaign (seed={self.seed}, {self.chips} chips)",
+            self.sites, ["injected", "detected", "rate"],
+            [
+                f"trials: {self.trials} faulted + {self.clean_trials} clean "
+                f"({self.events} faults injected)",
+                f"coverage: {self.distinct_links} distinct links corrupted, "
+                f"{self.distinct_chips_failed} distinct chips fail-stopped, "
+                f"{self.stubborn_faults} stubborn (multi-retransmit) faults",
+                f"recovery: {self.migrations} shard migrations, "
+                f"{self.replayed_steps} steps replayed, "
+                f"{self.retransmits} retransmits "
+                f"({self.backoff_s * 1e3:.2f} ms virtual backoff), "
+                f"{self.checkpoints} pod checkpoints",
+                f"verdict: {self.wrong_answers} wrong answers, "
+                f"{self.unrecovered} unrecovered, "
+                f"{self.false_positives} clean-run false positives "
+                f"({self.total_seconds:.1f}s wall)",
+            ])
 
 
 def chip_programs(chips: int, rounds: int, degree: int,
@@ -238,17 +213,17 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
     chip_opps = chips * rounds                   # one fires() per step
     link_opps = sum(len(ts) for ts in transfers.values())
 
-    sites = {CHIP: PodSiteStats(), LINK: PodSiteStats()}
+    sites = {CHIP: SiteStats(), LINK: SiteStats()}
     faulted_links: set[tuple[int, int]] = set()
     failed_chips: set[int] = set()
-    wrong = unrecovered = stubborn = 0
+    stubborn = 0
     migrations = replayed = retransmits = checkpoints = 0
     backoff_s = 0.0
     injector = FaultInjector(seed=seed + 1)
     trials = 0
     link_trials = 0
 
-    while sites[CHIP].injected + sites[LINK].injected < events:
+    while sum(s.injected for s in sites.values()) < events:
         site = CHIP if trials % 2 == 0 else LINK
         trials += 1
         count = 1
@@ -268,10 +243,10 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
             final = ex.run()
         except (ChipFailure, InterconnectError):
             final = None
-            unrecovered += 1
+            sites[site].unrecovered += 1
         # An arm whose skip outran the run's opportunities never fired;
         # that trial injected nothing and counts for nothing.
-        unfired = injector._armed.pop(site, None) is not None
+        unfired = injector.disarm(site)
         injected = injector.injected[site] - before
         sites[site].injected += injected
         if site == CHIP:
@@ -290,54 +265,16 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
         checkpoints += ex.stats.checkpoints
         if final is not None and injected \
                 and not _states_equal(final, reference, outputs):
-            wrong += 1
+            sites[site].wrong += 1
 
     return PodCampaignResult(
-        seed=seed, events=sites[CHIP].injected + sites[LINK].injected,
-        chips=chips, rounds=rounds, trials=trials,
+        seed=seed, chips=chips, rounds=rounds, trials=trials,
         clean_trials=clean_trials, sites=sites,
         distinct_links=len(faulted_links),
         distinct_chips_failed=len(failed_chips),
-        false_positives=false_positives, wrong_answers=wrong,
-        unrecovered=unrecovered, stubborn_faults=stubborn,
+        false_positives=false_positives, stubborn_faults=stubborn,
         migrations=migrations, replayed_steps=replayed,
         retransmits=retransmits, backoff_s=backoff_s,
         checkpoints=checkpoints,
         total_seconds=time.perf_counter() - t0,
     )
-
-
-# -- regression gate ---------------------------------------------------------
-
-_EXACT_FIELDS = ("events", "chips", "rounds", "trials", "clean_trials",
-                 "distinct_links", "distinct_chips_failed",
-                 "false_positives", "wrong_answers", "unrecovered",
-                 "stubborn_faults", "migrations", "replayed_steps",
-                 "retransmits", "checkpoints")
-
-
-def check_against_baseline(result: PodCampaignResult,
-                           baseline_path) -> list[str]:
-    """Compare a campaign result against a committed baseline; returns
-    human-readable problems (empty = pass).  Counts are integers and the
-    campaign is seeded, so every field must match exactly."""
-    baseline = json.loads(Path(baseline_path).read_text())
-    got = result.to_json()
-    problems = []
-    for f in _EXACT_FIELDS:
-        if got[f] != baseline[f]:
-            problems.append(f"{f}: got {got[f]}, baseline {baseline[f]}")
-    for site, want in baseline["sites"].items():
-        have = got["sites"].get(site)
-        if have != want:
-            problems.append(f"sites[{site}]: got {have}, baseline {want}")
-    # The absolute gates hold regardless of what the baseline says.
-    for site, s in result.sites.items():
-        if s.injected and s.detection_rate < 1.0:
-            problems.append(
-                f"detection[{site}]: {s.detection_rate:.1%} < 100%")
-    if result.wrong_answers:
-        problems.append(f"{result.wrong_answers} wrong answers")
-    if result.unrecovered:
-        problems.append(f"{result.unrecovered} unrecovered faults")
-    return problems

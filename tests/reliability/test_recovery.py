@@ -7,6 +7,7 @@ from repro.core.config import ChipConfig
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.reliability import guards
 from repro.reliability.backoff import Backoff
+from repro.reliability.campaign import check
 from repro.reliability.errors import (
     FaultDetectedError,
     ParameterError,
@@ -293,3 +294,25 @@ def test_recovery_campaign_reproducible(recovery_campaign):
         assert again.sites[site].injected == stats.injected
         assert again.sites[site].recovered == stats.recovered
         assert again.sites[site].replayed_steps == stats.replayed_steps
+
+
+def test_wrong_replay_is_a_wrong_answer_not_an_abort(monkeypatch):
+    """A detected fault whose replay converges on a wrong ciphertext is
+    counted as a wrong answer, so the 0-wrong-answers gate sees it."""
+    restore = RecoveringExecutor._restore
+
+    def lossy_restore(self, *args):
+        state, step = restore(self, *args)
+        ct = next(iter(state.values()))
+        ct.c0.data[0, 0] ^= np.uint64(1)
+        self.ctx.seal(ct)   # validly sealed, so replay runs clean
+        return state, step
+
+    monkeypatch.setattr(RecoveringExecutor, "_restore", lossy_restore)
+    r = run_recovery_campaign(seed=2022, faults=4, degree=128, max_level=4,
+                              clean_runs=1)
+    assert r.detected == r.injected > 0
+    assert r.wrong_answers == r.injected
+    assert r.recovered == r.unrecovered == 0
+    assert check(r, r.to_json()) == [
+        f"gate: wrong_answers = {r.injected}, must be 0"]

@@ -5,6 +5,7 @@ decision - a knob must be able to change a result - so it shows up in
 review as an edit to these lists rather than slipping in unnoticed.
 """
 
+import importlib
 import inspect
 from dataclasses import fields
 
@@ -41,6 +42,24 @@ PARAMETERS = {
     take_checkpoint: ["ctx", "state", "step", "label"],
 }
 
+# The campaign CLIs' flags, by the module whose ``parser()`` builds them.
+# --check, --emit-baseline and --json come from
+# ``repro.reliability.campaign.add_cli_flags`` in all three.
+CLI_FLAGS = {
+    "repro.reliability.faults": [
+        "--seed", "--faults", "--degree", "--max-level", "--recovery",
+        "--check", "--emit-baseline", "--json",
+    ],
+    "repro.serve.__main__": [
+        "--campaign", "--requests", "--qps", "--tenants", "--fault-rate",
+        "--seed", "--check", "--emit-baseline", "--json",
+    ],
+    "repro.pod.__main__": [
+        "--campaign", "--events", "--chips", "--rounds", "--degree", "--seed",
+        "--check", "--emit-baseline", "--json", "--scaling", "--gate",
+    ],
+}
+
 
 @pytest.mark.parametrize("config", list(CONFIG_FIELDS),
                          ids=lambda c: c.__name__)
@@ -52,3 +71,12 @@ def test_config_init_fields_are_pinned(config):
 @pytest.mark.parametrize("fn", list(PARAMETERS), ids=lambda f: f.__name__)
 def test_entry_point_parameters_are_pinned(fn):
     assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+@pytest.mark.parametrize("module", list(CLI_FLAGS))
+def test_campaign_cli_flags_are_pinned(module):
+    parser = importlib.import_module(module).parser()
+    flags = [flag for action in parser._actions
+             for flag in action.option_strings
+             if flag.startswith("--") and flag != "--help"]
+    assert flags == CLI_FLAGS[module]
