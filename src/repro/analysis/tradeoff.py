@@ -8,19 +8,27 @@ ciphertext size for the two synthetic extremes (a serial multiplication
 chain and a 100-wide multiply graph) and finds the optimum in a narrow
 20-26 MB band; the paper sizes CraterLake for exactly that band.
 
-Cost here is the paper's y-axis metric: scalar multiplies per homomorphic
-multiply, computed from the same op-count formulas as Table 1/Fig. 4 plus
-the bootstrap plan's structure.
+Cost here is the paper's y-axis metric, scalar multiplies per homomorphic
+multiply, read from the same emitted ops and :class:`~repro.core.cost.
+CostTable` as Table 3.  Each point prices one steady-state refresh region
+of :mod:`repro.workloads.synthetic`'s programs: the ops a 3-region program
+emits beyond a 2-region one, i.e. one bootstrap plus the (usable - 1)
+multiply steps it feeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.opcounts import boosted_keyswitch_ops
+from repro.core.config import ChipConfig
+from repro.core.cost import CostTable
 from repro.fhe.security import ciphertext_megabytes
-from repro.workloads.bootstrap import BootstrapPlan
-from repro.workloads.synthetic import _plan_for_max_level
+from repro.ir import Program
+from repro.workloads.synthetic import (
+    _plan_for_max_level,
+    multiplication_chain,
+    wide_multiply_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -28,25 +36,18 @@ class CiphertextSizePoint:
     max_level: int
     ciphertext_mb: float
     usable_levels: int
-    bootstrap_mults: float       # scalar mults per bootstrap
-    app_mults_per_op: float      # scalar mults per application multiply
-    mults_per_op_chain: float    # total, serial-chain amortization
-    mults_per_op_wide: float     # total, 100-wide amortization
+    mults_per_op_chain: float    # serial chain, one refresh region
+    mults_per_op_wide: float     # wide graph, one refresh region
 
 
-def _bootstrap_scalar_mults(plan: BootstrapPlan, degree: int) -> float:
-    """Scalar multiplies of one bootstrap under the plan's op structure."""
-    total = 0.0
-    level = plan.top_level
-    rotations = plan.rotations_per_stage * plan.tile_partitions
-    for _ in range(plan.cts_stages + plan.stc_stages):
-        ks = boosted_keyswitch_ops(level, 2 if level > 52 else 1)
-        total += rotations * ks.scalar_mults(degree)
-        level -= 1
-    evalmod_ks = 2 * (plan.evalmod_mults + plan.evalmod_squarings)
-    mid = max(1, level - plan.evalmod_depth // 2)
-    total += evalmod_ks * boosted_keyswitch_ops(mid, 1).scalar_mults(degree)
-    return total
+def _scalar_mults(program: Program, table: CostTable) -> float:
+    return sum(table[op].cost.scalar_mults for op in program.ops)
+
+
+def _region_mults(two: Program, three: Program, table: CostTable) -> float:
+    """Scalar multiplies of one refresh region: a 3-region program's ops
+    minus a 2-region one's."""
+    return _scalar_mults(three, table) - _scalar_mults(two, table)
 
 
 def ciphertext_size_sweep(levels=None, degree: int = 65536,
@@ -54,29 +55,33 @@ def ciphertext_size_sweep(levels=None, degree: int = 65536,
     """Fig. 3's x-sweep: cost per multiply vs maximum ciphertext size."""
     if levels is None:
         levels = [28, 34, 40, 46, 52, 57, 60]
+    table = CostTable(ChipConfig(), degree)
     points = []
     for max_level in levels:
         try:
-            plan = _plan_for_max_level(security, degree, max_level)
+            usable = _plan_for_max_level(security, degree,
+                                         max_level).usable_levels
         except ValueError:
             continue  # too small to host packed bootstrapping
-        usable = plan.usable_levels
-        boot = _bootstrap_scalar_mults(plan, degree)
-        # An application multiply at the midpoint of the usable band.
-        app_level = max(1, usable // 2)
-        app = boosted_keyswitch_ops(app_level, 1).scalar_mults(degree)
-        # Chain: one multiply per level between refreshes.
-        chain = app + boot / usable
-        # Wide graph: `wide_width` multiplies per level between refreshes.
-        wide = app + boot / (usable * wide_width)
+        if usable < 2:
+            continue  # no multiply between refreshes to amortize over
+        # Refreshes land where a value reaches level 1, so a region holds
+        # `steps` multiply steps (one multiply, or one layer of
+        # `wide_width` multiplies) and one bootstrap.
+        steps = usable - 1
+        kw = dict(max_level=max_level, security=security, degree=degree)
+        chain = _region_mults(
+            *(multiplication_chain(total_mults=k * steps, **kw)
+              for k in (2, 3)), table)
+        wide = _region_mults(
+            *(wide_multiply_graph(levels=k * steps, width=wide_width, **kw)
+              for k in (2, 3)), table)
         points.append(CiphertextSizePoint(
             max_level=max_level,
             ciphertext_mb=ciphertext_megabytes(degree, max_level),
             usable_levels=usable,
-            bootstrap_mults=boot,
-            app_mults_per_op=app,
-            mults_per_op_chain=chain,
-            mults_per_op_wide=wide,
+            mults_per_op_chain=chain / steps,
+            mults_per_op_wide=wide / (steps * wide_width),
         ))
     return points
 

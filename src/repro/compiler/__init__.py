@@ -38,11 +38,6 @@ from repro.compiler.kernels import (
     polynomial_activation,
     rotate_accumulate,
 )
-from repro.compiler.placement import (
-    Placement,
-    amortized_cost_per_op,
-    plan_refreshes,
-)
 
 __all__ = [
     "CompileCache",
@@ -56,7 +51,4 @@ __all__ = [
     "polynomial_activation",
     "rotate_accumulate",
     "hoist_rotations",
-    "Placement",
-    "amortized_cost_per_op",
-    "plan_refreshes",
 ]

@@ -9,7 +9,8 @@ The keyswitching formulas implement Listing 1 generalized to t digits and
 reproduce Table 1's operation counts:
 
     boosted:  NTT passes = 6L (+ digit terms), CRB MACs = 3L^2,
-              other multiplies = 4L + O(L)
+              other multiplies = 6L (t=1): Table 1's 4L hint products
+              plus the 2L P^-1 scaling Table 1 folds into the CRB pass
     standard: NTT passes = L^2, multiplies = 2L^2, adds = 2L^2
 
 Register-file pressure is modeled as stream counts (2 reads + 1 write per

@@ -28,7 +28,7 @@ Instrumented out of the box:
 * `repro.fhe.ntt` / `repro.fhe.keyswitch` - wall-clock spans and call
   counts on the functional hot paths.
 * `repro.compiler` - schedule-decision counters (hoisted rotation
-  groups, compile-cache events, bootstrap placements, digit choices).
+  groups, compile-cache events, digit choices).
 
 See docs/TRACING.md for the full guide.
 """

@@ -66,13 +66,6 @@ class BootstrapPlan:
             raise ScheduleError("bootstrap plan consumes the whole chain")
         return usable
 
-    def keyswitch_count(self) -> int:
-        transforms = ((self.cts_stages + self.stc_stages)
-                      * self.rotations_per_stage * self.tile_partitions)
-        evalmod = 2 * (self.evalmod_mults + self.evalmod_squarings)
-        conjugations = 4
-        return transforms + evalmod + conjugations
-
 
 def plan_for(security: int, degree: int = 65536) -> BootstrapPlan:
     """The paper's operating points (Sec. 8, Sec. 9.4).

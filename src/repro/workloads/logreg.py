@@ -33,13 +33,11 @@ def logistic_regression(security: int = 80, degree: int = 65536,
     )
     usable = min(START_LEVEL, plan.usable_levels + plan.input_level)
     w = b.input("weights", usable)
-    w = Value(w.name, usable)
     # Depth per iteration: forward product (1) + sigmoid (5) + update (2).
     iter_depth = 8
     for it in range(iterations):
         if w.level <= iter_depth:
             w = emit_bootstrap(b, w, plan, namespace="boot")
-            w = Value(w.name, plan.usable_levels)
         b.phase(f"iter{it}")
         batch = b.input(f"batch{it}", w.level)
 

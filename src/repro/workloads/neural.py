@@ -48,7 +48,6 @@ def resnet20(security: int = 80, degree: int = 65536,
         "resnet20", security, degree,
         "ResNet-20, fully packed FHE inference (Lee et al. [48], modified)",
     )
-    usable = plan.usable_levels
     # Multiplexed-packed convolution [48]: 2*(k^2-1) = 16 base shifts, each
     # applied across the multiplexing factor (channel blocks sharing the
     # ciphertext); hints are shared across blocks, which is what makes the
@@ -76,7 +75,6 @@ def resnet20(security: int = 80, degree: int = 65536,
     for layer in range(layers):
         if x.level <= level_cost:
             x = emit_bootstrap(b, x, plan, namespace="boot")
-            x = Value(x.name, usable)
         b.phase(f"conv{layer}")
         acc = None
         for shift in range(base_shifts):
@@ -115,13 +113,10 @@ def lstm(security: int = 80, degree: int = 65536,
         "LSTM recurrent inference (Podschwadt & Takabi [57])",
         packed_fraction=0.8,
     )
-    usable = plan.usable_levels
-    h = b.input("h0", usable)
-    h = Value(h.name, usable)
+    h = b.input("h0", plan.usable_levels)
     for step in range(timesteps):
         if h.level <= 4:  # matvec (1) + activation depth (3)
             h = emit_bootstrap(b, h, plan, namespace="boot")
-            h = Value(h.name, usable)
         b.phase(f"step{step}")
         x_t = b.input(f"x{step}", h.level)
         # The replication-packed weight matrices have 16 live diagonals;
@@ -156,7 +151,6 @@ def lola_cifar(security: int = 80, degree: int = 16384) -> Program:
         (1000, 12, 1500), (500, 10, 800), (120, 10, 200),
     ]
     x = b.input("image", 8)
-    x = Value(x.name, 8)
     for i, (blocks, steps, n_weights) in enumerate(layer_shapes):
         b.phase(f"layer{i}")
         acc = None
@@ -189,7 +183,6 @@ def lola_mnist(encrypted_weights: bool, security: int = 80,
         description=f"LoLa MNIST, {'encrypted' if encrypted_weights else 'unencrypted'} weights",
     )
     x = b.input("image", 6)
-    x = Value(x.name, 6)
     # conv layer: 5x5 kernels over 8 replication blocks
     b.phase("conv")
     acc = None

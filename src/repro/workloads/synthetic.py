@@ -8,9 +8,13 @@ level L_max (i.e. maximum ciphertext size):
 * a **wide multiply-add graph** with 100 multiplies per level converging to
   one output - the best case, amortizing each bootstrap over ~100 ops.
 
-Fig. 3 plots cost per homomorphic multiply against max ciphertext size;
-both extremes share an optimum in the 20-26 MB range (L_max ~ 47-62 at
-N=64K), which is the paper's argument for the sizes CraterLake targets.
+Both start at the plan's usable level and bootstrap lazily, when the
+value reaches level 1 (``emit_bootstrap`` returns it at the usable level
+again), so every refresh region holds usable - 1 multiply steps.  For a
+serial chain that emission-time rule is the optimal placement: an earlier
+refresh wastes usable levels, a later one is infeasible.
+:func:`repro.analysis.tradeoff.ciphertext_size_sweep` prices one such
+region of each program with the cost table to draw Fig. 3.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.compiler.digits import digit_schedule
-from repro.compiler.dsl import FheBuilder, Value
+from repro.compiler.dsl import FheBuilder
 from repro.ir import Program
 from repro.workloads.bootstrap import BootstrapPlan, emit_bootstrap, plan_for
 from repro.reliability.errors import ScheduleError
@@ -72,11 +76,9 @@ def multiplication_chain(total_mults: int = 200, max_level: int = 57,
         description="Fig. 3 (left): serial multiplication chain",
     )
     x = b.input("x", plan.usable_levels)
-    x = Value(x.name, plan.usable_levels)
     for _ in range(total_mults):
         if x.level <= 1:
             x = emit_bootstrap(b, x, plan)
-            x = Value(x.name, plan.usable_levels)
         x = b.square(x)
     b.output(x)
     return b.build()
@@ -94,11 +96,9 @@ def wide_multiply_graph(levels: int = 20, width: int = 100,
         description="Fig. 3 (right): wide multiply-add graph",
     )
     x = b.input("x", plan.usable_levels)
-    x = Value(x.name, plan.usable_levels)
     for _ in range(levels):
         if x.level <= 1:
             x = emit_bootstrap(b, x, plan)
-            x = Value(x.name, plan.usable_levels)
         acc = None
         for _ in range(width):
             prod = b.square(x, rescale=False)

@@ -18,6 +18,10 @@ from repro.analysis.opcounts import (
     keyswitch_footprint_curve,
     standard_keyswitch_ops,
 )
+from repro.core.config import ChipConfig
+from repro.core.cost import CostTable
+from repro.ir import MULT, OUTPUT
+from repro.workloads import multiplication_chain, wide_multiply_graph
 
 
 def test_table1_exact_formulas_at_60():
@@ -58,9 +62,41 @@ def test_crossover_is_moderate():
 
 
 def test_sweep_rejects_tiny_chains():
-    # Chains too small for packed bootstrapping are silently skipped.
-    points = ciphertext_size_sweep(levels=[20, 40, 57])
-    assert all(p.max_level >= 40 for p in points) or len(points) < 3
+    # L=20 cannot host packed bootstrapping; L=25 can, but leaves one
+    # usable level and so no multiply to amortize the refresh over.
+    points = ciphertext_size_sweep(levels=[20, 25, 40, 57])
+    assert [p.max_level for p in points] == [40, 57]
+
+
+def _refresh_region(two, three):
+    """The ops a 3-region program emits beyond a 2-region one."""
+    assert three.ops[:len(two) - 1] == two.ops[:-1]
+    assert three.ops[-1].kind == two.ops[-1].kind == OUTPUT
+    return three.ops[len(two) - 1:-1]
+
+
+def test_sweep_point_is_the_cost_table_price_of_one_region():
+    max_level, width = 45, 100
+    point, = ciphertext_size_sweep(levels=[max_level], wide_width=width)
+    steps = point.usable_levels - 1
+    table = CostTable(ChipConfig(), 65536)
+    for metric, mults_per_step, two, three in [
+        ("mults_per_op_chain", 1,
+         multiplication_chain(total_mults=2 * steps, max_level=max_level),
+         multiplication_chain(total_mults=3 * steps, max_level=max_level)),
+        ("mults_per_op_wide", width,
+         wide_multiply_graph(levels=2 * steps, width=width,
+                             max_level=max_level),
+         wide_multiply_graph(levels=3 * steps, width=width,
+                             max_level=max_level)),
+    ]:
+        region = _refresh_region(two, three)
+        app_mults = [op for op in region
+                     if op.kind == MULT and op.tag != "bootstrap"]
+        assert len(app_mults) == steps * mults_per_step
+        price = sum(table[op].cost.scalar_mults for op in region)
+        assert getattr(point, metric) == pytest.approx(
+            price / len(app_mults), rel=1e-12)
 
 
 def test_optimal_point_selects_minimum():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.opcounts import boosted_keyswitch_ops
 from repro.core.config import ChipConfig
 from repro.core.cost import (
     boosted_keyswitch_cost,
@@ -23,6 +24,20 @@ def test_boosted_ntt_passes_match_table1():
     for level in (10, 30, 60):
         cost = boosted_keyswitch_cost(CFG, N, level, 1)
         assert cost.fu_elements["ntt"] == 6 * level * N
+
+
+def test_boosted_keyswitch_is_table1_plus_p_inverse_scaling():
+    """Table 1's 1-digit column counts 3L^2 + 4L multiplies; the cost
+    model charges 2L more, the P^-1 scaling of both ModDown outputs,
+    which Table 1 folds into the CRB pass.  NTT passes agree at 6L."""
+    no_crb = CFG.without_crb_chaining()
+    for level in range(1, 61):
+        table1 = boosted_keyswitch_ops(level)
+        cost = boosted_keyswitch_cost(no_crb, N, level, 1)
+        assert cost.fu_elements["mul"] == (table1.mult + 2 * level) * N
+        assert cost.fu_elements["ntt"] == table1.ntt * N
+        assert cost.scalar_mults == (table1.scalar_mults(N)
+                                     + 2 * level * N)
 
 
 def test_standard_ntt_passes_match_table1():

@@ -1,8 +1,11 @@
 """Workload generators: structure and paper-anchored properties."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.ir import INPUT, KEYSWITCH_KINDS, MULT, ROTATE
+from repro.compiler.dsl import FheBuilder
+from repro.ir import CONJUGATE, INPUT, KEYSWITCH_KINDS, MULT, RESCALE, ROTATE
 from repro.workloads import (
     ALL_BENCHMARKS,
     DEEP_BENCHMARKS,
@@ -11,7 +14,8 @@ from repro.workloads import (
     multiplication_chain,
     wide_multiply_graph,
 )
-from repro.workloads.bootstrap import BootstrapPlan, plan_for
+from repro.workloads.bootstrap import BootstrapPlan, emit_bootstrap, plan_for
+from repro.workloads.synthetic import _plan_for_max_level
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -68,7 +72,35 @@ def test_plan_level_accounting():
     assert plan.top_level == 57
     assert plan.levels_consumed == 35  # Fig. 2: bootstrap consumes 35
     assert plan.usable_levels == 22    # leaving 22 for the application
-    assert plan.keyswitch_count() > 100
+
+
+def test_emitted_bootstrap_keyswitches():
+    plan = plan_for(80)
+    b = FheBuilder("boot", max_level=plan.top_level)
+    emit_bootstrap(b, b.input("x", 1), plan)
+    prog = b.build()
+    # 7 transform stages x 12 rotations x 5 tiles, 2 lanes x (35 sine
+    # multiplies + 8 double angles), and 3 conjugations: the lane split
+    # plus one per lane.
+    assert prog.count(CONJUGATE) == 3
+    assert prog.keyswitch_count() == 7 * 12 * 5 + 2 * (35 + 8) + 3 == 509
+
+
+_PLANS = {
+    **{f"{sec}bit{tag}": replace(plan_for(sec), packed_fraction=fraction)
+       for sec in (80, 128) for tag, fraction in (("", 1.0), ("_lstm", 0.8))},
+    **{f"Lmax{level}": _plan_for_max_level(80, 65536, level)
+       for level in range(30, 61, 3)},
+}
+
+
+@pytest.mark.parametrize("plan", _PLANS.values(), ids=_PLANS.keys())
+def test_bootstrap_returns_the_usable_level(plan):
+    """A workload may carry a refreshed value on as is: no relabel to
+    ``usable_levels`` is needed after ``emit_bootstrap``."""
+    b = FheBuilder("boot", max_level=plan.top_level)
+    assert emit_bootstrap(b, b.input("x", 1), plan).level \
+        == plan.usable_levels
 
 
 def test_plan_consuming_whole_chain_rejected():
@@ -93,6 +125,29 @@ def test_synthetic_chain_bootstraps_between_mults():
     prog = multiplication_chain(total_mults=60, max_level=45)
     assert prog.count(MULT) >= 60
     assert any(op.tag == "bootstrap" for op in prog.ops)
+
+
+@pytest.mark.parametrize("max_level", [30, 57])
+def test_chain_placement_is_lazy(max_level):
+    """The emission-time rule is the placement: each bootstrap refreshes
+    a value at level 1, and each region between refreshes spends every
+    usable level on exactly usable - 1 multiplies."""
+    usable = _plan_for_max_level(80, 65536, max_level).usable_levels
+    prog = multiplication_chain(total_mults=4 * (usable - 1),
+                                max_level=max_level)
+    level_of = {}
+    regions, mults, prev_tag = [], 0, ""
+    for op in prog.ops:
+        if op.tag == "bootstrap" and prev_tag != "bootstrap":
+            assert level_of[op.operands[0]] == 1
+            regions.append(mults)
+            mults = 0
+        elif op.tag != "bootstrap" and op.kind == MULT:
+            mults += 1
+        level_of[op.result] = op.level - 1 if op.kind == RESCALE else op.level
+        prev_tag = op.tag
+    regions.append(mults)
+    assert regions == [usable - 1] * 4
 
 
 def test_synthetic_wide_amortizes():
