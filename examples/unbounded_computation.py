@@ -93,12 +93,12 @@ def recovery_demo():
     rot = ctx.rotation_hint(sk, 1)
 
     rng = np.random.default_rng(0)
-    start = {name: ctx.snapshot(ctx.encrypt_values(
-                 sk, 0.5 * rng.standard_normal(ctx.params.slots)))
+    start = {name: ctx.encrypt_values(
+                 sk, 0.5 * rng.standard_normal(ctx.params.slots))
              for name in ("acc", "base")}
 
     def fresh():
-        return {name: ctx.restore(snap) for name, snap in start.items()}
+        return {name: ct.copy() for name, ct in start.items()}
 
     def rot_step(c, s):
         s["acc"] = c.rotate(s["acc"], 1, rot)

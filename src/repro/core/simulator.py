@@ -274,8 +274,7 @@ def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]
     return plan
 
 
-def simulate(program: Program, cfg: ChipConfig,
-             checkpoint_every: int = 0, *,
+def simulate(program: Program, cfg: ChipConfig, *,
              chip: int | None = None,
              overlap_streams: dict[str, tuple[float, float]] | None = None,
              ) -> SimResult:
@@ -305,15 +304,6 @@ def simulate(program: Program, cfg: ChipConfig,
     Chrome-trace export; ``None`` (the default) keeps the single-chip
     layout.
 
-    ``checkpoint_every`` > 0 models checkpointed execution (the recovery
-    layer's schedule-boundary snapshots, `repro.reliability.recovery`):
-    after every k-th compute op, the live intermediate state - all dirty
-    ciphertext residents - is written back through the HBM stream.  The
-    extra traffic lands under a ``"ckpt"`` key (present only when
-    enabled, so uncheckpointed results keep their exact shape) and
-    advances the memory clock, making the resilience bandwidth cost
-    visible in the same units as Fig. 10a's traffic split.
-
     The op stream is simulated exactly as passed; lowering it is the
     compiler's job (`repro.compiler.cache.compile_program`).
     """
@@ -327,9 +317,6 @@ def simulate(program: Program, cfg: ChipConfig,
     fu_busy: dict[str, float] = {}
     prev_result: str | None = None
     traffic = {KSH: 0.0, INPUTS: 0.0, "interm_load": 0.0, "interm_store": 0.0}
-    if checkpoint_every:
-        traffic["ckpt"] = 0.0
-    compute_ops = 0
     totals = OpCost()
     mem_clock = 0.0
     comp_clock = 0.0
@@ -507,22 +494,6 @@ def simulate(program: Program, cfg: ChipConfig,
         # become Belady victims.
         dead_sweep(op, uses)
 
-        # Checkpoint boundary: snapshot the live intermediate state through
-        # HBM.  Charged before the op's event is recorded so the advance
-        # still telescopes into the per-op cycle accounting.
-        compute_ops += 1
-        if checkpoint_every and compute_ops % checkpoint_every == 0:
-            ckpt_words = sum(
-                r.words for r in rf.objects.values()
-                if r.category == INTERM and r.dirty
-            )
-            if ckpt_words:
-                traffic["ckpt"] += ckpt_words
-                mem_words += ckpt_words
-                mem_clock += ckpt_words / words_per_cycle
-                if tr is not None:
-                    tr.count("sim.checkpoints")
-                    tr.count("sim.checkpoint_words", ckpt_words)
         total_evictions += evicted[0]
         total_dead_drops += dead_drops[0]
         charge_tag(op, crit_before)

@@ -138,21 +138,6 @@ class Bootstrapper:
         exp_depth = ceil(log2(self.config.taylor_degree + 1)) + 2
         return 1 + 1 + exp_depth + self.squarings + 1  # CtS, divide, exp, sq, StC
 
-    def keyswitch_count(self) -> int:
-        """Keyswitches per bootstrap (drives the performance model)."""
-        count = 0
-        for part in (self.coeff_to_slot, self.slot_to_coeff):
-            for half in (part.a_part, part.b_part):
-                if half is not None:
-                    count += half.rotation_count()
-            if part.needs_conjugation():
-                count += 1
-        # EvalMod runs twice (real and imaginary lanes): ~2 sqrt(d) PS
-        # multiplies + r squarings + one conjugation each.
-        ps_mults = 2 * ceil(np.sqrt(self.config.taylor_degree + 1))
-        count += 2 * (ps_mults + self.squarings + 1)
-        return count
-
     # -- stages --------------------------------------------------------------
 
     def _multiply_by_i(self, ct: Ciphertext) -> Ciphertext:

@@ -276,27 +276,6 @@ class CkksContext:
             verify_limbs(ct.c0.data, moduli, ct.integrity[0], f"{what}.c0")
             verify_limbs(ct.c1.data, moduli, ct.integrity[1], f"{what}.c1")
 
-    def snapshot(self, ct: Ciphertext):
-        """Sealed deep copy of ``ct`` for checkpoint/replay recovery.
-
-        Verifies the ciphertext's integrity first (when sealed), so a
-        corrupted operand is detected *at the checkpoint boundary*
-        instead of being enshrined as a rollback target.  Returns a
-        :class:`repro.reliability.recovery.CiphertextSnapshot`.
-        """
-        from repro.reliability import recovery  # deferred: it imports fhe
-
-        if self.policy.checksums:
-            self.verify_integrity(ct, "snapshot operand")
-        with obs.span("reliability.recovery.snapshot", "reliability"):
-            return recovery.snapshot_ciphertext(ct)
-
-    def restore(self, snap) -> Ciphertext:
-        """Materialize a snapshot, re-verifying its seal (bit-identical
-        to the ciphertext :meth:`snapshot` captured)."""
-        with obs.span("reliability.recovery.restore", "reliability"):
-            return snap.restore()
-
     def _finish(self, out: Ciphertext, kind: str,
                 *parents: Ciphertext, seal: bool = True) -> Ciphertext:
         """Post-op bookkeeping: thread the noise budget, seal the result.

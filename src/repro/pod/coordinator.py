@@ -9,17 +9,18 @@ failure domains:
   by construction: the lock-step barrier never hears back), migrates
   every logical chip hosted there onto the least-loaded survivor,
   restores the lost state from the last *pod-coordinated checkpoint*
-  (all chips snapshot at the same round barrier, reusing
-  `repro.reliability.recovery`'s sealed snapshots), replays the missing
+  (all chips checkpoint at the same round barrier, reusing
+  `repro.reliability.recovery`'s sealed copies), replays the missing
   steps, and re-applies the coordinator's receive log (sealed copies of
   every cross-chip payload delivered since that checkpoint - classic
   message-logging recovery, so replay never needs a sender to rewind).
   Replay is deterministic, so recovery is bit-exact.
 * **link corruption** (``reliability.faults.LINK`` site) - a cross-chip
-  transfer is damaged in flight.  Transfers travel as sealed snapshots
-  (:func:`~repro.reliability.recovery.snapshot_ciphertext`); the
-  receiver's restore re-verifies the per-limb seals, so any flipped bit
-  raises and the payload is never accepted.  The sender retransmits
+  transfer is damaged in flight.  Transfers travel as sealed copies
+  (:func:`~repro.reliability.recovery.sealed_copy`); the receiver
+  re-verifies the per-limb seals
+  (:func:`~repro.reliability.recovery.verified_copy`), so any flipped
+  bit raises and the payload is never accepted.  The sender retransmits
   from its intact copy with seeded exponential backoff
   (:data:`~repro.reliability.backoff.RETRY_BACKOFF`) up to
   :data:`~repro.pod.config.LINK_RETRIES` times, then escalates with
@@ -36,7 +37,7 @@ and injector state produce bit-identical final ciphertexts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -52,11 +53,14 @@ from repro.reliability.errors import (
 from repro.reliability.faults import CHIP, LINK, FaultInjector
 from repro.reliability.recovery import (
     Checkpoint,
-    CiphertextSnapshot,
     restore_checkpoint,
-    snapshot_ciphertext,
+    sealed_copy,
     take_checkpoint,
+    verified_copy,
 )
+
+if TYPE_CHECKING:
+    from repro.fhe.ckks import Ciphertext
 
 Step = tuple[str, Callable]
 
@@ -123,8 +127,8 @@ class PodExecutor:
         # Receive log: sealed copies of payloads delivered since the last
         # pod checkpoint, keyed by receiving chip - replayed after a
         # restore so recovery never needs a sender to rewind.
-        self._rx_log: dict[int, list[tuple[int, str, CiphertextSnapshot]]] \
-            = {c: [] for c in range(pod.chips)}
+        self._rx_log: dict[int, list[tuple[int, str, Ciphertext]]] = {
+            c: [] for c in range(pod.chips)}
         self._logical = sorted(self.plans)
         self._round = 0
 
@@ -169,15 +173,15 @@ class PodExecutor:
                 fn(self.ctx, self.states[c])
             self.stats.replayed_steps += 1
             obs.count("pod.replayed_steps")
-            for round_no, key, snap in receipts:
+            for round_no, key, wire in receipts:
                 if round_no == i:
-                    self.states[c][key] = snap.restore()
+                    self.states[c][key] = verified_copy(wire)
         # Receipts delivered after the chip's last step (its plan ended
         # but the pod kept routing to it) have no step to anchor to;
         # re-apply them in arrival order.
-        for round_no, key, snap in receipts:
+        for round_no, key, wire in receipts:
             if round_no >= end:
-                self.states[c][key] = snap.restore()
+                self.states[c][key] = verified_copy(wire)
 
     # -- transfers ----------------------------------------------------------
 
@@ -186,24 +190,15 @@ class PodExecutor:
         if t.name not in sender:
             raise ParameterError("transfer of a value the sender lacks",
                                  src=t.src, name=t.name)
-        snap = snapshot_ciphertext(sender[t.name])  # sealed, sender-side
+        sent = sealed_copy(sender[t.name])  # sealed, sender-side
         attempts = LINK_RETRIES + 1
         for attempt in range(attempts):
-            wire = CiphertextSnapshot(
-                moduli=snap.moduli,
-                data0=snap.data0.copy(), data1=snap.data1.copy(),
-                domain0=snap.domain0, domain1=snap.domain1,
-                scale=snap.scale,
-                budget_noise_bits=snap.budget_noise_bits,
-                budget_sigma=snap.budget_sigma,
-                budget_mod_bits=snap.budget_mod_bits,
-                checksums0=snap.checksums0, checksums1=snap.checksums1,
-            )
+            wire = sent.copy()  # the only copy a link fault can touch
             if self.injector is not None:
-                half = wire.data0 if self.rng.random() < 0.5 else wire.data1
-                self.injector.maybe_corrupt(LINK, half)
+                half = wire.c0 if self.rng.random() < 0.5 else wire.c1
+                self.injector.maybe_corrupt(LINK, half.data)
             try:
-                received = wire.restore()  # re-verifies the seals
+                received = verified_copy(wire)  # re-verifies the seals
             except FaultDetectedError:
                 self.stats.link_faults_detected += 1
                 self.stats.faulted_links.add((t.src, t.dst))

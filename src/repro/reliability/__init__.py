@@ -49,11 +49,11 @@ from repro.reliability.validate import validate_config, validate_program
 # repro.reliability`` stays light.
 _FAULTS_NAMES = ("CampaignResult", "FaultInjector", "injecting",
                  "run_campaign")
-_RECOVERY_NAMES = ("Checkpoint", "CiphertextSnapshot", "DiskStore",
-                   "RecoveringExecutor", "RecoveryCampaignResult",
-                   "RecoveryPolicy", "RecoveryStats", "RingBufferStore",
-                   "run_recovery_campaign", "snapshot_ciphertext",
-                   "take_checkpoint", "restore_checkpoint")
+_RECOVERY_NAMES = ("Checkpoint", "DiskStore", "RecoveringExecutor",
+                   "RecoveryCampaignResult", "RecoveryPolicy",
+                   "RecoveryStats", "RingBufferStore",
+                   "run_recovery_campaign", "sealed_copy",
+                   "take_checkpoint", "restore_checkpoint", "verified_copy")
 
 
 def __getattr__(name):
@@ -72,7 +72,6 @@ __all__ = [
     "Backoff",
     "CampaignResult",
     "Checkpoint",
-    "CiphertextSnapshot",
     "ConfigError",
     "DEGRADE",
     "DiskStore",
@@ -101,9 +100,10 @@ __all__ = [
     "restore_checkpoint",
     "run_campaign",
     "run_recovery_campaign",
-    "snapshot_ciphertext",
+    "sealed_copy",
     "take_checkpoint",
     "validate_config",
     "validate_program",
+    "verified_copy",
     "verify_limbs",
 ]

@@ -16,12 +16,12 @@ Layering: this package sits *below* the fhe layer, so everything touching
 
 Three pieces:
 
-* **Snapshots** (:class:`CiphertextSnapshot`, :class:`Checkpoint`) -
-  deep copies of the RNS limbs plus every piece of live bookkeeping
-  (scale, basis moduli, NoiseBudget, integrity seals).  Checkpoint
-  creation verifies each entry's seal first, so a corrupted ciphertext
-  can never be enshrined as a rollback target; restoration re-verifies,
-  so a checkpoint corrupted *at rest* is itself detected and skipped.
+* **Checkpoints** (:class:`Checkpoint`) - named :func:`sealed_copy`
+  ciphertexts: deep copies of the RNS limbs, scale, NoiseBudget and
+  their own per-limb seals.  Checkpoint creation verifies each entry's
+  seal first, so a corrupted ciphertext can never be enshrined as a
+  rollback target; restoration (:func:`verified_copy`) re-verifies, so
+  a checkpoint corrupted *at rest* is itself detected and skipped.
 * **Stores** (:class:`RingBufferStore`, :class:`DiskStore`) - where
   checkpoints live: a bounded in-memory ring for long-running programs,
   or ``.npz`` + JSON sidecar files for cross-process resume.
@@ -35,7 +35,8 @@ Three pieces:
 
 Checkpoint and replay cost is threaded into the cycle model: a
 checkpoint writes ``2*L*N`` residue words through the HBM stream
-(:func:`checkpoint_cycles`), replayed steps re-pay their compute cycles,
+(:func:`checkpoint_cycles`, the one checkpoint price; the simulator has
+none of its own), replayed steps re-pay their compute cycles,
 and both are accumulated into :class:`RecoveryStats` and emitted as obs
 counters (``reliability.recovery.*``) so the overhead of resilience is
 measurable, not assumed.
@@ -49,108 +50,56 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs import collector as obs
 from repro.reliability.backoff import Backoff
 from repro.reliability.campaign import SiteStats, SiteTotals, render
-from repro.reliability.checksums import limb_checksums
+from repro.reliability.checksums import pair_checksums
 from repro.reliability.errors import (
     FaultDetectedError,
     ParameterError,
     UnrecoverableFaultError,
 )
 
-
-# -- ciphertext snapshots ----------------------------------------------------
-
-
-@dataclass
-class CiphertextSnapshot:
-    """Everything needed to rebuild one sealed ciphertext bit-for-bit."""
-
-    moduli: tuple[int, ...]
-    data0: np.ndarray  # (L, N) uint64 residue copy of c0
-    data1: np.ndarray
-    domain0: str
-    domain1: str
-    scale: float
-    budget_noise_bits: float | None = None  # NoiseBudget state, if threaded
-    budget_sigma: float | None = None
-    budget_mod_bits: int | None = None
-    checksums0: np.ndarray | None = None  # per-limb seals at snapshot time
-    checksums1: np.ndarray | None = None
-
-    def size_words(self) -> int:
-        return int(self.data0.size + self.data1.size)
-
-    def restore(self):
-        """Materialize a fresh :class:`~repro.fhe.ckks.Ciphertext`.
-
-        Verifies the snapshot's own seals before handing the data out, so
-        a checkpoint corrupted at rest raises ``FaultDetectedError``
-        instead of becoming a poisoned rollback target.
-        """
-        from repro.fhe.ckks import Ciphertext  # deferred: fhe imports us
-        from repro.fhe.poly import RnsPoly
-        from repro.fhe.rns import RnsBasis
-
-        basis = RnsBasis(self.moduli)
-        data0 = self.data0.copy()
-        data1 = self.data1.copy()
-        if self.checksums0 is not None:
-            current0 = limb_checksums(data0, basis.moduli_col)
-            current1 = limb_checksums(data1, basis.moduli_col)
-            if (not np.array_equal(current0, self.checksums0)
-                    or not np.array_equal(current1, self.checksums1)):
-                obs.count("reliability.recovery.bad_checkpoint")
-                raise FaultDetectedError(
-                    "checkpoint failed its own seal on restore; the "
-                    "snapshot was corrupted at rest",
-                )
-        ct = Ciphertext(
-            RnsPoly(basis, data0, self.domain0),
-            RnsPoly(basis, data1, self.domain1),
-            self.scale,
-        )
-        if self.budget_noise_bits is not None:
-            from repro.fhe.noise import NoiseBudget
-
-            ct.budget = NoiseBudget(
-                degree=ct.degree,
-                modulus_bits_per_level=self.budget_mod_bits,
-                levels=ct.level,
-                sigma=self.budget_sigma,
-                noise_bits=self.budget_noise_bits,
-            )
-        if self.checksums0 is not None:
-            ct.integrity = (self.checksums0.copy(), self.checksums1.copy())
-        return ct
+if TYPE_CHECKING:
+    from repro.fhe.ckks import Ciphertext
 
 
-def snapshot_ciphertext(ct) -> CiphertextSnapshot:
-    """Deep-copy one ciphertext's limbs and bookkeeping, sealing the copy."""
-    checks0 = checks1 = None
-    if ct.integrity is not None:
-        checks0, checks1 = (ct.integrity[0].copy(), ct.integrity[1].copy())
+# -- sealed copies ------------------------------------------------------------
+
+
+def sealed_copy(ct: Ciphertext) -> Ciphertext:
+    """Deep copy of ``ct`` holding its own copy of the per-limb seals.
+
+    An unsealed ``ct`` (its context does not checksum) is sealed here,
+    so every stored copy can be re-verified later.
+    """
+    copy = ct.copy()
+    if ct.integrity is None:
+        copy.integrity = tuple(pair_checksums(
+            ct.c0.data, ct.c1.data, ct.basis.moduli_col))
     else:
-        checks0 = limb_checksums(ct.c0.data, ct.c0.basis.moduli_col)
-        checks1 = limb_checksums(ct.c1.data, ct.c1.basis.moduli_col)
-    budget_bits = budget_sigma = budget_mod_bits = None
-    if ct.budget is not None:
-        budget_bits = ct.budget.noise_bits
-        budget_sigma = ct.budget.sigma
-        budget_mod_bits = ct.budget.modulus_bits_per_level
-    return CiphertextSnapshot(
-        moduli=ct.basis.moduli,
-        data0=ct.c0.data.copy(), data1=ct.c1.data.copy(),
-        domain0=ct.c0.domain, domain1=ct.c1.domain,
-        scale=ct.scale,
-        budget_noise_bits=budget_bits, budget_sigma=budget_sigma,
-        budget_mod_bits=budget_mod_bits,
-        checksums0=checks0, checksums1=checks1,
-    )
+        copy.integrity = (ct.integrity[0].copy(), ct.integrity[1].copy())
+    return copy
+
+
+def verified_copy(ct: Ciphertext) -> Ciphertext:
+    """Re-checksum a stored :func:`sealed_copy` and hand out a fresh one.
+
+    A copy corrupted at rest raises ``FaultDetectedError`` instead of
+    becoming a poisoned rollback target.
+    """
+    current = pair_checksums(ct.c0.data, ct.c1.data, ct.basis.moduli_col)
+    if not np.array_equal(current, ct.integrity):
+        obs.count("reliability.recovery.bad_checkpoint")
+        raise FaultDetectedError(
+            "checkpoint failed its own seal on restore; the "
+            "snapshot was corrupted at rest",
+        )
+    return sealed_copy(ct)
 
 
 @dataclass
@@ -158,17 +107,17 @@ class Checkpoint:
     """Sealed program state at one schedule boundary."""
 
     step: int                 # next step index to execute after restore
-    entries: dict[str, CiphertextSnapshot]
+    entries: dict[str, Ciphertext]  # sealed_copy of each named value
     label: str = ""
     cycles: float = 0.0       # cycle-model cost charged for writing it
 
     def size_words(self) -> int:
-        return sum(s.size_words() for s in self.entries.values())
+        return sum(ct.size_words() for ct in self.entries.values())
 
 
 def take_checkpoint(ctx, state: dict, step: int,
                     label: str = "") -> Checkpoint:
-    """Snapshot every ciphertext in ``state`` after verifying its seal.
+    """Seal a copy of every ciphertext in ``state`` after verifying it.
 
     The verification is what keeps rollback targets trustworthy: a limb
     corrupted *before* the boundary raises ``FaultDetectedError`` here,
@@ -180,7 +129,7 @@ def take_checkpoint(ctx, state: dict, step: int,
         entries = {}
         for name, ct in state.items():
             ctx.verify_integrity(ct, f"checkpoint entry {name!r}")
-            entries[name] = snapshot_ciphertext(ct)
+            entries[name] = sealed_copy(ct)
         return Checkpoint(step=step, entries=entries, label=label)
 
 
@@ -188,7 +137,7 @@ def restore_checkpoint(ckpt: Checkpoint) -> dict:
     """Materialize every entry; raises if the checkpoint itself is bad."""
     with obs.span("reliability.recovery.restore", "reliability"):
         obs.count("reliability.recovery.restores")
-        return {name: snap.restore() for name, snap in ckpt.entries.items()}
+        return {name: verified_copy(ct) for name, ct in ckpt.entries.items()}
 
 
 def checkpoint_cycles(ckpt: Checkpoint, cfg) -> float:
@@ -230,8 +179,9 @@ class DiskStore:
 
     One file per checkpoint (``<prefix>_<step>.npz``): arrays under
     ``<name>.c0`` / ``<name>.c1`` / ``<name>.sum0`` / ``<name>.sum1``
-    keys, scalar bookkeeping in the sidecar.  Loading re-verifies every
-    entry's seal, so on-disk corruption is detected, not decrypted.
+    keys, scalar bookkeeping in the sidecar.  Loaded entries keep their
+    stored seals, and :func:`restore_checkpoint` re-verifies every one,
+    so on-disk corruption is detected, not decrypted.
 
     Writes follow the payload-then-manifest discipline the compile cache
     uses: both files land under temporary names and are atomically
@@ -254,18 +204,18 @@ class DiskStore:
         arrays = {}
         meta: dict[str, object] = {"step": ckpt.step, "label": ckpt.label,
                                    "cycles": ckpt.cycles, "entries": {}}
-        for name, snap in ckpt.entries.items():
-            arrays[f"{name}.c0"] = snap.data0
-            arrays[f"{name}.c1"] = snap.data1
-            arrays[f"{name}.sum0"] = snap.checksums0
-            arrays[f"{name}.sum1"] = snap.checksums1
+        for name, ct in ckpt.entries.items():
+            arrays[f"{name}.c0"] = ct.c0.data
+            arrays[f"{name}.c1"] = ct.c1.data
+            arrays[f"{name}.sum0"], arrays[f"{name}.sum1"] = ct.integrity
+            budget = ct.budget
             meta["entries"][name] = {
-                "moduli": list(snap.moduli),
-                "domain0": snap.domain0, "domain1": snap.domain1,
-                "scale": snap.scale,
-                "budget_noise_bits": snap.budget_noise_bits,
-                "budget_sigma": snap.budget_sigma,
-                "budget_mod_bits": snap.budget_mod_bits,
+                "moduli": list(ct.basis.moduli),
+                "domain0": ct.c0.domain, "domain1": ct.c1.domain,
+                "scale": ct.scale,
+                "budget_noise_bits": budget and budget.noise_bits,
+                "budget_sigma": budget and budget.sigma,
+                "budget_mod_bits": budget and budget.modulus_bits_per_level,
             }
         path = self._path(ckpt.step)
         manifest = path.with_suffix(".json")
@@ -295,23 +245,31 @@ class DiskStore:
         return sorted(complete)
 
     def load(self, step: int) -> Checkpoint:
+        from repro.fhe.ckks import Ciphertext  # deferred: fhe sits above
+        from repro.fhe.noise import NoiseBudget
+        from repro.fhe.poly import RnsPoly
+        from repro.fhe.rns import RnsBasis
+
         path = self._path(step)
         meta = json.loads(path.with_suffix(".json").read_text())
         entries = {}
         with np.load(path) as arrays:
             for name, info in meta["entries"].items():
-                entries[name] = CiphertextSnapshot(
-                    moduli=tuple(info["moduli"]),
-                    data0=arrays[f"{name}.c0"],
-                    data1=arrays[f"{name}.c1"],
-                    domain0=info["domain0"], domain1=info["domain1"],
-                    scale=info["scale"],
-                    budget_noise_bits=info["budget_noise_bits"],
-                    budget_sigma=info["budget_sigma"],
-                    budget_mod_bits=info["budget_mod_bits"],
-                    checksums0=arrays[f"{name}.sum0"],
-                    checksums1=arrays[f"{name}.sum1"],
+                basis = RnsBasis(tuple(info["moduli"]))
+                ct = Ciphertext(
+                    RnsPoly(basis, arrays[f"{name}.c0"], info["domain0"]),
+                    RnsPoly(basis, arrays[f"{name}.c1"], info["domain1"]),
+                    info["scale"],
+                    integrity=(arrays[f"{name}.sum0"],
+                               arrays[f"{name}.sum1"]),
                 )
+                if info["budget_noise_bits"] is not None:
+                    ct.budget = NoiseBudget(
+                        degree=ct.degree,
+                        modulus_bits_per_level=info["budget_mod_bits"],
+                        levels=ct.level, sigma=info["budget_sigma"],
+                        noise_bits=info["budget_noise_bits"])
+                entries[name] = ct
         return Checkpoint(step=meta["step"], entries=entries,
                           label=meta["label"], cycles=meta["cycles"])
 
@@ -726,14 +684,17 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     if ref_stats.detections:
         raise FaultDetectedError(
             "reference run detected faults with no injector installed")
-    reference = snapshot_ciphertext(state[out_name])
+    reference = sealed_copy(state[out_name])
+
+    def matches(out) -> bool:
+        return (np.array_equal(out.c0.data, reference.c0.data)
+                and np.array_equal(out.c1.data, reference.c1.data))
 
     false_positives = 0
     for _ in range(clean_runs):
         exe = executor()
         state, stats = run_once(exe, steps)
-        if stats.detections or not np.array_equal(
-                state[out_name].c0.data, reference.data0):
+        if stats.detections or not matches(state[out_name]):
             false_positives += 1
             obs.count("reliability.recovery.campaign.false_positives")
 
@@ -792,12 +753,9 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                 continue
             checkpoint_cycles += stats.checkpoint_cycles
             replay_cycles += stats.replay_cycles
-            out = state[out_name]
-            matches = (np.array_equal(out.c0.data, reference.data0)
-                       and np.array_equal(out.c1.data, reference.data1))
             if stats.detections:
                 stats_site.detected += 1
-            if not matches:
+            if not matches(state[out_name]):
                 # A wrong answer, detected or not.  A detected fault whose
                 # replay converged on one failed to recover even though
                 # the executor reported success.

@@ -43,18 +43,14 @@ def _release_programs():
 
 
 def _cases() -> dict[str, tuple]:
-    """Case id -> (benchmark, compiled, config, register-file MB or None,
-    checkpoint_every)."""
+    """Case id -> (benchmark, compiled, config, register-file MB or None)."""
     cases = {}
     for name in ALL_BENCHMARKS:
         for cfg in _CONFIGS:
-            cases[f"{name}/{cfg}"] = (name, False, cfg, None, 0)
+            cases[f"{name}/{cfg}"] = (name, False, cfg, None)
     cases["packed_bootstrap/compiled/craterlake"] = (
-        "packed_bootstrap", True, "craterlake", None, 0)
-    cases["packed_bootstrap/craterlake/ckpt3"] = (
-        "packed_bootstrap", False, "craterlake", None, 3)
-    cases["resnet20/craterlake-64MB"] = (
-        "resnet20", False, "craterlake", 64, 0)
+        "packed_bootstrap", True, "craterlake", None)
+    cases["resnet20/craterlake-64MB"] = ("resnet20", False, "craterlake", 64)
     return cases
 
 
@@ -62,11 +58,11 @@ CASES = _cases()
 
 
 def _run(case: tuple) -> str:
-    name, compiled, cfg_name, rf_mb, ckpt = case
+    name, compiled, cfg_name, rf_mb = case
     cfg = _CONFIGS[cfg_name]()
     if rf_mb is not None:
         cfg = cfg.with_register_file(rf_mb)
-    result = simulate(_program(name, compiled), cfg, checkpoint_every=ckpt)
+    result = simulate(_program(name, compiled), cfg)
     return repr(asdict(result))
 
 

@@ -21,12 +21,6 @@ def test_config_derivation(boot):
     assert bs.levels_consumed() <= ctx.params.max_level
 
 
-def test_keyswitch_count_positive(boot):
-    _, _, bs = boot
-    # Dozens of rotations for the transforms plus EvalMod multiplies.
-    assert bs.keyswitch_count() > 50
-
-
 def test_mod_raise_preserves_plaintext(boot):
     ctx, sk, bs = boot
     rng = np.random.default_rng(0)

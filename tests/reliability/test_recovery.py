@@ -19,8 +19,9 @@ from repro.reliability.recovery import (
     RingBufferStore,
     restore_checkpoint,
     run_recovery_campaign,
-    snapshot_ciphertext,
+    sealed_copy,
     take_checkpoint,
+    verified_copy,
 )
 
 
@@ -35,25 +36,25 @@ def rctx():
     return ctx, sk, rot
 
 
-_SNAP_CACHE: dict[int, dict] = {}
+_START_CACHE: dict[int, dict] = {}
 
 
 def _state(ctx, sk, seed=0):
     """Bit-identical starting state on every call.
 
     Encryption draws from the context's rng, so two ``encrypt_values``
-    calls never produce the same ciphertext; snapshot one encryption and
-    restore it for every run that must be comparable bit-for-bit.
+    calls never produce the same ciphertext; copy one encryption for
+    every run that must be comparable bit-for-bit.
     """
-    snaps = _SNAP_CACHE.get(seed)
-    if snaps is None:
+    start = _START_CACHE.get(seed)
+    if start is None:
         rng = np.random.default_rng(seed)
-        snaps = _SNAP_CACHE[seed] = {
-            name: ctx.snapshot(ctx.encrypt_values(
-                sk, 0.5 * rng.standard_normal(ctx.params.slots)))
+        start = _START_CACHE[seed] = {
+            name: ctx.encrypt_values(
+                sk, 0.5 * rng.standard_normal(ctx.params.slots))
             for name in ("acc", "base")
         }
-    return {name: ctx.restore(snap) for name, snap in snaps.items()}
+    return {name: ct.copy() for name, ct in start.items()}
 
 
 def _steps(ctx, rot, n=6):
@@ -168,7 +169,7 @@ def test_corrupt_checkpoint_detected_and_walked_back(rctx):
             # state: recovery must reject the poisoned rollback target
             # and walk back to an older one.
             newest = store.latest()
-            newest.entries["acc"].data0[0, 0] ^= np.uint64(1 << 3)
+            newest.entries["acc"].c0.data[0, 0] ^= np.uint64(1 << 3)
             s["acc"].c0.data[0, 0] ^= np.uint64(1 << 9)
         steps[4][1](c, s)
 
@@ -195,21 +196,28 @@ def test_restore_detects_at_rest_corruption(rctx):
     ctx, sk, _ = rctx
     state = _state(ctx, sk)
     ckpt = take_checkpoint(ctx, state, 0)
-    ckpt.entries["base"].data1[0, 0] ^= np.uint64(1 << 2)
+    ckpt.entries["base"].c1.data[0, 0] ^= np.uint64(1 << 2)
     with pytest.raises(FaultDetectedError, match="at rest"):
         restore_checkpoint(ckpt)
 
 
 def test_snapshot_restore_roundtrip_bit_identical(rctx):
     ctx, sk, _ = rctx
-    ct = _state(ctx, sk)["acc"]
-    snap = snapshot_ciphertext(ct)
-    back = snap.restore()
-    assert np.array_equal(back.c0.data, ct.c0.data)
-    assert np.array_equal(back.c1.data, ct.c1.data)
-    assert back.scale == ct.scale
-    assert back.basis.moduli == ct.basis.moduli
-    assert back.c0.data is not ct.c0.data  # a genuine deep copy
+    sealed = _state(ctx, sk)["acc"]
+    unsealed = sealed.copy()
+    unsealed.integrity = None
+    for ct in (sealed, unsealed):
+        snap = sealed_copy(ct)
+        back = verified_copy(snap)
+        assert np.array_equal(back.c0.data, ct.c0.data)
+        assert np.array_equal(back.c1.data, ct.c1.data)
+        assert back.scale == ct.scale
+        assert back.basis.moduli == ct.basis.moduli
+        assert back.c0.data is not ct.c0.data  # a genuine deep copy
+        # Each copy holds its own seals, computed if ``ct`` had none.
+        for copy in (snap, back):
+            assert copy.integrity[0] is not sealed.integrity[0]
+            assert np.array_equal(copy.integrity, sealed.integrity)
 
 
 def test_executor_prices_checkpoints_and_replays(rctx):
@@ -316,3 +324,24 @@ def test_wrong_replay_is_a_wrong_answer_not_an_abort(monkeypatch):
     assert r.recovered == r.unrecovered == 0
     assert check(r, r.to_json()) == [
         f"gate: wrong_answers = {r.injected}, must be 0"]
+
+
+def test_clean_run_differing_only_in_c1_is_a_false_positive(monkeypatch):
+    """The clean phase compares both halves against the reference: a
+    clean run whose output differs only in c1 is a false positive."""
+    run = RecoveringExecutor.run
+    calls = []
+
+    def c1_drift(self, *args):
+        state, stats = run(self, *args)
+        calls.append(True)
+        if len(calls) > 1:  # the first run is the reference
+            for ct in {id(ct): ct for ct in state.values()}.values():
+                ct.c1.data[0, 0] ^= np.uint64(1)
+                self.ctx.seal(ct)
+        return state, stats
+
+    monkeypatch.setattr(RecoveringExecutor, "run", c1_drift)
+    r = run_recovery_campaign(seed=2022, faults=0, degree=128, max_level=4,
+                              clean_runs=2)
+    assert r.false_positives == 2

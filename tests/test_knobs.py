@@ -12,6 +12,7 @@ from dataclasses import fields
 import pytest
 
 from repro.compiler.hoisting import hoist_rotations
+from repro.core.simulator import simulate
 from repro.pod.config import PodConfig
 from repro.pod.simulator import simulate_pod, stage_results
 from repro.reliability.guards import IntegrityConfig, ReliabilityPolicy
@@ -39,6 +40,7 @@ PARAMETERS = {
     simulate_pod: ["program", "cfg", "pod", "failed_chips", "cache"],
     stage_results: ["part", "cfg", "pod", "alive", "cache"],
     hoist_rotations: ["program", "cfg"],
+    simulate: ["program", "cfg", "chip", "overlap_streams"],
     take_checkpoint: ["ctx", "state", "step", "label"],
 }
 

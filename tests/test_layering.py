@@ -1,7 +1,9 @@
-"""The library stands alone: nothing under src/repro imports the tests.
+"""Import rules between the library's layers, pinned.
 
 Reference oracles live in ``tests/fhe/oracles.py``; the library must
 never reach back for them (an installed package has no ``tests``).
+The scheme (``repro.fhe``) and the cycle model (``repro.core``) sit
+below checkpoint/replay recovery and never import it.
 """
 
 import ast
@@ -16,6 +18,8 @@ def _imported_modules(tree: ast.AST):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module or ""
+            # ``from a import b`` may import the module ``a.b``.
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
 def test_src_never_imports_tests():
@@ -24,4 +28,14 @@ def test_src_never_imports_tests():
         for name in _imported_modules(ast.parse(path.read_text())):
             if name == "tests" or name.startswith("tests."):
                 offenders.append(f"{path.relative_to(SRC)}: {name}")
+    assert offenders == []
+
+
+def test_fhe_and_core_never_import_recovery():
+    offenders = []
+    for layer in ("fhe", "core"):
+        for path in sorted((SRC / layer).rglob("*.py")):
+            for name in _imported_modules(ast.parse(path.read_text())):
+                if name == "repro.reliability.recovery":
+                    offenders.append(f"{path.relative_to(SRC)}: {name}")
     assert offenders == []
