@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from repro.core.config import ChipConfig
 from repro.core.cost import (
     CostTable,
-    OpCost,
     ciphertext_words,
     plaintext_words,
     raised_words,
@@ -47,10 +46,11 @@ from repro.ir import HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, Program
 from repro.obs import collector as obs
 from repro.reliability.validate import validate_program
 
-# Object categories for traffic accounting (Fig. 10a).
+# Traffic accounting keys (Fig. 10a).
 KSH = "ksh"
 INPUTS = "inputs"
-INTERM = "interm"
+INTERM_LOAD = "interm_load"
+INTERM_STORE = "interm_store"
 
 _INF = float("inf")
 
@@ -131,147 +131,35 @@ class SimResult:
         return min(1.0, busy / (total_units * self.cycles))
 
 
-@dataclass
-class _Resident:
-    words: float
-    category: str
-    dirty: bool
-    next_use: float  # op index of next use; inf if none
-    seq: int = 0     # insertion order: the Belady tie-break among equals
-
-
-class _RegisterFile:
-    """Belady-MIN managed on-chip storage (the compiler's plan, Sec. 6).
-
-    Victims come off a lazy-deletion min-heap of ``(-next_use, words,
-    seq, name)``: the resident used farthest in the future, then the
-    smallest, then the oldest insertion.  A ``next_use`` change pushes a
-    fresh entry (:meth:`set_next_use`); a popped entry whose ``seq`` or
-    ``next_use`` no longer matches its resident is stale and skipped.
-    """
-
-    def __init__(self, capacity_words: float):
-        self.capacity = capacity_words
-        self.objects: dict[str, _Resident] = {}
-        self.used = 0.0
-        self.peak = 0.0
-        self._heap: list[tuple[float, float, int, str]] = []
-        self._seq = 0
-
-    def lookup(self, obj: str) -> _Resident | None:
-        return self.objects.get(obj)
-
-    def set_next_use(self, obj: str, record: _Resident,
-                     next_use: float) -> None:
-        """Move resident ``obj``'s next use; its seniority is kept."""
-        if record.next_use != next_use:
-            record.next_use = next_use
-            self._push(obj, record)
-
-    def _push(self, obj: str, record: _Resident) -> None:
-        heap = self._heap
-        if len(heap) > 4 * len(self.objects) + 64:
-            heap[:] = [(-r.next_use, r.words, r.seq, name)
-                       for name, r in self.objects.items()]
-            heapq.heapify(heap)
-        else:
-            heapq.heappush(heap, (-record.next_use, record.words,
-                                  record.seq, obj))
-
-    def _pop_victim(self) -> tuple[str, _Resident]:
-        heap = self._heap
-        objects = self.objects
-        while True:
-            neg_next, _, seq, obj = heapq.heappop(heap)
-            record = objects.get(obj)
-            if (record is not None and record.seq == seq
-                    and record.next_use == -neg_next):
-                del objects[obj]
-                return obj, record
-
-    def insert(self, obj: str, words: float, category: str, dirty: bool,
-               next_use: float) -> list[tuple[str, _Resident]]:
-        """Make obj resident; returns evicted (name, record) pairs.
-
-        A resident of the same name is released first, with no writeback:
-        the new value overwrites it."""
-        evicted = []
-        self.drop(obj)
-        if words > self.capacity:
-            # Operand larger than the register file: it streams through;
-            # model as transient residency (no eviction bookkeeping).
-            return evicted
-        while self.used + words > self.capacity:
-            victim, record = self._pop_victim()
-            self.used -= record.words
-            evicted.append((victim, record))
-        self._seq += 1
-        record = _Resident(words, category, dirty, next_use, self._seq)
-        self.objects[obj] = record
-        self._push(obj, record)
-        self.used += words
-        self.peak = max(self.peak, self.used)
-        return evicted
-
-    def drop(self, obj: str) -> _Resident | None:
-        record = self.objects.pop(obj, None)
-        if record is not None:
-            self.used -= record.words
-        return record
-
-
 def _next_use_table(program: Program) -> list[dict[str, float]]:
     """``table[i][obj]`` = first op index > i that touches obj.
 
-    Values are op indices widened to float because ``inf`` is the
-    "never used again" sentinel: the register file's Belady policy sorts
-    victims by next use (``inf`` first), and the simulator's dead-drop
-    sweep releases any resident whose entry is ``inf`` at its last use.
+    An op touches its operands, its hint and its plaintext (each when
+    not None) and its result, and ``table[i]`` holds exactly those names
+    in that order.  Values are op indices widened to float because
+    ``inf`` is the "never used again" sentinel: Belady victims sort by
+    next use (``inf`` first), and the dead-drop sweep releases any
+    resident whose entry is ``inf`` at its last use.
     """
+    ops = program.ops
     last: dict[str, float] = {}
-    table: list[dict[str, float]] = [dict() for _ in program.ops]
-    for i in range(len(program.ops) - 1, -1, -1):
-        op = program.ops[i]
-        touched = list(op.operands)
-        if op.hint_id:
-            touched.append(op.hint_id)
-        if op.plaintext_id:
-            touched.append(op.plaintext_id)
-        touched.append(op.result)
+    get = last.get
+    table: list[dict[str, float]] = []
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
         entry = {}
-        for obj in touched:
-            entry[obj] = last.get(obj, _INF)
-        table[i] = entry
-        for obj in touched:
+        for obj in op.operands:
+            entry[obj] = get(obj, _INF)
+        if op.hint_id is not None:
+            entry[op.hint_id] = get(op.hint_id, _INF)
+        if op.plaintext_id is not None:
+            entry[op.plaintext_id] = get(op.plaintext_id, _INF)
+        entry[op.result] = get(op.result, _INF)
+        table.append(entry)
+        for obj in entry:
             last[obj] = i
+    table.reverse()
     return table
-
-
-def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]:
-    """Memory objects op needs resident before compute: (obj, words,
-    category) triples in stream order.  INPUT ops fetch their own result
-    (client data arriving from memory); OUTPUT ops fetch nothing."""
-    if op.kind == OUTPUT:
-        return []
-    if op.kind == INPUT:
-        return [(op.result, ciphertext_words(n, op.level), INPUTS)]
-    plan = []
-    # A rotate_hoisted's first operand is the shared raised-digit object
-    # (t digits of L + alpha residues, a hoist_modup result), not a
-    # 2-polynomial ciphertext.
-    for slot, operand in enumerate(op.operands):
-        if op.kind == ROTATE_HOISTED and slot == 0:
-            words = raised_words(n, op.level, op.digits)
-        else:
-            words = ciphertext_words(n, op.level)
-        plan.append((operand, words, INTERM))
-    if op.plaintext_id is not None:
-        words = (2 * n if op.compact_pt
-                 else plaintext_words(n, op.level)) * op.repeat
-        plan.append((op.plaintext_id, words, INPUTS))
-    if op.hint_id is not None and cost is not None and cost.hint_words:
-        plan.append((op.hint_id, cost.hint_words, KSH))
-    return plan
 
 
 def simulate(program: Program, cfg: ChipConfig, *,
@@ -309,199 +197,256 @@ def simulate(program: Program, cfg: ChipConfig, *,
     """
     validate_program(program, cfg)
     n = program.degree
-    ops = program.ops
-    rf = _RegisterFile(cfg.register_file_words)
     next_use = _next_use_table(program)
     costs = CostTable(cfg, n)
-
-    fu_busy: dict[str, float] = {}
-    prev_result: str | None = None
-    traffic = {KSH: 0.0, INPUTS: 0.0, "interm_load": 0.0, "interm_store": 0.0}
-    totals = OpCost()
-    mem_clock = 0.0
-    comp_clock = 0.0
     words_per_cycle = cfg.hbm_words_per_cycle
+    chaining = cfg.chaining
+    ct_words = [ciphertext_words(n, level)
+                for level in range(program.max_level + 1)]
+    pt_words = [plaintext_words(n, level)
+                for level in range(program.max_level + 1)]
 
-    # Per-op observability accumulators; fetch paths increment them, the
-    # head loop resets them per op and folds them into the run totals.
-    evicted = [0]
-    dead_drops = [0]
-    total_evictions = 0
-    total_dead_drops = 0
-    total_stall = 0.0
+    # The register file, managed by Belady MIN (the compiler's plan,
+    # Sec. 6).  ``residents`` maps name -> [words, next_use, seq, dirty];
+    # ``seq`` is the insertion order, renewed by a redefinition or a
+    # reload but not by a next-use update.  Victims come off a
+    # lazy-deletion min-heap of ``(-next_use, words, seq, name)``: the
+    # resident used farthest in the future, then the smallest, then the
+    # oldest.  A next-use change pushes a fresh entry; a popped entry
+    # whose seq or next use no longer matches its resident is stale and
+    # skipped.  Once per op the heap is rebuilt from the residents when
+    # it holds more than 4x their count plus 64 entries.
+    residents: dict[str, list] = {}
+    heap: list[tuple[float, float, int, str]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    capacity = cfg.register_file_words
+    used = 0.0
+    peak = 0.0
+    seq = 0
 
-    def fetch(obj: str, words: float, category: str, uses_at: float) -> float:
-        """Ensure obj is resident for the compute head; return words moved
-        from memory (0 when already resident, e.g. reuse)."""
-        record = rf.lookup(obj)
-        if record is not None:
-            rf.set_next_use(obj, record, uses_at)
-            return 0.0
-        moved = words
-        if category == KSH:
-            traffic[KSH] += words
-        elif category == INPUTS:
-            traffic[INPUTS] += words
-        else:
-            traffic["interm_load"] += words
-        dirty = category == INTERM
-        for _, vrec in rf.insert(obj, words, category, dirty, uses_at):
-            evicted[0] += 1
-            if vrec.dirty and vrec.next_use != _INF:
-                traffic["interm_store"] += vrec.words
-                moved += vrec.words
-        return moved
-
-    def dead_sweep(op, uses: dict[str, float]) -> None:
-        """Free-on-last-use: release residents this op touched whose next
-        use is the ``inf`` sentinel, so dead values stop occupying
-        capacity and forcing Belady evictions."""
-        touched = list(op.operands)
-        if op.hint_id:
-            touched.append(op.hint_id)
-        if op.plaintext_id:
-            touched.append(op.plaintext_id)
-        touched.append(op.result)
-        for obj in touched:
-            record = rf.lookup(obj)
-            if record is not None and record.next_use == _INF:
-                rf.drop(obj)
-                dead_drops[0] += 1
-
-    tr = obs.active()
+    # Run totals, accumulated in op order.
+    traffic = {KSH: 0.0, INPUTS: 0.0, INTERM_LOAD: 0.0}  # fetches by key
+    store = 0.0  # INTERM_STORE: OUTPUT stores and dirty-victim writebacks
+    fu_busy: dict[str, float] = {}
     tag_cycles: dict[str, float] = {}
+    port_streams = network = mults = adds = kshgen = 0.0
+    mem_clock = comp_clock = 0.0
+    total_evictions = total_dead_drops = 0
+    total_stall = 0.0
+    prev_result: str | None = None
+    tr = obs.active()
 
-    def charge_tag(op, crit_before: float) -> None:
-        """Attribute this op's critical-path advance to its tag bucket;
-        the per-tag sums telescope exactly to the final cycle count."""
-        advance = max(comp_clock, mem_clock) - crit_before
-        if advance:
-            tag_cycles[op.tag] = tag_cycles.get(op.tag, 0.0) + advance
-
-    def record(op, index: int, crit_before: float, mem_before: float,
-               compute_start: float, compute_cycles: float,
-               stall: float, mem_words: float,
-               fu_cycles: tuple[tuple[str, float], ...] = ()) -> None:
-        """Emit one OpEvent; ``cycles`` is the critical-path advance, so
-        the events telescope exactly to the final cycle count."""
-        tr.emit_op(obs.OpEvent(
-            index=index, kind=op.kind, result=op.result, level=op.level,
-            tag=op.tag,
-            cycles=max(comp_clock, mem_clock) - crit_before,
-            compute_start=compute_start, compute_cycles=compute_cycles,
-            mem_start=mem_before, mem_cycles=mem_clock - mem_before,
-            stall_cycles=stall, mem_words=mem_words, evictions=evicted[0],
-            fu_cycles=dict(fu_cycles),
-            chip=chip,
-        ))
-        tr.count("sim.ops")
-        tr.count(f"sim.ops.{op.kind}")
-        if evicted[0]:
-            tr.count("sim.rf_evictions", evicted[0])
-        if dead_drops[0]:
-            tr.count("sim.dead_drops", dead_drops[0])
-
-    for i, op in enumerate(ops):
+    for i, op in enumerate(program.ops):
         uses = next_use[i]
-        mem_words = 0.0
-        evicted[0] = 0
-        dead_drops[0] = 0
-        crit_before = max(comp_clock, mem_clock)
+        kind = op.kind
+        level = op.level
+        crit_before = comp_clock if comp_clock > mem_clock else mem_clock
         mem_before = mem_clock
+        evictions = drops = 0
+        compute_start = comp_clock
+        cycles = stall = 0.0
+        fu_cycles: tuple[tuple[str, float], ...] = ()
+        chained = False
+        if len(heap) > 4 * len(residents) + 64:
+            heap = [(-entry[1], entry[0], entry[2], name)
+                    for name, entry in residents.items()]
+            heapq.heapify(heap)
 
-        if op.kind == OUTPUT:
-            words = ciphertext_words(n, op.level)
-            traffic["interm_store"] += words
-            mem_clock += words / words_per_cycle
-            for operand in op.operands:
-                rec = rf.lookup(operand)
-                if rec is None:
+        if kind == OUTPUT:
+            mem_words = ct_words[level]
+            store += mem_words
+            mem_clock += mem_words / words_per_cycle
+            for obj in op.operands:
+                entry = residents.get(obj)
+                if entry is None:
                     continue
                 # The store leaves the value backed by memory: the RF copy
                 # stays valid but clean (a later eviction needs no second
                 # writeback), and it is released outright on its last use.
-                rec.dirty = False
-                rf.set_next_use(operand, rec, uses.get(operand, _INF))
-                if rec.next_use == _INF:
-                    rf.drop(operand)
-                    dead_drops[0] += 1
+                entry[3] = False
+                nu = uses[obj]
+                if nu == _INF:
+                    del residents[obj]
+                    used -= entry[0]
+                    drops += 1
+                elif entry[1] != nu:
+                    entry[1] = nu
+                    heappush(heap, (-nu, entry[0], entry[2], obj))
             # The stored object's own record: hand-built (non-SSA) streams
             # may reuse the output name for a resident value, which would
             # otherwise linger dead in the RF.
-            if op.result not in op.operands and rf.drop(op.result) is not None:
-                dead_drops[0] += 1
-            total_dead_drops += dead_drops[0]
-            charge_tag(op, crit_before)
-            if tr is not None:
-                record(op, i, crit_before, mem_before, comp_clock, 0.0,
-                       0.0, words)
-            continue
+            if op.result not in op.operands:
+                entry = residents.pop(op.result, None)
+                if entry is not None:
+                    used -= entry[0]
+                    drops += 1
+        else:
+            # Operand residency: stream everything this op needs that is
+            # not already resident, as (name, words, traffic key).
+            if kind == INPUT:
+                # Client data arriving from memory.
+                plan = [(op.result, ct_words[level], INPUTS)]
+            else:
+                shape = costs[op]
+                cost = shape.cost
+                operands = op.operands
+                if kind == ROTATE_HOISTED:
+                    # The first operand is the shared raised-digit object
+                    # (t digits of L + alpha residues, a hoist_modup
+                    # result), not a 2-polynomial ciphertext.
+                    plan = [(operands[0], raised_words(n, level, op.digits),
+                             INTERM_LOAD),
+                            (operands[1], ct_words[level], INTERM_LOAD)]
+                else:
+                    plan = []
+                    for obj in operands:
+                        plan.append((obj, ct_words[level], INTERM_LOAD))
+                if op.plaintext_id is not None:
+                    plan.append((op.plaintext_id,
+                                 (2 * n if op.compact_pt else pt_words[level])
+                                 * op.repeat, INPUTS))
+                if op.hint_id is not None and cost.hint_words:
+                    plan.append((op.hint_id, cost.hint_words, KSH))
+            mem_words = 0.0
+            for obj, words, key in plan:
+                nu = uses[obj]
+                entry = residents.get(obj)
+                if entry is not None:   # reuse: no traffic
+                    if entry[1] != nu:
+                        entry[1] = nu
+                        heappush(heap, (-nu, entry[0], entry[2], obj))
+                    continue
+                traffic[key] += words
+                moved = words
+                # An operand larger than the register file streams
+                # through: transient, never resident.
+                if words <= capacity:
+                    while used + words > capacity:
+                        neg, _, s, name = heappop(heap)
+                        victim = residents.get(name)
+                        if victim is None or victim[2] != s \
+                                or victim[1] != -neg:
+                            continue
+                        del residents[name]
+                        used -= victim[0]
+                        evictions += 1
+                        if victim[3] and victim[1] != _INF:
+                            store += victim[0]
+                            moved += victim[0]
+                    seq += 1
+                    residents[obj] = [words, nu, seq, key == INTERM_LOAD]
+                    heappush(heap, (-nu, words, seq, obj))
+                    used += words
+                    if used > peak:
+                        peak = used
+                mem_words += moved
+            own_cycles = mem_words / words_per_cycle
 
-        # Operand residency: stream everything this op needs that is not
-        # already resident.
-        shape = costs[op] if op.kind != INPUT else None
-        cost = shape.cost if shape is not None else None
-        for obj, words, category in _fetch_plan(op, cost, n):
-            mem_words += fetch(obj, words, category, uses.get(obj, _INF))
-        own_cycles = mem_words / words_per_cycle
+            if kind == INPUT:
+                mem_clock += own_cycles
+            else:
+                port_streams += cost.port_stream_elements
+                network += cost.network_words
+                mults += cost.scalar_mults
+                adds += cost.scalar_adds
+                kshgen += cost.kshgen_elements
 
-        if op.kind == INPUT:
-            mem_clock += own_cycles
-            dead_sweep(op, uses)
-            total_evictions += evicted[0]
-            total_dead_drops += dead_drops[0]
-            charge_tag(op, crit_before)
-            if tr is not None:
-                record(op, i, crit_before, mem_before, comp_clock, 0.0,
-                       0.0, mem_words)
-            continue
+                # Result allocation (produced on chip; traffic only if
+                # evicted and reloaded later).  A resident of the same
+                # name is released first, with no writeback: the new
+                # value overwrites it.
+                result = op.result
+                words = (raised_words(n, level, op.digits)
+                         if kind == HOIST_MODUP else ct_words[level])
+                entry = residents.pop(result, None)
+                if entry is not None:
+                    used -= entry[0]
+                if words <= capacity:
+                    while used + words > capacity:
+                        neg, _, s, name = heappop(heap)
+                        victim = residents.get(name)
+                        if victim is None or victim[2] != s \
+                                or victim[1] != -neg:
+                            continue
+                        del residents[name]
+                        used -= victim[0]
+                        evictions += 1
+                        if victim[3] and victim[1] != _INF:
+                            store += victim[0]
+                            mem_words += victim[0]
+                            own_cycles += victim[0] / words_per_cycle
+                    nu = uses[result]
+                    seq += 1
+                    residents[result] = [words, nu, seq, True]
+                    heappush(heap, (-nu, words, seq, result))
+                    used += words
+                    if used > peak:
+                        peak = used
 
-        totals.merge(cost)
+                # Decoupled data orchestration: compute for op i starts
+                # when the previous op is done and its own stream has
+                # arrived; compute never runs ahead of the in-order
+                # memory stream.
+                mem_clock += own_cycles
+                cycles = shape.cycles
+                # Pipeline-fill latency is exposed only when this op
+                # consumes the previous op's result (a true dependence
+                # chain); independent ops overlap in the static schedule.
+                chained = prev_result is not None and prev_result in operands
+                if chained:
+                    cycles += shape.latency
+                prev_result = result
+                compute_start = (comp_clock if comp_clock > mem_clock
+                                 else mem_clock)
+                stall = compute_start - comp_clock
+                total_stall += stall
+                comp_clock = compute_start + cycles
+                fu_cycles = shape.fu_cycles
+                for cls, busy in fu_cycles:
+                    fu_busy[cls] = fu_busy.get(cls, 0.0) + busy
 
-        # Result allocation (produced on chip; traffic only if evicted and
-        # reloaded later).
-        result_words = (raised_words(n, op.level, op.digits)
-                        if op.kind == HOIST_MODUP
-                        else ciphertext_words(n, op.level))
-        for _, vrec in rf.insert(op.result, result_words,
-                                 INTERM, True, uses[op.result]):
-            evicted[0] += 1
-            if vrec.dirty and vrec.next_use != _INF:
-                traffic["interm_store"] += vrec.words
-                mem_words += vrec.words
-                own_cycles += vrec.words / words_per_cycle
+            # Free-on-last-use: a resident this op touched whose next
+            # use is the inf sentinel is released now, so dead values
+            # never occupy capacity or surface as Belady victims.
+            for obj, nu in uses.items():
+                if nu == _INF:
+                    entry = residents.get(obj)
+                    if entry is not None and entry[1] == _INF:
+                        del residents[obj]
+                        used -= entry[0]
+                        drops += 1
 
-        # Decoupled data orchestration: compute for op i starts when the
-        # previous op is done and its own stream has arrived; compute never
-        # runs ahead of the in-order memory stream.
-        mem_clock += own_cycles
-        cycles = shape.cycles
-        # Pipeline-fill latency is exposed only when this op consumes the
-        # previous op's result (a true dependence chain); independent ops
-        # overlap in the static schedule.
-        chained = prev_result is not None and prev_result in op.operands
-        if chained:
-            cycles += shape.latency
-        prev_result = op.result
-        compute_start = max(comp_clock, mem_clock)
-        stall = compute_start - comp_clock
-        total_stall += stall
-        comp_clock = compute_start + cycles
-        for cls, busy in shape.fu_cycles:
-            fu_busy[cls] = fu_busy.get(cls, 0.0) + busy
-
-        # Free-on-last-use: dead residents this op just consumed never
-        # become Belady victims.
-        dead_sweep(op, uses)
-
-        total_evictions += evicted[0]
-        total_dead_drops += dead_drops[0]
-        charge_tag(op, crit_before)
+        total_evictions += evictions
+        total_dead_drops += drops
+        # Attribute the op's critical-path advance to its tag bucket;
+        # the per-tag sums telescope exactly to the final cycle count.
+        advance = (comp_clock if comp_clock > mem_clock
+                   else mem_clock) - crit_before
+        if advance:
+            tag_cycles[op.tag] = tag_cycles.get(op.tag, 0.0) + advance
         if tr is not None:
-            if chained and cfg.chaining:
+            if chained and chaining:
                 tr.count("sim.chain_hits")
-            record(op, i, crit_before, mem_before, compute_start, cycles,
-                   stall, mem_words, shape.fu_cycles)
+            # ``cycles`` is the critical-path advance, so the events
+            # telescope exactly to the final cycle count.
+            tr.emit_op(obs.OpEvent(
+                index=i, kind=kind, result=op.result, level=level,
+                tag=op.tag, cycles=advance,
+                compute_start=compute_start, compute_cycles=cycles,
+                mem_start=mem_before, mem_cycles=mem_clock - mem_before,
+                stall_cycles=stall, mem_words=mem_words,
+                evictions=evictions,
+                fu_cycles=dict(fu_cycles),
+                chip=chip,
+            ))
+            tr.count("sim.ops")
+            tr.count(f"sim.ops.{kind}")
+            if evictions:
+                tr.count("sim.rf_evictions", evictions)
+            if drops:
+                tr.count("sim.dead_drops", drops)
+
+    traffic[INTERM_STORE] = store
 
     if tr is not None and total_stall:
         tr.count("sim.stall_cycles", total_stall)
@@ -550,10 +495,10 @@ def simulate(program: Program, cfg: ChipConfig, *,
         mem_cycles=mem_clock,
         fu_busy_cycles=fu_busy,
         traffic_words=traffic,
-        scalar_mults=totals.scalar_mults,
-        scalar_adds=totals.scalar_adds,
-        kshgen_words=totals.kshgen_elements,
-        network_words=totals.network_words,
+        scalar_mults=mults,
+        scalar_adds=adds,
+        kshgen_words=kshgen,
+        network_words=network,
         clock_hz=cfg.clock_hz,
         bytes_per_word=cfg.bytes_per_word,
         fu_units={
@@ -562,9 +507,9 @@ def simulate(program: Program, cfg: ChipConfig, *,
             "crb": 1 if cfg.crb else 0,
             "kshgen": 1 if cfg.kshgen else 0,
         },
-        port_stream_elements=totals.port_stream_elements,
+        port_stream_elements=port_streams,
         rf_capacity_words=cfg.register_file_words,
-        peak_resident_words=rf.peak,
+        peak_resident_words=peak,
         rf_evictions=total_evictions,
         dead_drops=total_dead_drops,
         stall_cycles=total_stall,

@@ -104,13 +104,13 @@ def _op_weights(program: Program, cfg: ChipConfig) -> list[float]:
             for op in program.ops]
 
 
-def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
-    """Boundaries of ``chips`` contiguous chunks, balanced by cycle
-    weight.  A boundary never lands between a ``hoist_modup`` and its
-    rotations: the raised digit object is an on-chip forwarding format,
-    not something to put on a wire."""
+def _cut_points(program: Program, weights: list[float],
+                chips: int) -> list[int]:
+    """Boundaries of ``chips`` contiguous chunks, balanced by the
+    :func:`_op_weights` cycle ``weights``.  A boundary never lands
+    between a ``hoist_modup`` and its rotations: the raised digit object
+    is an on-chip forwarding format, not something to put on a wire."""
     ops = program.ops
-    weights = _op_weights(program, cfg)
     total = sum(weights)
     bounds: list[int] = []
     acc = 0.0
@@ -128,9 +128,10 @@ def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
     return bounds
 
 
-def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
-                   chips: int) -> list[int]:
-    """Balanced min-cut boundaries under the overlap cost model.
+def _mincut_points(program: Program, weights: list[float],
+                   cfg: ChipConfig, pod: PodConfig, chips: int) -> list[int]:
+    """Balanced min-cut boundaries under the overlap cost model, over
+    the :func:`_op_weights` cycle ``weights``.
 
     Binary-searches the pipeline bottleneck T: a stage ``[s, e)`` is
     feasible at T when its estimated overlapped cost -
@@ -146,9 +147,8 @@ def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
     n_ops = len(ops)
     if chips <= 1 or n_ops < 2:
         return []
-    weights = np.array(_op_weights(program, cfg), dtype=float)
     prefix = np.zeros(n_ops + 1)
-    np.cumsum(weights, out=prefix[1:])
+    np.cumsum(np.array(weights, dtype=float), out=prefix[1:])
 
     # Live words at each boundary b (cut between ops b-1 and b): every
     # value produced before b with a consumer at or after b, via a
@@ -207,7 +207,7 @@ def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
     hi = float(prefix[n_ops])
     best = place(hi)
     if best is None:             # cannot happen (one stage always fits)
-        return _cut_points(program, cfg, chips)
+        return _cut_points(program, weights, chips)
     lo_t = 0.0
     for _ in range(48):
         mid = (lo_t + hi) / 2.0
@@ -234,14 +234,15 @@ def _gate_model(program: Program, cfg: ChipConfig, pod: PodConfig,
     """Race the greedy balance against the min-cut under the real
     simulator (overlap streams armed, tracing paused) and keep the
     cheaper steady state - the min-cut never pessimizes a workload."""
-    greedy_bounds = _cut_points(program, cfg, chips)
+    weights = _op_weights(program, cfg)
+    greedy_bounds = _cut_points(program, weights, chips)
     greedy = _partition_model(program, cfg, pod, chips, greedy_bounds)
     if chips <= 1 or len(program.ops) < 2:
         return greedy
     tr = obs.active()
     if tr is not None:
         tr.count("compiler.mincut.considered")
-    mincut_bounds = _mincut_points(program, cfg, pod, chips)
+    mincut_bounds = _mincut_points(program, weights, cfg, pod, chips)
     if mincut_bounds == greedy_bounds:
         if tr is not None:
             tr.count("compiler.mincut.rejected")
@@ -288,12 +289,9 @@ def _partition_data(program: Program, chips: int) -> Partition:
 
 
 def _partition_model(program: Program, cfg: ChipConfig, pod: PodConfig,
-                     chips: int, bounds: list[int] | None = None,
-                     ) -> Partition:
+                     chips: int, bounds: list[int]) -> Partition:
     ops = program.ops
     n = program.degree
-    if bounds is None:
-        bounds = _cut_points(program, cfg, chips)
     starts = [0, *bounds]
     ends = [*bounds, len(ops)]
     chunks = [tuple(range(s, e)) for s, e in zip(starts, ends)]

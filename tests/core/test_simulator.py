@@ -1,5 +1,7 @@
 """Cycle-level simulator: timing, Belady storage, traffic accounting."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.compiler.dsl import FheBuilder
@@ -254,3 +256,25 @@ def test_redefined_name_does_not_leak_register_file():
     assert res.rf_evictions == 0
     assert res.traffic_words["interm_load"] == 0
     assert res.traffic_words["interm_store"] == 2 * ct  # the two OUTPUTs
+
+
+def test_empty_hint_and_plaintext_ids_are_ordinary_names():
+    """``HomOp`` accepts ``""`` as a hint or plaintext id; it names an
+    object like any other, so renaming one to it moves no field (an
+    empty id used to be fetched but never dead-dropped)."""
+    def chain(hint, plaintext):
+        prog = Program(name="ids", degree=65536, max_level=20)
+        prog.append(HomOp(kind="input", level=20, result="x0"))
+        for i in range(6):
+            prog.append(HomOp(kind="rotate", level=20, result=f"x{i + 1}",
+                              operands=(f"x{i}",), hint_id=hint))
+        prog.append(HomOp(kind="pmult", level=20, result="y",
+                          operands=("x6",), plaintext_id=plaintext))
+        prog.append(HomOp(kind="output", level=20, result="out",
+                          operands=("y",)))
+        return prog
+
+    cfg = CFG.with_register_file(30)
+    named = asdict(simulate(chain("h", "p"), cfg))
+    assert asdict(simulate(chain("", "p"), cfg)) == named
+    assert asdict(simulate(chain("h", ""), cfg)) == named

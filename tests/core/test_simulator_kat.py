@@ -23,6 +23,7 @@ from repro.baselines import CpuModel, f1plus_config
 from repro.compiler.cache import compile_program
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
+from repro.obs import collector as obs
 from repro.workloads import ALL_BENCHMARKS, benchmark
 
 KAT_PATH = Path(__file__).parent / "kat" / "simulate_kat.json"
@@ -57,13 +58,16 @@ def _cases() -> dict[str, tuple]:
 CASES = _cases()
 
 
-def _run(case: tuple) -> str:
+def _simulate(case: tuple):
     name, compiled, cfg_name, rf_mb = case
     cfg = _CONFIGS[cfg_name]()
     if rf_mb is not None:
         cfg = cfg.with_register_file(rf_mb)
-    result = simulate(_program(name, compiled), cfg)
-    return repr(asdict(result))
+    return simulate(_program(name, compiled), cfg)
+
+
+def _run(case: tuple) -> str:
+    return repr(asdict(_simulate(case)))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,20 @@ def test_kat_covers_every_case(kat):
 @pytest.mark.parametrize("cid", sorted(CASES))
 def test_simulate_reproduces_kat(kat, cid):
     assert _run(CASES[cid]) == kat["simulate"][cid]
+
+
+@pytest.mark.parametrize("cid", ["packed_bootstrap/compiled/craterlake",
+                                 "resnet20/craterlake-64MB"])
+def test_traced_simulate_reproduces_kat(kat, cid):
+    """Tracing takes its own branch of the op loop: it must move no
+    field, and its ``sim.*`` counters must equal the fields they
+    mirror."""
+    with obs.collecting() as c:
+        result = _simulate(CASES[cid])
+    assert repr(asdict(result)) == kat["simulate"][cid]
+    for name in ("rf_evictions", "dead_drops", "stall_cycles"):
+        assert c.counters.get(f"sim.{name}", 0) == getattr(result, name), \
+            name
 
 
 def test_cpu_model_reproduces_kat(kat):
