@@ -42,7 +42,14 @@ from repro.core.cost import (
     plaintext_words,
     raised_words,
 )
-from repro.ir import HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, Program
+from repro.ir import (
+    HOIST_MODUP,
+    INPUT,
+    KEYSWITCH_KINDS,
+    OUTPUT,
+    ROTATE_HOISTED,
+    Program,
+)
 from repro.obs import collector as obs
 from repro.reliability.validate import validate_program
 
@@ -134,12 +141,13 @@ class SimResult:
 def _next_use_table(program: Program) -> list[dict[str, float]]:
     """``table[i][obj]`` = first op index > i that touches obj.
 
-    An op touches its operands, its hint and its plaintext (each when
-    not None) and its result, and ``table[i]`` holds exactly those names
-    in that order.  Values are op indices widened to float because
-    ``inf`` is the "never used again" sentinel: Belady victims sort by
-    next use (``inf`` first), and the dead-drop sweep releases any
-    resident whose entry is ``inf`` at its last use.
+    An op touches its operands, its hint (only a keyswitching kind
+    fetches one, so only such an op touches its ``hint_id``), its
+    plaintext (when not None) and its result, and ``table[i]`` holds
+    exactly those names in that order.  Values are op indices widened
+    to float because ``inf`` is the "never used again" sentinel: Belady
+    victims sort by next use (``inf`` first), and the dead-drop sweep
+    releases any resident whose entry is ``inf`` at its last use.
     """
     ops = program.ops
     last: dict[str, float] = {}
@@ -150,7 +158,7 @@ def _next_use_table(program: Program) -> list[dict[str, float]]:
         entry = {}
         for obj in op.operands:
             entry[obj] = get(obj, _INF)
-        if op.hint_id is not None:
+        if op.kind in KEYSWITCH_KINDS:
             entry[op.hint_id] = get(op.hint_id, _INF)
         if op.plaintext_id is not None:
             entry[op.plaintext_id] = get(op.plaintext_id, _INF)
@@ -305,7 +313,7 @@ def simulate(program: Program, cfg: ChipConfig, *,
                     plan.append((op.plaintext_id,
                                  (2 * n if op.compact_pt else pt_words[level])
                                  * op.repeat, INPUTS))
-                if op.hint_id is not None and cost.hint_words:
+                if kind in KEYSWITCH_KINDS:
                     plan.append((op.hint_id, cost.hint_words, KSH))
             mem_words = 0.0
             for obj, words, key in plan:

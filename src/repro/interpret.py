@@ -10,13 +10,15 @@ as another.
 Op semantics (``state`` maps value names to ciphertexts):
 
 * ``input`` binds a value the caller already put in the state (a
-  program input, a pod receipt); it computes nothing.
+  program input, a pod receipt under its producer's name); it computes
+  nothing.
 * ``pmult`` multiplies by ``plaintexts[op.plaintext_id]`` and must be
   followed by the ``rescale`` that is its result's only use - the pair
   the DSL's ``pmult(rescale=True)`` emits - which runs as one
   :meth:`~repro.fhe.ckks.CkksContext.pmult` (targeted-scale encode,
-  multiply, rescale).  The plan memoizes each encoded plaintext per
-  context, so repeated runs skip the encoder and its NTT.
+  multiply, rescale) - the pairs :func:`fused_pmults` marks.  The plan
+  memoizes each encoded plaintext per context, so repeated runs skip
+  the encoder and its NTT.
 * ``add`` and ``rotate`` are their CkksContext calls.  The rotation
   amount is ``op.steps`` and its key is ``hints[op.steps]``: hint ids
   are reuse handles shared across amounts, never parsed.
@@ -34,12 +36,12 @@ the simulator's ``sim.ops.<kind>``: on a clean run the two agree kind
 for kind.
 
 :func:`lower` cuts a Program into the ``(name, fn)`` steps a
-:class:`~repro.reliability.recovery.RecoveringExecutor` or
-:class:`~repro.pod.coordinator.PodExecutor` runs.  A step begins at each
-keyswitch, plaintext multiply or ModUp - the ops whose internals host
-the fault detectors (operand seals, hint checks, NTT checksums) - and
-the bindings, additions and rescales after it ride along.  When a step
-ends, program values with no later use leave the state
+:class:`~repro.reliability.recovery.RecoveringExecutor` or, per shard,
+a :class:`~repro.pod.coordinator.PodExecutor` runs.  A step begins at
+each keyswitch, plaintext multiply or ModUp - the ops whose internals
+host the fault detectors (operand seals, hint checks, NTT checksums) -
+and the bindings, additions and rescales after it ride along.  When a
+step ends, program values with no later use leave the state
 (free-on-last-use, as in the simulator), so a checkpoint holds only live
 values; state keys the program does not name are left alone.
 """
@@ -165,26 +167,17 @@ class Plan:
             obs.count(f"fhe.ops.{done.kind}")
 
 
-def _calls(ops: list[HomOp]) -> list[tuple[int, ...]]:
-    """Op indices grouped into CKKS calls: a pmult whose only use is the
-    next op's rescale fuses with it."""
+def fused_pmults(ops: list[HomOp]) -> list[bool]:
+    """``fused[i]``: op ``i`` is a pmult whose only use is the next op's
+    rescale; the pair runs as one call, never split by a step or shard."""
     uses: dict[str, int] = {}
     for op in ops:
         for name in op.operands:
             uses[name] = uses.get(name, 0) + 1
-    calls = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        nxt = ops[i + 1] if i + 1 < len(ops) else None
-        if (op.kind == PMULT and nxt is not None and nxt.kind == RESCALE
-                and nxt.operands == (op.result,) and uses[op.result] == 1):
-            calls.append((i, i + 1))
-            i += 2
-        else:
-            calls.append((i,))
-            i += 1
-    return calls
+    return [op.kind == PMULT and i + 1 < len(ops)
+            and ops[i + 1].kind == RESCALE
+            and ops[i + 1].operands == (op.result,) and uses[op.result] == 1
+            for i, op in enumerate(ops)]
 
 
 def _step_name(lead: HomOp | None) -> str:
@@ -211,9 +204,13 @@ def lower(program: Program, hints=None, plaintexts=None) -> Plan:
                 outputs=[op.operands[0] for op in ops if op.kind == OUTPUT],
                 hints=dict(hints or {}), plaintexts=dict(plaintexts or {}))
 
+    # Op indices grouped into CKKS calls: a fused pmult takes its rescale.
+    fused = fused_pmults(ops)
+    calls = [(i, i + 1) if fused[i] else (i,)
+             for i in range(len(ops)) if not (i and fused[i - 1])]
     groups: list[list[tuple[int, ...]]] = []
     led = False  # whether the open group already has its leading op
-    for call in _calls(ops):
+    for call in calls:
         is_lead = ops[call[0]].kind in LEAD_KINDS
         if not groups or (is_lead and led):
             groups.append([call])

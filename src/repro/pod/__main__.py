@@ -1,6 +1,7 @@
 """CLI for the pod layer: ``python -m repro.pod --campaign``.
 
-Runs the seeded pod fault campaign (`repro.pod.campaign`) and prints its
+Runs the seeded pod fault campaign (`repro.pod.campaign`: the compiled
+serving lstm batch, partitioned over ``--chips`` chips) and prints its
 report; ``--check``, ``--emit-baseline`` and ``--json`` are the flags
 every campaign CLI shares (`repro.reliability.campaign`) - CI runs
 ``--campaign --check`` plus ``--gate`` as the pod smoke gate.
@@ -28,8 +29,6 @@ def parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=520,
                    help="minimum faults to inject (default 520)")
     p.add_argument("--chips", type=int, default=4)
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--degree", type=int, default=64)
     p.add_argument("--seed", type=int, default=2022)
     add_cli_flags(p, "pod")
     p.add_argument("--scaling", action="store_true",
@@ -67,8 +66,7 @@ def main(argv=None) -> int:
         return 2
 
     return finish(run_pod_campaign(seed=args.seed, events=args.events,
-                                   chips=args.chips, rounds=args.rounds,
-                                   degree=args.degree), args)
+                                   chips=args.chips), args)
 
 
 if __name__ == "__main__":

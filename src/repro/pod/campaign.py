@@ -1,12 +1,15 @@
 """Seeded pod fault campaign: chip fail-stop + link corruption.
 
-Mirrors the reliability and serving campaigns: one seed drives
-everything, each trial arms exactly one fault (alternating the two pod
-failure domains), and the gates are absolute -
+The pod runs the compiled serving ``lstm`` batch at ``ServeConfig()``
+defaults, partitioned model-parallel (:func:`~repro.pod.partition.partition`),
+on a :class:`~repro.pod.coordinator.PodExecutor`.  Like the reliability
+and serving campaigns, one seed drives everything, each trial arms
+exactly one fault (alternating the two pod failure domains), and the
+gates are absolute -
 
-* **100% detection**: every injected chip loss is observed at the
-  lock-step barrier and every injected link corruption is caught by the
-  receiver's seal check;
+* **100% detection**: every injected chip loss is observed when its
+  step goes unacknowledged, and every injected link corruption is
+  caught by the receiver's seal check;
 * **0 wrong answers**: every trial's final ciphertexts are bit-identical
   to a fault-free reference execution (recovery is replay, replay is
   deterministic);
@@ -33,10 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pod.config import PodConfig
-from repro.pod.coordinator import PodExecutor, Transfer
+from repro.pod.config import MODEL_PARALLEL, PodConfig
+from repro.pod.coordinator import PodExecutor
 from repro.reliability.campaign import SiteStats, SiteTotals, render
-from repro.reliability.errors import ChipFailure, InterconnectError
+from repro.reliability.errors import (
+    ChipFailure,
+    InterconnectError,
+    ParameterError,
+)
 from repro.reliability.faults import CHIP, LINK, FaultInjector
 
 
@@ -46,7 +53,6 @@ class PodCampaignResult(SiteTotals):
 
     seed: int
     chips: int
-    rounds: int
     trials: int
     clean_trials: int
     sites: dict[str, SiteStats]
@@ -56,6 +62,7 @@ class PodCampaignResult(SiteTotals):
     stubborn_faults: int
     migrations: int
     replayed_steps: int
+    replay_cycles: float
     retransmits: int
     backoff_s: float
     checkpoints: int
@@ -69,7 +76,7 @@ class PodCampaignResult(SiteTotals):
     def to_json(self) -> dict:
         return {
             "seed": self.seed, "events": self.events, "chips": self.chips,
-            "rounds": self.rounds, "trials": self.trials,
+            "trials": self.trials,
             "clean_trials": self.clean_trials,
             "sites": {site: s.to_json(("injected", "detected"))
                       for site, s in self.sites.items()},
@@ -81,6 +88,7 @@ class PodCampaignResult(SiteTotals):
             "stubborn_faults": self.stubborn_faults,
             "migrations": self.migrations,
             "replayed_steps": self.replayed_steps,
+            "replay_cycles": self.replay_cycles,
             "retransmits": self.retransmits,
             "checkpoints": self.checkpoints,
         }
@@ -96,10 +104,11 @@ class PodCampaignResult(SiteTotals):
                 f"{self.distinct_chips_failed} distinct chips fail-stopped, "
                 f"{self.stubborn_faults} stubborn (multi-retransmit) faults",
                 f"recovery: {self.migrations} shard migrations, "
-                f"{self.replayed_steps} steps replayed, "
+                f"{self.replayed_steps} steps replayed "
+                f"({self.replay_cycles:,.0f} cycles), "
                 f"{self.retransmits} retransmits "
                 f"({self.backoff_s * 1e3:.2f} ms virtual backoff), "
-                f"{self.checkpoints} pod checkpoints",
+                f"{self.checkpoints} chip checkpoints",
                 f"verdict: {self.wrong_answers} wrong answers, "
                 f"{self.unrecovered} unrecovered, "
                 f"{self.false_positives} clean-run false positives "
@@ -107,96 +116,76 @@ class PodCampaignResult(SiteTotals):
             ])
 
 
-def chip_programs(chips: int, rounds: int, degree: int,
-                  max_level: int) -> tuple[dict, dict]:
-    """Each chip's program, plus the transfers wiring them together.
-
-    Every round, a chip rotates its value by one slot and, if a
-    neighbour sent it a value at the previous boundary, adds that in
-    (the receipt is an INPUT op: it arrives from off-chip).  Two
-    transfers per round boundary on rotating links, so every ring link
-    carries (and can corrupt) traffic over a campaign.  Returns
-    ``(programs, transfers)``; transfers name the sender's and the
-    receiver's program values.
-    """
-    from repro.compiler.dsl import FheBuilder
-
-    senders = {r: (r % chips, (r + 2) % chips) for r in range(rounds - 1)}
-    value_after: dict[tuple[int, int], str] = {}   # (chip, round) -> name
-    receipt: dict[tuple[int, int], str] = {}       # (chip, boundary) -> name
-    programs = {}
-    for c in range(chips):
-        b = FheBuilder(f"pod-chip{c}", degree=degree, max_level=max_level)
-        v = b.input(f"v{c}", max_level)
-        for r in range(rounds):
-            v = b.rotate(v, 1)
-            if r and any((s + 1) % chips == c for s in senders[r - 1]):
-                rx = b.input(f"rx_r{r - 1}", max_level)
-                receipt[c, r - 1] = rx.name
-                v = b.add(v, rx)
-            value_after[c, r] = v.name
-        b.output(v)
-        programs[c] = b.build()
-    transfers = {
-        r: [Transfer(src=s, dst=(s + 1) % chips, name=value_after[s, r],
-                     rename=receipt[(s + 1) % chips, r]) for s in pair]
-        for r, pair in senders.items()
-    }
-    return programs, transfers
+#: The serving kind the pod runs: the deepest, so every chip gets steps.
+KIND = "lstm"
 
 
 def _states_equal(got: dict[int, dict], want: dict[int, dict],
-                  outputs: dict[int, str]) -> bool:
-    """Bit-exact comparison of every chip's output value."""
-    for c, name in outputs.items():
-        a, b = got[c][name], want[c][name]
-        if not (np.array_equal(a.c0.data, b.c0.data)
-                and np.array_equal(a.c1.data, b.c1.data)
-                and a.scale == b.scale):
-            return False
+                  outputs: dict[int, list[str]]) -> bool:
+    """Bit-exact comparison of every chip's output values."""
+    for c, names in outputs.items():
+        for name in names:
+            a, b = got[c][name], want[c][name]
+            if not (np.array_equal(a.c0.data, b.c0.data)
+                    and np.array_equal(a.c1.data, b.c1.data)
+                    and a.scale == b.scale):
+                return False
     return True
 
 
 def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
-                     rounds: int = 4, degree: int = 64,
-                     max_level: int = 4,
                      clean_trials: int = 5) -> PodCampaignResult:
     """Inject >= ``events`` seeded pod faults and measure the outcome.
 
-    Every trial executes the same K-chip plan (:func:`chip_programs`,
-    one executor step per round, lowered by `repro.interpret`) from the
-    same encrypted inputs,
-    arms exactly one fault - chip fail-stop on even trials, link
-    corruption on odd (every fourth link trial stubborn: the corruption
-    persists across retransmits) - and compares the final ciphertexts
-    bit-for-bit against a fault-free reference.  Driven entirely by
-    ``seed``: reruns are identical.
+    Every trial runs the pod program over ``chips`` chips from the same
+    encrypted batch, arms exactly one fault - chip fail-stop on even
+    trials, link corruption on odd (every fourth link trial stubborn:
+    the corruption persists across retransmits) - and compares every
+    chip's outputs bit-for-bit against a fault-free reference.  Driven
+    entirely by ``seed``: reruns are identical.
     """
+    from repro.compiler.cache import compile_program
+    from repro.core.config import ChipConfig
     from repro.fhe.ckks import CkksContext, CkksParams
     from repro.interpret import lower
+    from repro.pod.partition import partition
     from repro.reliability import guards
+    from repro.serve.config import ServeConfig
+    from repro.workloads.serving import (
+        rotation_strides,
+        serving_program,
+        serving_weights,
+    )
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    params = CkksParams(degree=degree, max_level=max_level, digits=1,
-                        secret_hamming=max(8, degree // 16), seed=seed)
+    c = ServeConfig()
+    chip = ChipConfig()
+    pod = PodConfig(chips=chips, strategy=MODEL_PARALLEL, seed=seed)
+    part = partition(compile_program(
+        serving_program(KIND, c.degree, c.max_level, c.block_slots,
+                        c.max_batch), chip), chip, pod)
+    if not part.edges:
+        raise ParameterError("the pod program has no cut edge to corrupt",
+                             chips=chips)
+    params = CkksParams(degree=c.degree, max_level=c.max_level, digits=1,
+                        secret_hamming=max(8, c.degree // 16), seed=seed)
     ctx = CkksContext(params,
                       policy=guards.ReliabilityPolicy(checksums=True))
     sk = ctx.keygen()
-    pod = PodConfig(chips=chips, seed=seed)
-
-    programs, transfers = chip_programs(chips, rounds, degree, max_level)
-    lowered = {c: lower(p, hints={1: ctx.rotation_hint(sk, 1)})
-               for c, p in programs.items()}
-    plans = {c: plan.steps for c, plan in lowered.items()}
-    outputs = {c: plan.outputs[0] for c, plan in lowered.items()}
-    initial = {}
-    for c, plan in lowered.items():
-        vals = 0.5 * rng.standard_normal(params.slots)
-        initial[c] = {plan.inputs[0]: ctx.seal(ctx.encrypt_values(sk, vals))}
+    hints = {s: ctx.rotation_hint(sk, s)
+             for s in rotation_strides(c.block_slots)}
+    weights = serving_weights(seed + 1, c.slots, c.block_slots)
+    plans = {s.chip: lower(s.program, hints, weights) for s in part.shards}
+    outputs = {k: plan.outputs for k, plan in plans.items()}
+    batch = ctx.seal(ctx.encrypt_values(
+        sk, 0.5 * rng.standard_normal(params.slots)))
+    initial = {s.chip: {name: batch for name in plans[s.chip].inputs
+                        if name not in s.stitched_inputs}
+               for s in part.shards}
 
     def fresh_executor(injector=None) -> PodExecutor:
-        return PodExecutor(ctx, pod, plans, initial, transfers=transfers,
+        return PodExecutor(ctx, pod, plans, initial, transfers=part.edges,
                            injector=injector)
 
     # -- reference + clean phase: no injector, outputs must agree -----------
@@ -210,15 +199,15 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
             false_positives += 1
 
     # Opportunity counts in a clean run, for arming skips.
-    chip_opps = chips * rounds                   # one fires() per step
-    link_opps = sum(len(ts) for ts in transfers.values())
+    chip_opps = sum(len(plan.steps) for plan in plans.values())
+    link_opps = len(part.edges)
 
     sites = {CHIP: SiteStats(), LINK: SiteStats()}
     faulted_links: set[tuple[int, int]] = set()
     failed_chips: set[int] = set()
     stubborn = 0
     migrations = replayed = retransmits = checkpoints = 0
-    backoff_s = 0.0
+    replay_cycles = backoff_s = 0.0
     injector = FaultInjector(seed=seed + 1)
     trials = 0
     link_trials = 0
@@ -260,6 +249,7 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
                 stubborn -= 1  # armed burst never (fully) exercised
         migrations += ex.stats.migrations
         replayed += ex.stats.replayed_steps
+        replay_cycles += ex.stats.replay_cycles
         retransmits += ex.stats.retransmits
         backoff_s += ex.stats.backoff_s
         checkpoints += ex.stats.checkpoints
@@ -268,13 +258,15 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
             sites[site].wrong += 1
 
     return PodCampaignResult(
-        seed=seed, chips=chips, rounds=rounds, trials=trials,
+        seed=seed, chips=chips, trials=trials,
         clean_trials=clean_trials, sites=sites,
         distinct_links=len(faulted_links),
         distinct_chips_failed=len(failed_chips),
         false_positives=false_positives, stubborn_faults=stubborn,
         migrations=migrations, replayed_steps=replayed,
-        retransmits=retransmits, backoff_s=backoff_s,
-        checkpoints=checkpoints,
+        replay_cycles=replay_cycles, retransmits=retransmits,
+        backoff_s=backoff_s, checkpoints=checkpoints,
         total_seconds=time.perf_counter() - t0,
     )
+
+

@@ -28,7 +28,7 @@ STRATEGIES = (DATA_PARALLEL, MODEL_PARALLEL)
 
 # Fault-recovery budgets for the pod failure domains.
 LINK_RETRIES = 3        # retransmits of a corrupted transfer before escalating
-CHECKPOINT_ROUNDS = 2   # pod checkpoint every k lock-step rounds
+CHECKPOINT_STEPS = 2    # a chip checkpoints every k of its own steps
 
 
 @dataclass(frozen=True)

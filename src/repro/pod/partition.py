@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.config import ChipConfig
 from repro.core.cost import CostTable, ciphertext_words, raised_words
+from repro.interpret import fused_pmults
 from repro.ir import HOIST_MODUP, INPUT, OUTPUT, HomOp, Program
 from repro.obs import collector as obs
 from repro.pod.config import DATA_PARALLEL, MODEL_PARALLEL, PodConfig
@@ -104,13 +105,25 @@ def _op_weights(program: Program, cfg: ChipConfig) -> list[float]:
             for op in program.ops]
 
 
+def _uncuttable(ops: list[HomOp]) -> list[bool]:
+    """``uncuttable[b]``: no shard boundary may sit before op ``b``.  It
+    would cut nothing (``b == 0``) or split ops that only run together:
+    a ``hoist_modup`` and its rotations (raised digits are an on-chip
+    format, not wire data), or a pmult and the rescale the functional
+    interpreter fuses with it (:func:`repro.interpret.fused_pmults`)."""
+    fused = fused_pmults(ops)
+    return [b == 0 or (b < len(ops) and (ops[b - 1].kind == HOIST_MODUP
+                                         or fused[b - 1]))
+            for b in range(len(ops) + 1)]
+
+
 def _cut_points(program: Program, weights: list[float],
                 chips: int) -> list[int]:
     """Boundaries of ``chips`` contiguous chunks, balanced by the
-    :func:`_op_weights` cycle ``weights``.  A boundary never lands
-    between a ``hoist_modup`` and its rotations: the raised digit object
-    is an on-chip forwarding format, not something to put on a wire."""
+    :func:`_op_weights` cycle ``weights``, never at an
+    :func:`_uncuttable` boundary."""
     ops = program.ops
+    uncuttable = _uncuttable(ops)
     total = sum(weights)
     bounds: list[int] = []
     acc = 0.0
@@ -121,7 +134,7 @@ def _cut_points(program: Program, weights: list[float],
             continue
         if acc >= total * k / chips:
             b = i + 1
-            while b < len(ops) and ops[b - 1].kind == HOIST_MODUP:
+            while b < len(ops) and uncuttable[b]:
                 b += 1
             if b < len(ops) and (not bounds or b > bounds[-1]):
                 bounds.append(b)
@@ -138,9 +151,9 @@ def _mincut_points(program: Program, weights: list[float],
     ``max(weight + boundary crossings, comm(s), comm(e))``, with
     ``comm(b)`` the link time of the live words at boundary ``b`` -
     stays under T.  Each probe places boundaries greedily
-    farthest-feasible (vectorized over candidate boundaries), honouring
-    the hoist-group mask.  The result is a heuristic, not a proof: the
-    simulator gate in :func:`partition` has the final word.
+    farthest-feasible (vectorized over candidate boundaries), never at
+    an :func:`_uncuttable` one.  The result is a heuristic, not a proof:
+    the simulator gate in :func:`partition` has the final word.
     """
     ops = program.ops
     n = program.degree
@@ -176,11 +189,7 @@ def _mincut_points(program: Program, weights: list[float],
     comm = np.where(live > 0, lat + live / link_wpc, 0.0)
     cross = live / cfg.hbm_words_per_cycle  # memory-system crossing
     value = prefix + cross                  # stage-cost numerator at e
-    safe = np.ones(n_ops + 1, dtype=bool)
-    safe[0] = False
-    for b in range(1, n_ops):
-        if ops[b - 1].kind == HOIST_MODUP:
-            safe[b] = False
+    safe = ~np.array(_uncuttable(ops))
 
     def place(target: float) -> list[int] | None:
         """Greedy farthest-feasible boundaries for bottleneck ``target``;
@@ -205,9 +214,7 @@ def _mincut_points(program: Program, weights: list[float],
         return bounds
 
     hi = float(prefix[n_ops])
-    best = place(hi)
-    if best is None:             # cannot happen (one stage always fits)
-        return _cut_points(program, weights, chips)
+    best = place(hi)             # one stage always fits: never None
     lo_t = 0.0
     for _ in range(48):
         mid = (lo_t + hi) / 2.0

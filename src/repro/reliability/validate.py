@@ -132,31 +132,34 @@ def validate_program(program, cfg) -> None:
             program=program.name, config=cfg.name,
         )
 
+    ks = frozenset((*KEYSWITCH_KINDS, HOIST_MODUP))
+    max_level = program.max_level
     defined: set[str] = set()
+    define = defined.add
     for i, op in enumerate(program.ops):
-        if op.level > program.max_level:
+        kind = op.kind
+        level = op.level
+        if level > max_level:
             raise ScheduleError(
-                f"op {i} ({op.kind}) runs at level {op.level}, above the "
-                f"program's declared max {program.max_level}",
+                f"op {i} ({kind}) runs at level {level}, above the "
+                f"program's declared max {max_level}",
                 program=program.name, op=i,
             )
-        if (op.kind in KEYSWITCH_KINDS or op.kind == HOIST_MODUP) \
-                and op.digits > op.level:
+        if kind in ks and op.digits > level:
             raise ScheduleError(
-                f"op {i} ({op.kind}) asks for {op.digits}-digit "
-                f"keyswitching at level {op.level}; digits cannot exceed "
+                f"op {i} ({kind}) asks for {op.digits}-digit "
+                f"keyswitching at level {level}; digits cannot exceed "
                 "the live level",
-                program=program.name, op=i, digits=op.digits,
-                level=op.level,
+                program=program.name, op=i, digits=op.digits, level=level,
             )
-        if op.kind not in (INPUT,):
+        if kind != INPUT:
             for operand in op.operands:
                 if operand not in defined:
                     raise ScheduleError(
-                        f"op {i} ({op.kind}) consumes {operand!r} before "
+                        f"op {i} ({kind}) consumes {operand!r} before "
                         "any op defines it; the stream is not in dataflow "
                         "order",
                         program=program.name, op=i, operand=operand,
                     )
-        if op.kind != OUTPUT:
-            defined.add(op.result)
+        if kind != OUTPUT:
+            define(op.result)

@@ -28,7 +28,14 @@ from repro.core.cost import (
     raised_words,
 )
 from repro.core.simulator import _INF, INPUTS, KSH, SimResult
-from repro.ir import HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, Program
+from repro.ir import (
+    HOIST_MODUP,
+    INPUT,
+    KEYSWITCH_KINDS,
+    OUTPUT,
+    ROTATE_HOISTED,
+    Program,
+)
 from repro.reliability.validate import validate_program
 
 INTERM = "interm"  # fetch category of an operand: dirty while resident
@@ -85,10 +92,11 @@ class ScanRegisterFile:
 
 
 def touched(op) -> list[str]:
-    """Every object ``op`` names, duplicates and all: operands, hint,
-    plaintext, result."""
+    """Every object ``op`` touches, duplicates and all: operands, hint
+    (keyswitching kinds only: no other op fetches one), plaintext,
+    result."""
     names = list(op.operands)
-    if op.hint_id is not None:
+    if op.kind in KEYSWITCH_KINDS:
         names.append(op.hint_id)
     if op.plaintext_id is not None:
         names.append(op.plaintext_id)
@@ -127,7 +135,7 @@ def fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]:
         words = (2 * n if op.compact_pt
                  else plaintext_words(n, op.level)) * op.repeat
         plan.append((op.plaintext_id, words, INPUTS))
-    if op.hint_id is not None and cost is not None and cost.hint_words:
+    if op.kind in KEYSWITCH_KINDS:
         plan.append((op.hint_id, cost.hint_words, KSH))
     return plan
 

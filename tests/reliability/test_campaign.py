@@ -26,7 +26,7 @@ RUNS = {
     "serve": lambda get: run_serve_campaign(
         LoadSpec(requests=30, qps=120000.0, seed=5),
         ServeConfig(seed=5, verify_responses=True)),
-    "pod": lambda get: run_pod_campaign(seed=5, events=8, chips=3, rounds=3),
+    "pod": lambda get: run_pod_campaign(seed=5, events=8, chips=3),
     # What ``python -m repro.reliability --check`` compares.
     "reliability": lambda get: GateResult(get("detection"), get("recovery")),
 }

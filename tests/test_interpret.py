@@ -22,7 +22,7 @@ from repro.core.simulator import simulate
 from repro.interpret import lower
 from repro.ir import HomOp, Program
 from repro.obs import collector as obs
-from repro.pod.campaign import chip_programs
+from repro.pod import PodConfig, partition
 from repro.reliability.errors import (
     FaultDetectedError,
     ParameterError,
@@ -172,14 +172,16 @@ def test_step_cut_one_per_keyswitch_or_pmult():
     assert len(rec.steps) == 4           # each rotate with its add
     assert all(s.keyswitches for s in rec.steps)
 
-    programs, transfers = chip_programs(chips=3, rounds=4, degree=64,
-                                        max_level=4)
-    for program in programs.values():
-        assert len(lower(program).steps) == 4   # one step per round
-    receivers = {t.rename for ts in transfers.values() for t in ts}
-    inputs = {name for p in programs.values()
-              for name in lower(p).inputs}
-    assert receivers <= inputs
+    # Pod shards lower like any program; a cut never separates a pmult
+    # from its rescale, and each stitched INPUT is a step input.
+    part = partition(serving_program("lstm", 256, 5, 16, 8), ChipConfig(),
+                     PodConfig(chips=3, strategy="model"))
+    shards = [lower(shard.program) for shard in part.shards]
+    assert [len(plan.steps) for plan in shards] == [1, 5, 5]
+    for shard, plan in zip(part.shards, shards):
+        assert set(shard.stitched_inputs) <= set(plan.inputs)
+        computed = [op for op in shard.program.ops if op.kind != "output"]
+        assert computed[-1].kind != "pmult"
 
 
 def test_state_holds_only_live_values(server):

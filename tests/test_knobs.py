@@ -57,7 +57,7 @@ CLI_FLAGS = {
         "--seed", "--check", "--emit-baseline", "--json",
     ],
     "repro.pod.__main__": [
-        "--campaign", "--events", "--chips", "--rounds", "--degree", "--seed",
+        "--campaign", "--events", "--chips", "--seed",
         "--check", "--emit-baseline", "--json", "--scaling", "--gate",
     ],
 }
