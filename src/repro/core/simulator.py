@@ -33,6 +33,7 @@ enabled, as ``sim.*`` counters (see docs/TRACING.md).
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig
@@ -138,33 +139,49 @@ class SimResult:
         return min(1.0, busy / (total_units * self.cycles))
 
 
-def _next_use_table(program: Program) -> list[dict[str, float]]:
-    """``table[i][obj]`` = first op index > i that touches obj.
+def _next_use_table(program: Program) -> array:
+    """One next use per touch, flat: for each op in order, the first op
+    index after it that touches each name it touches.
 
     An op touches its operands, its hint (only a keyswitching kind
     fetches one, so only such an op touches its ``hint_id``), its
-    plaintext (when not None) and its result, and ``table[i]`` holds
-    exactly those names in that order.  Values are op indices widened
-    to float because ``inf`` is the "never used again" sentinel: Belady
-    victims sort by next use (``inf`` first), and the dead-drop sweep
-    releases any resident whose entry is ``inf`` at its last use.
+    plaintext (when not None) and its result, and its entries sit in
+    that order, op after op: an op with ``k`` operands, a hint and no
+    plaintext owns ``k + 2`` consecutive entries, the last its result.
+    A name an op touches twice (a duplicated operand, or an operand
+    that is also the result) gets the same value at both positions.
+    Values are op indices as doubles because ``inf`` is the "never
+    used again" sentinel: Belady victims sort by next use (``inf``
+    first), and the dead-drop sweep releases any resident whose entry
+    is ``inf`` at its last use.  At 8 bytes a touch, lstm's table
+    (70,268 ops, 210,683 touches) is 1.7 MB; one dict per op cost
+    ~75 bytes a touch.
     """
     ops = program.ops
-    last: dict[str, float] = {}
+    last: dict[str, int] = {}
     get = last.get
-    table: list[dict[str, float]] = []
+    table = array("d")
+    append = table.append
+    # Built backwards, each op's entries last to first, then reversed.
     for i in range(len(ops) - 1, -1, -1):
         op = ops[i]
-        entry = {}
-        for obj in op.operands:
-            entry[obj] = get(obj, _INF)
-        if op.kind in KEYSWITCH_KINDS:
-            entry[op.hint_id] = get(op.hint_id, _INF)
-        if op.plaintext_id is not None:
-            entry[op.plaintext_id] = get(op.plaintext_id, _INF)
-        entry[op.result] = get(op.result, _INF)
-        table.append(entry)
-        for obj in entry:
+        result = op.result
+        plaintext = op.plaintext_id
+        hint = op.hint_id if op.kind in KEYSWITCH_KINDS else None
+        operands = op.operands
+        append(get(result, _INF))
+        if plaintext is not None:
+            append(get(plaintext, _INF))
+        if hint is not None:
+            append(get(hint, _INF))
+        for obj in reversed(operands):
+            append(get(obj, _INF))
+        last[result] = i
+        if plaintext is not None:
+            last[plaintext] = i
+        if hint is not None:
+            last[hint] = i
+        for obj in operands:
             last[obj] = i
     table.reverse()
     return table
@@ -243,11 +260,23 @@ def simulate(program: Program, cfg: ChipConfig, *,
     total_stall = 0.0
     prev_result: str | None = None
     tr = obs.active()
+    # This op's entries in ``next_use`` are [base, end): its operands
+    # from ``base``, then its hint, its plaintext, and its result at
+    # ``end - 1``.
+    end = 0
 
     for i, op in enumerate(program.ops):
-        uses = next_use[i]
         kind = op.kind
         level = op.level
+        operands = op.operands
+        plaintext = op.plaintext_id
+        keyswitch = kind in KEYSWITCH_KINDS
+        base = end
+        end = base + len(operands) + 1
+        if keyswitch:
+            end += 1
+        if plaintext is not None:
+            end += 1
         crit_before = comp_clock if comp_clock > mem_clock else mem_clock
         mem_before = mem_clock
         evictions = drops = 0
@@ -264,7 +293,7 @@ def simulate(program: Program, cfg: ChipConfig, *,
             mem_words = ct_words[level]
             store += mem_words
             mem_clock += mem_words / words_per_cycle
-            for obj in op.operands:
+            for p, obj in enumerate(operands, base):
                 entry = residents.get(obj)
                 if entry is None:
                     continue
@@ -272,7 +301,7 @@ def simulate(program: Program, cfg: ChipConfig, *,
                 # stays valid but clean (a later eviction needs no second
                 # writeback), and it is released outright on its last use.
                 entry[3] = False
-                nu = uses[obj]
+                nu = next_use[p]
                 if nu == _INF:
                     del residents[obj]
                     used -= entry[0]
@@ -283,41 +312,44 @@ def simulate(program: Program, cfg: ChipConfig, *,
             # The stored object's own record: hand-built (non-SSA) streams
             # may reuse the output name for a resident value, which would
             # otherwise linger dead in the RF.
-            if op.result not in op.operands:
+            if op.result not in operands:
                 entry = residents.pop(op.result, None)
                 if entry is not None:
                     used -= entry[0]
                     drops += 1
         else:
             # Operand residency: stream everything this op needs that is
-            # not already resident, as (name, words, traffic key).
+            # not already resident, as (name, words, traffic key, next
+            # use).
             if kind == INPUT:
                 # Client data arriving from memory.
-                plan = [(op.result, ct_words[level], INPUTS)]
+                plan = [(op.result, ct_words[level], INPUTS,
+                         next_use[end - 1])]
             else:
                 shape = costs[op]
                 cost = shape.cost
-                operands = op.operands
                 if kind == ROTATE_HOISTED:
                     # The first operand is the shared raised-digit object
                     # (t digits of L + alpha residues, a hoist_modup
                     # result), not a 2-polynomial ciphertext.
                     plan = [(operands[0], raised_words(n, level, op.digits),
-                             INTERM_LOAD),
-                            (operands[1], ct_words[level], INTERM_LOAD)]
+                             INTERM_LOAD, next_use[base]),
+                            (operands[1], ct_words[level], INTERM_LOAD,
+                             next_use[base + 1])]
                 else:
                     plan = []
-                    for obj in operands:
-                        plan.append((obj, ct_words[level], INTERM_LOAD))
-                if op.plaintext_id is not None:
-                    plan.append((op.plaintext_id,
+                    for p, obj in enumerate(operands, base):
+                        plan.append((obj, ct_words[level], INTERM_LOAD,
+                                     next_use[p]))
+                if plaintext is not None:
+                    plan.append((plaintext,
                                  (2 * n if op.compact_pt else pt_words[level])
-                                 * op.repeat, INPUTS))
-                if kind in KEYSWITCH_KINDS:
-                    plan.append((op.hint_id, cost.hint_words, KSH))
+                                 * op.repeat, INPUTS, next_use[end - 2]))
+                if keyswitch:
+                    plan.append((op.hint_id, cost.hint_words, KSH,
+                                 next_use[base + len(operands)]))
             mem_words = 0.0
-            for obj, words, key in plan:
-                nu = uses[obj]
+            for obj, words, key, nu in plan:
                 entry = residents.get(obj)
                 if entry is not None:   # reuse: no traffic
                     if entry[1] != nu:
@@ -383,7 +415,7 @@ def simulate(program: Program, cfg: ChipConfig, *,
                             store += victim[0]
                             mem_words += victim[0]
                             own_cycles += victim[0] / words_per_cycle
-                    nu = uses[result]
+                    nu = next_use[end - 1]
                     seq += 1
                     residents[result] = [words, nu, seq, True]
                     heappush(heap, (-nu, words, seq, result))
@@ -415,14 +447,23 @@ def simulate(program: Program, cfg: ChipConfig, *,
 
             # Free-on-last-use: a resident this op touched whose next
             # use is the inf sentinel is released now, so dead values
-            # never occupy capacity or surface as Belady victims.
-            for obj, nu in uses.items():
+            # never occupy capacity or surface as Belady victims.  Only
+            # what this op fetched or allocated had its next use set
+            # here, so only those can be dead: the plan, then the result
+            # (an INPUT's plan is its result).
+            for obj, _, _, nu in plan:
                 if nu == _INF:
                     entry = residents.get(obj)
                     if entry is not None and entry[1] == _INF:
                         del residents[obj]
                         used -= entry[0]
                         drops += 1
+            if kind != INPUT and next_use[end - 1] == _INF:
+                entry = residents.get(op.result)
+                if entry is not None and entry[1] == _INF:
+                    del residents[op.result]
+                    used -= entry[0]
+                    drops += 1
 
         total_evictions += evictions
         total_dead_drops += drops

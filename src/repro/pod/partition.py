@@ -118,12 +118,11 @@ def _uncuttable(ops: list[HomOp]) -> list[bool]:
 
 
 def _cut_points(program: Program, weights: list[float],
-                chips: int) -> list[int]:
+                uncuttable: list[bool], chips: int) -> list[int]:
     """Boundaries of ``chips`` contiguous chunks, balanced by the
-    :func:`_op_weights` cycle ``weights``, never at an
-    :func:`_uncuttable` boundary."""
+    :func:`_op_weights` cycle ``weights``, never at an ``uncuttable``
+    (:func:`_uncuttable`) boundary."""
     ops = program.ops
-    uncuttable = _uncuttable(ops)
     total = sum(weights)
     bounds: list[int] = []
     acc = 0.0
@@ -142,7 +141,8 @@ def _cut_points(program: Program, weights: list[float],
 
 
 def _mincut_points(program: Program, weights: list[float],
-                   cfg: ChipConfig, pod: PodConfig, chips: int) -> list[int]:
+                   uncuttable: list[bool], cfg: ChipConfig, pod: PodConfig,
+                   chips: int) -> list[int]:
     """Balanced min-cut boundaries under the overlap cost model, over
     the :func:`_op_weights` cycle ``weights``.
 
@@ -152,8 +152,9 @@ def _mincut_points(program: Program, weights: list[float],
     ``comm(b)`` the link time of the live words at boundary ``b`` -
     stays under T.  Each probe places boundaries greedily
     farthest-feasible (vectorized over candidate boundaries), never at
-    an :func:`_uncuttable` one.  The result is a heuristic, not a proof:
-    the simulator gate in :func:`partition` has the final word.
+    an ``uncuttable`` (:func:`_uncuttable`) one.  The result is a
+    heuristic, not a proof: the simulator gate in :func:`partition` has
+    the final word.
     """
     ops = program.ops
     n = program.degree
@@ -189,7 +190,7 @@ def _mincut_points(program: Program, weights: list[float],
     comm = np.where(live > 0, lat + live / link_wpc, 0.0)
     cross = live / cfg.hbm_words_per_cycle  # memory-system crossing
     value = prefix + cross                  # stage-cost numerator at e
-    safe = ~np.array(_uncuttable(ops))
+    safe = ~np.array(uncuttable)
 
     def place(target: float) -> list[int] | None:
         """Greedy farthest-feasible boundaries for bottleneck ``target``;
@@ -242,14 +243,16 @@ def _gate_model(program: Program, cfg: ChipConfig, pod: PodConfig,
     simulator (overlap streams armed, tracing paused) and keep the
     cheaper steady state - the min-cut never pessimizes a workload."""
     weights = _op_weights(program, cfg)
-    greedy_bounds = _cut_points(program, weights, chips)
+    uncuttable = _uncuttable(program.ops)
+    greedy_bounds = _cut_points(program, weights, uncuttable, chips)
     greedy = _partition_model(program, cfg, pod, chips, greedy_bounds)
     if chips <= 1 or len(program.ops) < 2:
         return greedy
     tr = obs.active()
     if tr is not None:
         tr.count("compiler.mincut.considered")
-    mincut_bounds = _mincut_points(program, weights, cfg, pod, chips)
+    mincut_bounds = _mincut_points(program, weights, uncuttable, cfg, pod,
+                                   chips)
     if mincut_bounds == greedy_bounds:
         if tr is not None:
             tr.count("compiler.mincut.rejected")

@@ -118,7 +118,7 @@ def test_boundary_never_splits_hoist_group():
                 assert last.kind != HOIST_MODUP
     # The greedy cutter on its own: one hoist group whose ModUp is where
     # its 3- and 5-chip balance points fall.
-    from repro.pod.partition import _cut_points, _op_weights
+    from repro.pod.partition import _cut_points, _op_weights, _uncuttable
 
     group = Program("hoist-group", degree=4096, max_level=12)
     group.append(HomOp(INPUT, 10, "x"))
@@ -128,7 +128,8 @@ def test_boundary_never_splits_hoist_group():
                            hint_id=f"h{j}", steps=j + 1))
     group.append(HomOp(OUTPUT, 10, "out", ("r0",)))
     for chips in (3, 5):
-        for b in _cut_points(group, _op_weights(group, CFG), chips):
+        for b in _cut_points(group, _op_weights(group, CFG),
+                             _uncuttable(group.ops), chips):
             assert group.ops[b - 1].kind != HOIST_MODUP
 
 
@@ -189,7 +190,8 @@ def test_mincut_gate_counters_and_never_pessimizes():
     off (the greedy balance point pushes a fat ciphertext onto the
     wire), and unpacked_bootstrap at 2 chips is where greedy does."""
     from repro.pod.partition import (_cut_points, _mincut_points,
-                                     _op_weights, _partition_model)
+                                     _op_weights, _partition_model,
+                                     _uncuttable)
     from repro.pod.simulator import stage_results
 
     def bottleneck(part, pod):
@@ -211,12 +213,14 @@ def test_mincut_gate_counters_and_never_pessimizes():
         # either cutter's bounds under the exact cost model the pod
         # simulator uses.
         weights = _op_weights(program, CFG)
+        uncuttable = _uncuttable(program.ops)
         greedy = _partition_model(
             program, CFG, pod, chips,
-            bounds=_cut_points(program, weights, chips))
+            bounds=_cut_points(program, weights, uncuttable, chips))
         mincut = _partition_model(
             program, CFG, pod, chips,
-            bounds=_mincut_points(program, weights, CFG, pod, chips))
+            bounds=_mincut_points(program, weights, uncuttable, CFG, pod,
+                                  chips))
         win = bottleneck(part, pod)
         assert win <= bottleneck(greedy, pod), name
         assert win <= bottleneck(mincut, pod), name

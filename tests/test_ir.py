@@ -1,5 +1,9 @@
 """Shared IR: validation and program statistics."""
 
+import copy
+import pickle
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.ir import (
@@ -30,6 +34,21 @@ def test_homop_validation():
         HomOp(kind=RESCALE, level=1, result="r", repeat=2)
     with pytest.raises(ValueError, match="batch"):
         HomOp(kind=INPUT, level=1, result="r", repeat=2)
+
+
+def test_homop_is_slotted_and_round_trips():
+    """No ``__dict__``: an attribute that is not a field is an error, and
+    ``replace``, ``asdict``, ``deepcopy`` and ``pickle`` each give back
+    an equal op."""
+    op = HomOp(kind=ROTATE, level=5, result="r", operands=("x",),
+               hint_id="h", steps=3, digits=2, tag="conv", repeat=2)
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(AttributeError):
+        op.color = "red"
+    assert replace(op) == op
+    assert HomOp(**asdict(op)) == op
+    assert copy.deepcopy(op) == op
+    assert pickle.loads(pickle.dumps(op)) == op
 
 
 def test_keyswitch_kinds():
