@@ -13,6 +13,11 @@ reproduce Table 1's operation counts:
               plus the 2L P^-1 scaling Table 1 folds into the CRB pass
     standard: NTT passes = L^2, multiplies = 2L^2, adds = 2L^2
 
+One function, :func:`boosted_keyswitch_cost`, prices Listing 1 by part:
+the ModUp prefix (lines 2-4) that a hoisted rotation group shares, the
+remainder (lines 5-10) that each hoisted rotation pays, or both for the
+fused keyswitch of MULT, ROTATE and CONJUGATE.
+
 Register-file pressure is modeled as stream counts (2 reads + 1 write per
 un-chained vector op; NTT/automorphism are 1R+1W); vector chaining divides
 total port traffic by the paper's measured 3.5x (Sec. 5.4).
@@ -44,7 +49,7 @@ from repro.ir import (
     ROTATE_HOISTED,
     HomOp,
 )
-from repro.reliability.errors import ScheduleError
+from repro.reliability.errors import ParameterError, ScheduleError
 
 CHAINING_PORT_REDUCTION = 3.5  # Sec. 5.4: measured RF traffic reduction
 
@@ -125,7 +130,8 @@ def _ntt_scalar_mults(degree: int) -> float:
 
 
 def boosted_keyswitch_cost(cfg: ChipConfig, degree: int, level: int,
-                           digits: int) -> OpCost:
+                           digits: int, *, modup: bool = True,
+                           remainder: bool = True) -> OpCost:
     """Element/word cost (an :class:`OpCost`, *not* cycles) of one boosted
     keyswitch: Listing 1 generalized to t digits (Sec. 3, Sec. 3.1).
 
@@ -133,37 +139,62 @@ def boosted_keyswitch_cost(cfg: ChipConfig, degree: int, level: int,
     primes; each digit is base-converted (CRB) onto the L + alpha target
     residues, NTT'd, multiplied against the hint, accumulated, and the
     result ModDown'd back to L residues.
+
+    ``modup`` prices the input-raising prefix (lines 2-4), ``remainder``
+    the hint multiply, accumulate and ModDown (lines 5-10); the fused
+    keyswitch is both.  A hoisted rotation group (Halevi-Shoup hoisting;
+    `repro.compiler.hoisting`) pays one prefix for its shared
+    :data:`~repro.ir.HOIST_MODUP` - the raised digits stay
+    register-file-resident in the EVAL domain - and one remainder per
+    :data:`~repro.ir.ROTATE_HOISTED`.  The two parts are the fused
+    keyswitch split at line 4, so a hoisted singleton is break-even by
+    construction.
+
+    The remainder applies no automorphism to the t(L + alpha) raised
+    rows: the evaluation key is stored/generated pre-permuted (b halves
+    permuted at rest in HBM, a halves emitted in permuted order by the
+    KSH generator - both free), the raised digits are multiplied against
+    it unpermuted, and :func:`op_cost` charges one automorphism over the
+    accumulated output pair (2L rows, as for an unhoisted rotate).
     """
+    if not (modup or remainder):
+        raise ParameterError("select modup, remainder or both")
     n = degree
     ell = level
     alpha = -(-ell // digits)
     raised = ell + alpha
-    cost = OpCost()
-
-    # Line 2: INTT of the input's L residues.
-    cost.add_fu("ntt", ell * n)
-    # Line 3 (ModUp): CRB streams each digit's residues once; every MAC
-    # pipeline accumulates one destination residue.
-    crb_in = ell                       # total input residues streamed
-    crb_macs_up = ell * ell            # t * (alpha * L) = L^2 MACs
-    # Line 4: NTT the newly produced residues (L per digit).
-    cost.add_fu("ntt", digits * ell * n)
-    # Lines 5-6: multiply against both hint halves and accumulate.
     hint_rows = digits * raised
-    cost.add_fu("mul", 2 * hint_rows * n)
-    if digits > 1:
-        cost.add_fu("add", 2 * (digits - 1) * raised * n)
-    # Lines 7-9 (ModDown), for both outputs: INTT the alpha special
-    # residues, CRB them back onto L residues, NTT the corrections.
-    cost.add_fu("ntt", 2 * alpha * n)
-    crb_in += 2 * alpha
-    crb_macs_down = 2 * alpha * ell
-    cost.add_fu("ntt", 2 * ell * n)
-    # Line 10: subtract correction and scale by P^-1.
-    cost.add_fu("add", 2 * ell * n)
-    cost.add_fu("mul", 2 * ell * n)
+    cost = OpCost()
+    ntt_passes = crb_in = crb_macs = vec_mults = vec_adds = 0
 
-    crb_macs = crb_macs_up + crb_macs_down
+    if modup:
+        # Line 2: INTT of the input's L residues.
+        cost.add_fu("ntt", ell * n)
+        # Line 3 (ModUp): CRB streams each digit's residues once; every
+        # MAC pipeline accumulates one destination residue.
+        crb_in += ell                  # total input residues streamed
+        crb_macs += ell * ell          # t * (alpha * L) = L^2 MACs
+        # Line 4: NTT the newly produced residues (L per digit).
+        cost.add_fu("ntt", digits * ell * n)
+        ntt_passes += ell + digits * ell
+    if remainder:
+        # Lines 5-6: multiply against both hint halves and accumulate.
+        cost.add_fu("mul", 2 * hint_rows * n)
+        if digits > 1:
+            cost.add_fu("add", 2 * (digits - 1) * raised * n)
+        # Lines 7-9 (ModDown), for both outputs: INTT the alpha special
+        # residues, CRB them back onto L residues, NTT the corrections.
+        cost.add_fu("ntt", 2 * alpha * n)
+        crb_in += 2 * alpha
+        crb_macs += 2 * alpha * ell
+        cost.add_fu("ntt", 2 * ell * n)
+        # Line 10: subtract correction and scale by P^-1.
+        cost.add_fu("add", 2 * ell * n)
+        cost.add_fu("mul", 2 * ell * n)
+        ntt_passes += 2 * alpha + 2 * ell
+        vec_mults = 2 * hint_rows + 2 * ell
+        vec_adds = 2 * (digits - 1) * raised + 2 * ell
+
     if cfg.crb:
         cost.add_fu("crb", crb_in * n)
     else:
@@ -172,136 +203,27 @@ def boosted_keyswitch_cost(cfg: ChipConfig, degree: int, level: int,
         cost.add_fu("mul", crb_macs * n)
         cost.add_fu("add", crb_macs * n)
 
-    # Pseudorandom hint half: generated on the fly or fetched.
-    a_half_words = hint_rows * n
-    if cfg.kshgen:
-        cost.add_fu("kshgen", a_half_words)
-        cost.kshgen_elements += a_half_words
-        cost.hint_words += a_half_words          # stored b half only
-    else:
-        cost.hint_words += 2 * a_half_words      # both halves from memory
+    if remainder:
+        # Pseudorandom hint half: generated on the fly or fetched.  When
+        # the hoisting pass batches same-hint rotations (``repeat > 1``)
+        # this charge is not scaled with the batch (see :func:`op_cost`).
+        a_half_words = hint_rows * n
+        if cfg.kshgen:
+            cost.add_fu("kshgen", a_half_words)
+            cost.kshgen_elements += a_half_words
+            cost.hint_words += a_half_words          # stored b half only
+        else:
+            cost.hint_words += 2 * a_half_words      # both halves from memory
 
     # Every NTT/INTT pass crosses the transpose network once.
-    ntt_passes = ell + digits * ell + 2 * alpha + 2 * ell
     cost.network_words += ntt_passes * n
     if not cfg.fixed_network:
         cost.network_words *= CROSSBAR_TRAFFIC_FACTOR
 
-    cost.scalar_mults += (
-        crb_macs * n + (2 * hint_rows + 2 * ell) * n
-        + ntt_passes * _ntt_scalar_mults(n)
-    )
-    cost.scalar_adds += (
-        crb_macs * n + (2 * (digits - 1) * raised + 2 * ell) * n
-        + ntt_passes * _ntt_scalar_mults(n)
-    )
-    return cost
-
-
-def hoist_modup_cost(cfg: ChipConfig, degree: int, level: int,
-                     digits: int) -> OpCost:
-    """Element/word cost of the *shared* ModUp of a hoisted rotation group
-    (Halevi-Shoup hoisting; `repro.compiler.hoisting`).
-
-    Exactly the input-raising prefix of :func:`boosted_keyswitch_cost`
-    (lines 2-4 of Listing 1): INTT the L residues, CRB every digit onto
-    the L + alpha target residues, NTT the newly produced residues.  The
-    raised digits stay register-file-resident in the EVAL domain, so each
-    :data:`~repro.ir.ROTATE_HOISTED` consumer pays only the remainder
-    (:func:`hoisted_rotate_keyswitch_cost`); for one rotation the two
-    parts merge back to ``boosted_keyswitch_cost`` field by field.
-    """
-    n = degree
-    ell = level
-    cost = OpCost()
-    # Line 2: INTT of the input's L residues.
-    cost.add_fu("ntt", ell * n)
-    # Line 3 (ModUp): CRB streams each digit's residues once.
-    crb_in = ell
-    crb_macs = ell * ell
-    # Line 4: NTT the newly produced residues (L per digit).
-    cost.add_fu("ntt", digits * ell * n)
-    if cfg.crb:
-        cost.add_fu("crb", crb_in * n)
-    else:
-        cost.add_fu("mul", crb_macs * n)
-        cost.add_fu("add", crb_macs * n)
-    ntt_passes = ell + digits * ell
-    cost.network_words += ntt_passes * n
-    if not cfg.fixed_network:
-        cost.network_words *= CROSSBAR_TRAFFIC_FACTOR
-    cost.scalar_mults += crb_macs * n + ntt_passes * _ntt_scalar_mults(n)
-    cost.scalar_adds += crb_macs * n + ntt_passes * _ntt_scalar_mults(n)
-    return cost
-
-
-def hoisted_rotate_keyswitch_cost(cfg: ChipConfig, degree: int, level: int,
-                                  digits: int) -> OpCost:
-    """Per-rotation remainder of a hoisted keyswitch: hint multiply,
-    accumulate, ModDown (lines 5-10 of Listing 1).
-
-    The rotation's automorphism is *not* applied to the t(L + alpha)
-    raised rows: the evaluation key is stored/generated pre-permuted
-    (b halves permuted at rest in HBM, a halves emitted in permuted
-    order by the KSH generator - both free), the raised digits are
-    multiplied against it unpermuted, and one automorphism over the
-    accumulated output pair (charged by :func:`op_cost`'s
-    ROTATE_HOISTED branch, 2L rows - the same as an unhoisted rotate)
-    finishes the rotation.  Complementary to :func:`hoist_modup_cost`:
-    merging the two reproduces ``boosted_keyswitch_cost`` exactly, so a
-    hoisted singleton is break-even by construction.
-
-    When the hoisting pass batches same-hint rotations into one op
-    (``repeat > 1``), the KSHGen charge below is *not* scaled with the
-    batch (see :func:`op_cost`): each generated a-half row is broadcast
-    to every batch member's multipliers in the same pass, so the
-    generator runs once per hint, not once per rotation.
-    """
-    n = degree
-    ell = level
-    alpha = -(-ell // digits)
-    raised = ell + alpha
-    cost = OpCost()
-    # Lines 5-6: multiply against both hint halves and accumulate.
-    hint_rows = digits * raised
-    cost.add_fu("mul", 2 * hint_rows * n)
-    if digits > 1:
-        cost.add_fu("add", 2 * (digits - 1) * raised * n)
-    # Lines 7-9 (ModDown), for both outputs.
-    cost.add_fu("ntt", 2 * alpha * n)
-    crb_in = 2 * alpha
-    crb_macs = 2 * alpha * ell
-    cost.add_fu("ntt", 2 * ell * n)
-    # Line 10: subtract correction and scale by P^-1.
-    cost.add_fu("add", 2 * ell * n)
-    cost.add_fu("mul", 2 * ell * n)
-    if cfg.crb:
-        cost.add_fu("crb", crb_in * n)
-    else:
-        cost.add_fu("mul", crb_macs * n)
-        cost.add_fu("add", crb_macs * n)
-
-    a_half_words = hint_rows * n
-    if cfg.kshgen:
-        cost.add_fu("kshgen", a_half_words)
-        cost.kshgen_elements += a_half_words
-        cost.hint_words += a_half_words
-    else:
-        cost.hint_words += 2 * a_half_words
-
-    ntt_passes = 2 * alpha + 2 * ell
-    cost.network_words += ntt_passes * n
-    if not cfg.fixed_network:
-        cost.network_words *= CROSSBAR_TRAFFIC_FACTOR
-
-    cost.scalar_mults += (
-        crb_macs * n + (2 * hint_rows + 2 * ell) * n
-        + ntt_passes * _ntt_scalar_mults(n)
-    )
-    cost.scalar_adds += (
-        crb_macs * n + (2 * (digits - 1) * raised + 2 * ell) * n
-        + ntt_passes * _ntt_scalar_mults(n)
-    )
+    cost.scalar_mults += (crb_macs * n + vec_mults * n
+                          + ntt_passes * _ntt_scalar_mults(n))
+    cost.scalar_adds += (crb_macs * n + vec_adds * n
+                         + ntt_passes * _ntt_scalar_mults(n))
     return cost
 
 
@@ -401,30 +323,23 @@ def op_cost(cfg: ChipConfig, op: HomOp, degree: int) -> OpCost:
         cost.add_fu("add", 2 * ell * n)  # fold keyswitch output into (d0, d1)
         cost.scalar_mults += 4 * ell * n
         cost.scalar_adds += 4 * ell * n
-    elif op.kind in (ROTATE, CONJUGATE):
+    elif op.kind in (ROTATE, CONJUGATE, ROTATE_HOISTED):
         cost.add_fu("aut", 2 * ell * n)
         # Each automorphism pass needs two transposes (Sec. 4.2).
         extra_net = 2 * 2 * ell * n
         cost.network_words += (
             extra_net * (CROSSBAR_TRAFFIC_FACTOR if not cfg.fixed_network else 1)
         )
-        cost.merge(keyswitch_cost(cfg, n, ell, op.digits))
+        if op.kind == ROTATE_HOISTED:
+            cost.merge(boosted_keyswitch_cost(cfg, n, ell, op.digits,
+                                              modup=False))
+        else:
+            cost.merge(keyswitch_cost(cfg, n, ell, op.digits))
         cost.add_fu("add", ell * n)
         cost.scalar_adds += ell * n
     elif op.kind == HOIST_MODUP:
-        cost.merge(hoist_modup_cost(cfg, n, ell, op.digits))
-    elif op.kind == ROTATE_HOISTED:
-        # Automorphism over the accumulated output pair only (the raised
-        # digits meet a pre-permuted hint; see
-        # hoisted_rotate_keyswitch_cost): 2L rows, as for a plain rotate.
-        cost.add_fu("aut", 2 * ell * n)
-        extra_net = 2 * 2 * ell * n
-        cost.network_words += (
-            extra_net * (CROSSBAR_TRAFFIC_FACTOR if not cfg.fixed_network else 1)
-        )
-        cost.merge(hoisted_rotate_keyswitch_cost(cfg, n, ell, op.digits))
-        cost.add_fu("add", ell * n)
-        cost.scalar_adds += ell * n
+        cost.merge(boosted_keyswitch_cost(cfg, n, ell, op.digits,
+                                          remainder=False))
     elif op.kind == PMULT:
         cost.add_fu("mul", 2 * ell * n)
         cost.scalar_mults += 2 * ell * n

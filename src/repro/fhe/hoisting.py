@@ -19,9 +19,9 @@ raised digits (:func:`~repro.fhe.ntt.eval_automorphism_permutation`),
 multiplies them against its hint
 (:func:`~repro.fhe.keyswitch.multiply_accumulate`) and divides by P
 (:func:`~repro.fhe.keyswitch.mod_down_pair`) - no other transform.  NTT
-accounting matches the cost model exactly: k rotations cost one
-:func:`~repro.core.cost.hoist_modup_cost` plus k
-:func:`~repro.core.cost.hoisted_rotate_keyswitch_cost`.
+accounting matches the cost model exactly: k rotations cost one ModUp
+prefix plus k remainders of
+:func:`~repro.core.cost.boosted_keyswitch_cost`.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ def hoisting_savings(level: int, digits: int, rotations: int) -> float:
         ratio = separate / hoisted
 
     These counts are exactly the cost model's NTT element counts divided
-    by N (:func:`repro.core.cost.hoist_modup_cost` plus k times
-    :func:`repro.core.cost.hoisted_rotate_keyswitch_cost` against k times
-    the keyswitch inside a fused rotate), a correspondence the property
-    suite sweeps in ``tests/fhe/test_hoisting.py``.  For t = 1 the ratio
+    by N (:func:`repro.core.cost.boosted_keyswitch_cost`'s ModUp prefix
+    plus k times its remainder, against k times the fused keyswitch
+    inside a rotate), a correspondence the property suite sweeps in
+    ``tests/fhe/test_hoisting.py``.  For t = 1 the ratio
     approaches 6L / 4L = 1.5 as k grows; at k = 1 it is exactly 1 (the
     split is an exact complement, hoisting a singleton is break-even).
     """

@@ -13,7 +13,17 @@ from repro.core.cost import (
     plaintext_words,
     standard_keyswitch_cost,
 )
-from repro.ir import ADD, MULT, PMULT, RESCALE, ROTATE, HomOp
+from repro.ir import (
+    ADD,
+    HOIST_MODUP,
+    MULT,
+    PMULT,
+    RESCALE,
+    ROTATE,
+    ROTATE_HOISTED,
+    HomOp,
+)
+from repro.reliability.errors import ParameterError
 
 CFG = ChipConfig()
 N = 65536
@@ -38,6 +48,31 @@ def test_boosted_keyswitch_is_table1_plus_p_inverse_scaling():
         assert cost.fu_elements["ntt"] == table1.ntt * N
         assert cost.scalar_mults == (table1.scalar_mults(N)
                                      + 2 * level * N)
+
+
+def test_boosted_keyswitch_rejects_an_empty_selection():
+    with pytest.raises(ParameterError, match="modup, remainder or both"):
+        boosted_keyswitch_cost(CFG, N, 8, 2, modup=False, remainder=False)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.without_kshgen(),
+                                 CFG.without_crb_chaining()],
+                         ids=["craterlake", "no_kshgen", "no_crb_chaining"])
+@pytest.mark.parametrize("level,digits", [(60, 1), (57, 2), (13, 3), (8, 2)])
+def test_hoisted_singleton_costs_the_fused_rotate(cfg, level, digits):
+    """A HOIST_MODUP plus one ROTATE_HOISTED prices exactly one ROTATE:
+    the two ops split Listing 1 at line 4 and share its automorphism.
+    (Below L ~ 8 a machine without a CRB fuses standard keyswitching
+    instead, which hoisting does not split.)"""
+    rotate = op_cost(cfg, HomOp(kind=ROTATE, level=level, result="r",
+                                operands=("x",), hint_id="h",
+                                digits=digits), N)
+    hoisted = op_cost(cfg, HomOp(kind=HOIST_MODUP, level=level, result="m",
+                                 operands=("x",), digits=digits), N)
+    hoisted.merge(op_cost(cfg, HomOp(kind=ROTATE_HOISTED, level=level,
+                                     result="r", operands=("m", "x"),
+                                     hint_id="h", digits=digits), N))
+    assert hoisted == rotate
 
 
 def test_standard_ntt_passes_match_table1():

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import f1plus_config
 from repro.core.config import ChipConfig
-from repro.core.cost import (
-    boosted_keyswitch_cost,
-    hoist_modup_cost,
-    hoisted_rotate_keyswitch_cost,
-)
+from repro.core.cost import boosted_keyswitch_cost
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.fhe.hoisting import HoistedRotator, hoisted_rotations, hoisting_savings
 from repro.fhe.keyswitch import boosted_keyswitch, digit_bases
@@ -84,8 +81,8 @@ def test_hoisted_rotation_bit_exact_against_oracle(request, digits, level):
 @pytest.mark.parametrize("digits", [1, 2, 3])
 def test_hoisted_group_ntt_rows_match_cost_model(request, digits):
     """At the top level (t * alpha = L) a hoisted group of k rotations
-    transforms exactly the NTT passes the cycle model prices: one
-    hoist_modup_cost plus k hoisted_rotate_keyswitch_cost."""
+    transforms exactly the NTT passes the cycle model prices: one ModUp
+    prefix plus k remainders of boosted_keyswitch_cost."""
     fix = request.getfixturevalue(_BY_DIGITS[digits])
     ctx, sk = fix.ctx, fix.sk
     level, n, k = ctx.params.max_level, ctx.params.degree, 3
@@ -96,9 +93,8 @@ def test_hoisted_group_ntt_rows_match_cost_model(request, digits):
         rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
         for steps, hint in enumerate(hints, start=1):
             rotator.rotate(steps, hint)
-    want = (_ntt_passes(hoist_modup_cost(_CFG, n, level, digits))
-            + k * _ntt_passes(
-                hoisted_rotate_keyswitch_cost(_CFG, n, level, digits))) / n
+    want = (_ntt_passes(_modup(_CFG, n, level, digits))
+            + k * _ntt_passes(_remainder(_CFG, n, level, digits))) / n
     assert col.counters["fhe.batch.ntt_rows"] == want
 
 
@@ -141,6 +137,16 @@ def _ntt_passes(cost) -> float:
     return cost.fu_elements.get("ntt", 0.0)
 
 
+def _modup(cfg, n, level, digits):
+    """The ModUp prefix a hoisted group shares (Listing 1, lines 2-4)."""
+    return boosted_keyswitch_cost(cfg, n, level, digits, remainder=False)
+
+
+def _remainder(cfg, n, level, digits):
+    """The per-rotation remainder of a hoisted group (lines 5-10)."""
+    return boosted_keyswitch_cost(cfg, n, level, digits, modup=False)
+
+
 @settings(max_examples=200, deadline=None)
 @given(level=st.integers(2, 60), digits=st.integers(1, 4),
        rotations=st.integers(1, 64))
@@ -156,9 +162,8 @@ def test_hoisting_savings_matches_cost_model(level, digits, rotations):
     n = 1024
     alpha = -(-level // digits)
     fused = _ntt_passes(boosted_keyswitch_cost(_CFG, n, level, digits)) / n
-    hoist = _ntt_passes(hoist_modup_cost(_CFG, n, level, digits)) / n
-    per_rot = _ntt_passes(
-        hoisted_rotate_keyswitch_cost(_CFG, n, level, digits)) / n
+    hoist = _ntt_passes(_modup(_CFG, n, level, digits)) / n
+    per_rot = _ntt_passes(_remainder(_CFG, n, level, digits)) / n
     assert fused == level + digits * level + 2 * alpha + 2 * level
     assert hoist == level + digits * level
     assert per_rot == 2 * alpha + 2 * level
@@ -168,28 +173,39 @@ def test_hoisting_savings_matches_cost_model(level, digits, rotations):
         separate / hoisted)
 
 
+_SPLIT_CONFIGS = (_CFG, _CFG.without_kshgen(), _CFG.without_crb_chaining(),
+                  f1plus_config())
+
+
 @settings(max_examples=100, deadline=None)
 @given(level=st.integers(2, 60), digits=st.integers(1, 4))
 def test_hoisted_split_is_exact_complement(level, digits):
-    """hoist_modup + hoisted remainder == fused keyswitch, field by field.
+    """ModUp prefix + remainder == fused keyswitch, field by field, on
+    CraterLake, its no-KSHGen and no-CRB ablations, and F1+.
 
     This is the k = 1 break-even property the compiler pass relies on:
     a singleton group costs exactly the same hoisted as fused, so the
-    rewrite can never pessimize.
+    rewrite can never pessimize.  Every count is an exact integer, so
+    the merge is exact; only a crossbar network (F1+) scales each part's
+    pass count by a non-integer factor, which may round differently
+    from scaling their sum.
     """
     digits = min(digits, level)
     n = 1024
-    fused = boosted_keyswitch_cost(_CFG, n, level, digits)
-    split = hoist_modup_cost(_CFG, n, level, digits)
-    split.merge(hoisted_rotate_keyswitch_cost(_CFG, n, level, digits))
-    assert split.fu_elements == fused.fu_elements
-    assert split.port_stream_elements == pytest.approx(
-        fused.port_stream_elements)
-    assert split.network_words == pytest.approx(fused.network_words)
-    assert split.scalar_mults == fused.scalar_mults
-    assert split.scalar_adds == fused.scalar_adds
-    assert split.hint_words == fused.hint_words
-    assert split.kshgen_elements == fused.kshgen_elements
+    for cfg in _SPLIT_CONFIGS:
+        fused = boosted_keyswitch_cost(cfg, n, level, digits)
+        split = _modup(cfg, n, level, digits)
+        split.merge(_remainder(cfg, n, level, digits))
+        assert split.fu_elements == fused.fu_elements
+        assert split.port_stream_elements == fused.port_stream_elements
+        if cfg.fixed_network:
+            assert split.network_words == fused.network_words
+        else:
+            assert split.network_words == pytest.approx(fused.network_words)
+        assert split.scalar_mults == fused.scalar_mults
+        assert split.scalar_adds == fused.scalar_adds
+        assert split.hint_words == fused.hint_words
+        assert split.kshgen_elements == fused.kshgen_elements
 
 
 def test_hoisting_savings_growth():
