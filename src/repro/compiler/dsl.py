@@ -54,6 +54,7 @@ class FheBuilder:
         self.digit_schedule = digit_schedule or {}
         self._counter = 0
         self._tag = ""
+        self._templates: dict = {}  # (replay key, source level) -> _Template
 
     # -- plumbing -----------------------------------------------------------
 
@@ -61,20 +62,15 @@ class FheBuilder:
         self._counter += 1
         return f"{prefix}%{self._counter}"
 
-    def _digits(self, level: int) -> int:
-        return self.digit_schedule.get(level, 1)
-
-    def _emit(self, kind: str, level: int, operands=(), hint_id=None,
-              plaintext_id=None, result_prefix: str = "v",
-              repeat: int = 1, compact_pt: bool = False,
-              steps: int | None = None) -> Value:
-        result = self._fresh(result_prefix)
+    def _emit(self, kind: str, level: int, operands: tuple[str, ...] = (),
+              hint_id=None, plaintext_id=None, repeat: int = 1,
+              compact_pt: bool = False, steps: int | None = None) -> Value:
+        self._counter += 1
+        result = f"v%{self._counter}"
+        # Positional, in HomOp's field order: this runs once per op.
         self.program.append(HomOp(
-            kind=kind, level=level, result=result,
-            operands=tuple(o.name for o in operands),
-            hint_id=hint_id, plaintext_id=plaintext_id,
-            digits=self._digits(level), tag=self._tag, repeat=repeat,
-            compact_pt=compact_pt, steps=steps,
+            kind, level, result, operands, hint_id, plaintext_id, steps,
+            self.digit_schedule.get(level, 1), self._tag, compact_pt, repeat,
         ))
         return Value(result, level)
 
@@ -105,7 +101,8 @@ class FheBuilder:
                 f"mult operands at different levels ({a.level} vs {b.level});"
                 " mod_drop first"
             )
-        out = self._emit(MULT, a.level, (a, b), hint_id="relin", repeat=repeat)
+        out = self._emit(MULT, a.level, (a.name, b.name), hint_id="relin",
+                         repeat=repeat)
         return self.rescale(out) if rescale else out
 
     def square(self, a: Value, rescale: bool = True) -> Value:
@@ -117,17 +114,15 @@ class FheBuilder:
         products (distinct single-use plaintexts) into one stream op;
         ``compact`` marks small-coefficient plaintexts stored as ~2
         residues and extended on chip."""
-        out = self._emit(PMULT, a.level, (a,), plaintext_id=plaintext,
+        out = self._emit(PMULT, a.level, (a.name,), plaintext_id=plaintext,
                          repeat=repeat, compact_pt=compact)
         return self.rescale(out) if rescale else out
 
     def add(self, a: Value, b: Value, repeat: int = 1) -> Value:
-        if a.level != b.level:
-            # Harmless level alignment (mod-drop is free in the machine
-            # model); emit at the lower level.
-            level = min(a.level, b.level)
-            a, b = Value(a.name, level), Value(b.name, level)
-        return self._emit(ADD, a.level, (a, b), repeat=repeat)
+        # Operands at different levels align harmlessly (mod-drop is free
+        # in the machine model): emit at the lower level.
+        return self._emit(ADD, min(a.level, b.level), (a.name, b.name),
+                          repeat=repeat)
 
     def rotate(self, a: Value, steps: int, hint_id: str | None = None,
                repeat: int = 1) -> Value:
@@ -136,16 +131,16 @@ class FheBuilder:
         The rotation amount is carried on the op (``HomOp.steps``) - the
         hint id is a reuse handle only and may be shared across amounts."""
         hint = hint_id if hint_id is not None else f"rot{steps}"
-        return self._emit(ROTATE, a.level, (a,), hint_id=hint, repeat=repeat,
-                          steps=steps)
+        return self._emit(ROTATE, a.level, (a.name,), hint_id=hint,
+                          repeat=repeat, steps=steps)
 
     def conjugate(self, a: Value, hint_id: str = "conj") -> Value:
-        return self._emit(CONJUGATE, a.level, (a,), hint_id=hint_id)
+        return self._emit(CONJUGATE, a.level, (a.name,), hint_id=hint_id)
 
     def rescale(self, a: Value) -> Value:
         if a.level < 2:
             raise NoiseBudgetExhaustedError("cannot rescale below level 1")
-        out = self._emit(RESCALE, a.level, (a,))
+        out = self._emit(RESCALE, a.level, (a.name,))
         return Value(out.name, a.level - 1)
 
     def mod_drop(self, a: Value, level: int) -> Value:
@@ -161,5 +156,97 @@ class FheBuilder:
             raise ScheduleError("raise_level must increase the level")
         return Value(a.name, level)
 
+    def replay(self, key, source: Value, emit) -> Value:
+        """Append ``emit(source)``'s ops; returns the value it returns.
+
+        The first call per ``key`` (and source level) runs ``emit`` and
+        records the ops it appends as a template; every later call
+        splices the template instead: the same ops with fresh result
+        names (``v%<counter>``, exactly as ``emit`` would have drawn
+        them), reading ``source`` where the recorded body read its own.
+        Each spliced op still runs the :class:`HomOp` checks.  ``key``
+        must pin everything besides the source that the body depends on;
+        the body may read only ``source`` and the values it emits.
+        Repeated bodies (a deep workload's bootstraps) then cost one
+        template walk each, and share their hint ids, plaintext ids,
+        tags and repeated operand tuples with the recording.
+        """
+        template = self._templates.get((key, source.level))
+        if template is not None:
+            return self._splice(template, source)
+        start, first = len(self.program.ops), self._counter
+        out = emit(source)
+        self._templates[key, source.level] = _Template(
+            self.program.ops[start:], first, source, out)
+        return out
+
+    def _splice(self, template: "_Template", source: Value) -> Value:
+        if template.max_level > self.program.max_level:
+            raise ScheduleError(
+                f"op at level {template.max_level} exceeds program max "
+                f"{self.program.max_level}"
+            )
+        names = [source.name]   # value index -> its result name
+        operand_sets = template.operand_sets
+        operands: list[tuple[str, ...]] = []   # per operand set, built once
+        append = self.program.ops.append
+        counter = self._counter
+        for (kind, level, slot, hint_id, plaintext_id, steps, digits, tag,
+             compact_pt, repeat) in template.ops:
+            if slot == len(operands):   # sets are numbered by first use
+                operands.append(tuple([names[i] for i in operand_sets[slot]]))
+            counter += 1
+            result = f"v%{counter}"
+            append(HomOp(kind, level, result, operands[slot], hint_id,
+                         plaintext_id, steps, digits, tag, compact_pt,
+                         repeat))
+            names.append(result)
+        self._counter = counter
+        return Value(names[template.output], template.output_level)
+
     def build(self) -> Program:
         return self.program
+
+
+class _Template:
+    """One recorded body of :meth:`FheBuilder.replay`.
+
+    Values are numbered 0 for the source and ``i + 1`` for the body's
+    ``i``-th op.  ``operand_sets`` holds each distinct operand tuple of
+    the body once, as value numbers, in order of first use; each op
+    keeps its :class:`HomOp` fields with ``result`` dropped and
+    ``operands`` replaced by its operand set's number.
+    """
+
+    __slots__ = ("ops", "operand_sets", "output", "output_level",
+                 "max_level")
+
+    def __init__(self, ops: list[HomOp], first: int, source: Value,
+                 out: Value):
+        index = {source.name: 0}
+        sets: dict[tuple[int, ...], int] = {}
+        self.ops = []
+        for i, op in enumerate(ops, 1):
+            if op.result != f"v%{first + i}":
+                raise ScheduleError(
+                    "a replayed body must draw one v% name per op",
+                    result=op.result)
+            try:
+                refs = tuple([index[o] for o in op.operands])
+            except KeyError:
+                raise ScheduleError(
+                    "a replayed body may read only its source and its own "
+                    "values", operands=op.operands) from None
+            index[op.result] = i
+            self.ops.append((
+                op.kind, op.level, sets.setdefault(refs, len(sets)),
+                op.hint_id, op.plaintext_id, op.steps, op.digits, op.tag,
+                op.compact_pt, op.repeat,
+            ))
+        if out.name not in index:
+            raise ScheduleError("a replayed body must return its source or "
+                                "one of its own values", result=out.name)
+        self.operand_sets = list(sets)
+        self.output = index[out.name]
+        self.output_level = out.level
+        self.max_level = max((op.level for op in ops), default=1)

@@ -40,9 +40,11 @@ charge their full per-tile work.
 Profitability is decided against the cost model, not assumed: a group is
 rewritten only when the hoist plus its batched rotations are strictly
 cheaper in compute cycles than the fused originals on the target config.
-Because the hoisted split is an exact complement of the fused keyswitch,
-a singleton group is exactly break-even and is therefore never rewritten
-(the pass cannot pessimize).
+The hoisted split is the boosted keyswitch cut in two, so a singleton
+group costs exactly the fused rotate where that rotate runs boosted
+keyswitching, and more where a machine without a CRB fuses standard
+keyswitching instead (low levels).  It never costs less, so a singleton
+is never rewritten (the pass cannot pessimize).
 
 Input rotations that are already batched (``repeat > 1``) stand for
 rotations of *different* ciphertexts sharing a hint - there is no common
@@ -77,34 +79,26 @@ def hoist_rotations(program: Program,
 
 def _hoist_rotations(program: Program, cfg: ChipConfig) -> Program:
     costs = CostTable(cfg, program.degree)
+    ops = program.ops
 
-    # Group plain rotations by the SSA version of their source operand at
-    # the same (level, digits).  Redefinition of a name (non-SSA streams)
-    # closes its open groups: a later rotate of the new value must not
-    # share the old value's ModUp.
-    version: dict[str, int] = {}
-    groups: dict[tuple, list[int]] = {}
-    for i, op in enumerate(program.ops):
-        if op.kind == ROTATE and op.repeat == 1 and len(op.operands) == 1:
-            src = op.operands[0]
-            key = (src, version.get(src, 0), op.level, op.digits)
-            groups.setdefault(key, []).append(i)
-        version[op.result] = version.get(op.result, 0) + 1
-
-    # Decide profitability per group against the cost model.
-    replacements: dict[int, HomOp] = {}   # batch-rep index -> rotate_hoisted
-    hoists: dict[int, HomOp] = {}         # first-member index -> hoist_modup
-    dropped: dict[int, str] = {}          # merged member index -> rep result
+    # Decide profitability per group against the cost model.  A rewritten
+    # index maps to its rotate_hoisted, or to the batch representative's
+    # result when batched away; a group's first index also gets its hoist.
+    rewrites: dict[int, HomOp | str] = {}
+    hoists: dict[int, HomOp] = {}
     hoisted_rotations = 0
-    for gidx, ((src, ver, level, digits), members) in enumerate(
-            sorted(groups.items(), key=lambda kv: kv[1][0])):
+    # The group list is referenced only by the loop, so it is freed
+    # before the rebuild below.
+    for gidx, (src, level, digits, members) in enumerate(
+            _rotation_groups(ops)):
         k = len(members)
         if k < 2:
             continue
-        first = program.ops[members[0]]
+        first = ops[members[0]]
         raised = f"{src}@up{gidx}"
-        hoist_op = HomOp(kind=HOIST_MODUP, level=level, result=raised,
-                         operands=(src,), digits=digits, tag=first.tag)
+        hoist_op = HomOp(HOIST_MODUP, level, raised, first.operands,
+                         digits=digits, tag=first.tag)
+        hoisted_operands = (raised, src)
         rotate_cycles = costs[first].cycles
         hoist_cycles = costs[hoist_op].cycles
         # Members rotating by the same amount compute the same value, so
@@ -116,36 +110,33 @@ def _hoist_rotations(program: Program, cfg: ChipConfig) -> Program:
         # (steps=None) is its own singleton batch.
         batches: dict[tuple, list[int]] = {}
         for idx in members:
-            member = program.ops[idx]
+            member = ops[idx]
             key = ((member.steps, member.hint_id, member.tag)
                    if member.steps is not None else ("unbatchable", idx))
             batches.setdefault(key, []).append(idx)
         hoisted_total = 0.0
-        probes: dict[int, HomOp] = {}
+        probes: list[HomOp] = []
         for batch in batches.values():
-            rep = program.ops[batch[0]]
-            probe = HomOp(kind=ROTATE_HOISTED, level=level,
-                          result=rep.result, operands=(raised, src),
-                          hint_id=rep.hint_id, digits=digits, tag=rep.tag,
-                          steps=rep.steps, repeat=len(batch))
-            probes[batch[0]] = probe
+            rep = ops[batch[0]]
+            probe = HomOp(ROTATE_HOISTED, level, rep.result,
+                          hoisted_operands, rep.hint_id, None, rep.steps,
+                          digits, rep.tag, False, len(batch))
+            probes.append(probe)
             hoisted_total += costs[probe].cycles
         # The rewrite introduces a hoist -> rotation dependence chain the
         # fused ops did not have; on serial machines that exposes two
         # pipeline fills.  Charge them (and give the fused side none, a
         # conservative comparison) so tiny groups on small rings are not
         # pessimized for a few hundred cycles of compute savings.
-        latency = (costs[hoist_op].latency
-                   + costs[next(iter(probes.values()))].latency)
+        latency = costs[hoist_op].latency + costs[probes[0]].latency
         if hoist_cycles + hoisted_total + latency >= k * rotate_cycles:
             obs.count("compiler.hoist.unprofitable_groups")
             continue
         hoists[members[0]] = hoist_op
-        replacements.update(probes)
-        for batch in batches.values():
-            rep_result = program.ops[batch[0]].result
+        for batch, probe in zip(batches.values(), probes):
+            rewrites[batch[0]] = probe
             for idx in batch[1:]:
-                dropped[idx] = rep_result
+                rewrites[idx] = probe.result
         obs.count("compiler.hoist.hoisted_groups")
         obs.count("compiler.hoist.modups_saved", k - 1)
         hoisted_rotations += k
@@ -156,37 +147,73 @@ def _hoist_rotations(program: Program, cfg: ChipConfig) -> Program:
     out = Program(name=program.name, degree=program.degree,
                   max_level=program.max_level,
                   description=program.description)
-    ops: list[HomOp] = []
+    lowered: list[HomOp] = []
+    append = lowered.append
     rename: dict[str, str] = {}
-    for i, op in enumerate(program.ops):
-        if i in hoists:
-            # The group's source name was captured at analysis time; it
-            # may itself be a dropped batch member of an earlier group,
-            # so emit with the live rename applied or the hoist would
-            # reference a name with no producer.
-            ops.append(replace_operands(hoists[i], rename)
-                       if rename else hoists[i])
-        if i in dropped:
-            # Batched away: later uses of this member's result read the
-            # batch representative's (identical) value instead.
-            rename[op.result] = dropped[i]
-            continue
-        op = replacements.get(i, op)  # before renaming: probes' source
-        if rename and any(o in rename for o in op.operands):
-            op = replace_operands(op, rename)
-        if op.result in rename:
-            del rename[op.result]  # non-SSA redefinition shadows the merge
-        ops.append(op)
-    out.ops = ops
+    renamed: dict[tuple[str, ...], tuple[str, ...]] = {}  # interned
+    for i, op in enumerate(ops):
+        new = rewrites.get(i)
+        if new is not None:
+            hoist_op = hoists.get(i)
+            if hoist_op is not None:
+                # The group's source name was captured at analysis time;
+                # it may itself be a dropped batch member of an earlier
+                # group, so emit with the live rename applied or the
+                # hoist would reference a name with no producer.
+                if hoist_op.operands[0] in rename:
+                    hoist_op = _renamed(hoist_op, rename, renamed)
+                append(hoist_op)
+            if isinstance(new, str):
+                # Batched away: later uses of this member's result read
+                # the batch representative's (identical) value instead.
+                rename[op.result] = new
+                continue
+            op = new  # before renaming: the probe reads the source
+        if rename:
+            if not rename.keys().isdisjoint(op.operands):
+                op = _renamed(op, rename, renamed)
+            if op.result in rename:
+                del rename[op.result]  # non-SSA redefinition shadows it
+        append(op)
+    out.ops = lowered
     return out
 
 
-def replace_operands(op: HomOp, rename: dict[str, str]) -> HomOp:
-    """Copy ``op`` with operand names substituted per ``rename``."""
-    return HomOp(
-        kind=op.kind, level=op.level, result=op.result,
-        operands=tuple(rename.get(o, o) for o in op.operands),
-        hint_id=op.hint_id, plaintext_id=op.plaintext_id,
-        digits=op.digits, tag=op.tag, compact_pt=op.compact_pt,
-        steps=op.steps, repeat=op.repeat,
-    )
+def _rotation_groups(ops: list[HomOp]) -> list[tuple]:
+    """Plain rotations as (source, level, digits, member indices) groups,
+    in order of first member.
+
+    A source's groups stay open until the source is redefined (non-SSA
+    streams): a later rotate of the new value must not share the old
+    value's ModUp.
+    """
+    groups: list[tuple[str, int, int, list[int]]] = []
+    open_groups: dict[str, dict[tuple[int, int], list[int]]] = {}
+    for i, op in enumerate(ops):
+        if op.kind == ROTATE and op.repeat == 1 and len(op.operands) == 1:
+            src = op.operands[0]
+            shapes = open_groups.get(src)
+            if shapes is None:
+                shapes = open_groups[src] = {}
+            members = shapes.get((op.level, op.digits))
+            if members is None:
+                members = shapes[op.level, op.digits] = []
+                groups.append((src, op.level, op.digits, members))
+            members.append(i)
+        if op.result in open_groups:
+            del open_groups[op.result]
+    return groups
+
+
+def _renamed(op: HomOp, rename: dict[str, str],
+             shared: dict[tuple[str, ...], tuple[str, ...]]) -> HomOp:
+    """Copy ``op`` with operand names substituted per ``rename``.
+
+    ``shared`` interns the new operand tuples: copies whose operands
+    rename to the same names (a batch's consumers) share one tuple.
+    """
+    operands = tuple([rename.get(o, o) for o in op.operands])
+    operands = shared.setdefault(operands, operands)
+    return HomOp(op.kind, op.level, op.result, operands, op.hint_id,
+                 op.plaintext_id, op.steps, op.digits, op.tag, op.compact_pt,
+                 op.repeat)

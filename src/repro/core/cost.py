@@ -146,9 +146,12 @@ def boosted_keyswitch_cost(cfg: ChipConfig, degree: int, level: int,
     `repro.compiler.hoisting`) pays one prefix for its shared
     :data:`~repro.ir.HOIST_MODUP` - the raised digits stay
     register-file-resident in the EVAL domain - and one remainder per
-    :data:`~repro.ir.ROTATE_HOISTED`.  The two parts are the fused
-    keyswitch split at line 4, so a hoisted singleton is break-even by
-    construction.
+    :data:`~repro.ir.ROTATE_HOISTED`.  The two parts are the boosted
+    keyswitch split at line 4, so a hoisted singleton costs the compute
+    cycles of a fused rotate wherever :func:`keyswitch_cost` picks
+    boosted keyswitching (always, on a machine with a CRB).  Where a
+    machine without one picks standard keyswitching (low levels), the
+    singleton costs more, never less.
 
     The remainder applies no automorphism to the t(L + alpha) raised
     rows: the evaluation key is stored/generated pre-permuted (b halves

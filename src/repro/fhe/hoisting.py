@@ -140,7 +140,9 @@ def hoisting_savings(level: int, digits: int, rotations: int) -> float:
     inside a rotate), a correspondence the property suite sweeps in
     ``tests/fhe/test_hoisting.py``.  For t = 1 the ratio
     approaches 6L / 4L = 1.5 as k grows; at k = 1 it is exactly 1 (the
-    split is an exact complement, hoisting a singleton is break-even).
+    split is an exact complement of the boosted keyswitch).  A machine
+    that fuses standard keyswitching at low levels (no CRB) makes a
+    hoisted singleton cost more than its rotate there, never less.
     """
     ell = level
     alpha = -(-ell // digits)

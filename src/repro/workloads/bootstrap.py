@@ -102,11 +102,22 @@ def emit_bootstrap(b: FheBuilder, x: Value, plan: BootstrapPlan,
     giant-step hints are per stage, and EvalMod shares the single
     relinearization hint - which is why KSH traffic, not compute, dominates
     this workload (Fig. 10a).
+
+    The body depends only on ``plan``, ``namespace`` and the builder, so
+    the builder records the first one per (plan, namespace) and splices
+    it on every later call (:meth:`FheBuilder.replay`): a deep workload
+    emits each distinct bootstrap once.
     """
     b.phase("bootstrap")
-    level = plan.top_level
-    x = b.raise_level(x, level)
+    x = b.raise_level(x, plan.top_level)
+    out = b.replay((plan, namespace), x,
+                   lambda x: _bootstrap_body(b, x, plan, namespace))
+    b.phase("")
+    return out
 
+
+def _bootstrap_body(b: FheBuilder, x: Value, plan: BootstrapPlan,
+                    namespace: str) -> Value:
     def transform(x: Value, stages: int, label: str) -> Value:
         if plan.sparse_slots:
             tiles = 1
@@ -176,9 +187,7 @@ def emit_bootstrap(b: FheBuilder, x: Value, plan: BootstrapPlan,
     for _ in range(plan.scaling_corrections):
         merged = b.pmult(merged, f"{namespace}/scale_corr", compact=True)
 
-    merged = transform(merged, plan.stc_stages, "stc")
-    b.phase("")
-    return merged
+    return transform(merged, plan.stc_stages, "stc")
 
 
 def packed_bootstrapping(security: int = 80, degree: int = 65536,

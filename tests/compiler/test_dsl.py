@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.dsl import FheBuilder, Value
 from repro.ir import ADD, INPUT, MULT, OUTPUT, PMULT, RESCALE, ROTATE
+from repro.reliability.errors import ScheduleError
 
 
 def make_builder(**kw):
@@ -118,3 +119,28 @@ def test_pmult_repeat_and_compact():
     b.pmult(x, "w", rescale=False, repeat=7, compact=True)
     op = b.build().ops[-1]
     assert op.kind == PMULT and op.repeat == 7 and op.compact_pt
+
+
+def _square_body(b):
+    return lambda x: b.add(b.mult(x, x), b.rotate(x, 1))
+
+
+@pytest.mark.parametrize("levels", [(10, 10, 10), (10, 8, 10)])
+def test_replay_emits_what_the_body_emits(levels):
+    """Spliced calls equal direct emission, per source level."""
+    b, ref = make_builder(), make_builder()
+    b.phase("p")
+    ref.phase("p")
+    for level in levels:
+        x = b.input("x", level)
+        out = b.replay("sq", x, _square_body(b))
+        rx = ref.input("x", level)
+        assert out == _square_body(ref)(rx)
+    assert b.build().ops == ref.build().ops
+
+
+def test_replay_rejects_a_body_reading_another_value():
+    b = make_builder()
+    other = b.input("y", 10)
+    with pytest.raises(ScheduleError):
+        b.replay("bad", b.input("x", 10), lambda x: b.add(x, other))

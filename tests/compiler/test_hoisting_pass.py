@@ -11,6 +11,8 @@ the hoisted schedule is never worse, and on the hoisting-heavy
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,8 +125,8 @@ def test_hoisted_program_is_bit_exact_and_never_slower(fhe, groups,
 
 
 def test_singleton_groups_are_never_rewritten():
-    # Exact-complement split => hoisting a lone rotation is break-even,
-    # so singletons are never candidates and the program is untouched.
+    # A hoisted lone rotation never costs less than the fused one, so
+    # singletons are never candidates and the program is untouched.
     program = _build_program([[2]])
     hoisted = hoist_rotations(program, _CFG)
     assert [op.kind for op in hoisted.ops] == [op.kind for op in program.ops]
@@ -246,8 +248,8 @@ def test_dropped_member_as_later_group_source_is_renamed(fhe):
 
 def test_version_tracking_separates_redefined_sources():
     # Rotations of *different* values that happen to share an operand name
-    # must not share a ModUp.  The DSL emits SSA names, so craft the
-    # stream by hand.
+    # must not share a ModUp: redefining x closes its open groups.  The
+    # DSL emits SSA names, so craft the stream by hand.
     from repro.ir import HomOp
 
     program = Program(name="versioned", degree=65536, max_level=60)
@@ -269,6 +271,33 @@ def test_version_tracking_separates_redefined_sources():
     validate_program(hoisted, _CFG)
 
 
+def test_redefined_batch_member_shadows_its_rename():
+    """A batched-away member's result reads the representative's only
+    until the name is redefined (non-SSA streams, crafted by hand)."""
+    from repro.ir import HomOp
+
+    program = Program(name="shadowed", degree=65536, max_level=60)
+    program.append(HomOp(kind=INPUT, level=57, result="x"))
+    for result, steps in (("r0", 1), ("r1", 1), ("r2", 2)):
+        program.append(HomOp(kind=ROTATE, level=57, result=result,
+                             operands=("x",), hint_id=f"rot{steps}",
+                             steps=steps))
+    program.append(HomOp(kind=ADD, level=57, result="t",
+                         operands=("r1", "r2")))
+    program.append(HomOp(kind=ADD, level=57, result="r1",
+                         operands=("t", "r0")))
+    program.append(HomOp(kind=OUTPUT, level=57, result="out",
+                         operands=("r1",)))
+    hoisted = hoist_rotations(program, _CFG)
+    assert [op.kind for op in hoisted.ops].count(HOIST_MODUP) == 1
+    uses = {op.result: op.operands for op in hoisted.ops
+            if op.kind in (ADD, OUTPUT)}
+    assert uses["t"] == ("r0", "r2")   # r1 was batched into r0
+    assert uses["r1"] == ("t", "r0")
+    assert uses["out"] == ("r1",)      # the redefined r1, not r0
+    validate_program(hoisted, _CFG)
+
+
 def test_packed_bootstrap_drops_at_least_ten_percent():
     program = benchmark("packed_bootstrap")
     hoisted = hoist_rotations(program, _CFG)
@@ -287,3 +316,19 @@ def test_pass_counters_surface_in_top_report():
     report = top_report(c)
     assert "compiler.hoist.hoisted_groups" in report
     assert "compiler.hoist.modups_saved" in report
+
+
+def test_hoisting_holds_at_most_40_bytes_per_op_beside_its_output():
+    """The pass's peak over its input and output: group lists for
+    rotations only, and one rewrite per hoisted rotation.  A version
+    counter per result name took 63 bytes an op on lstm."""
+    program = benchmark("lstm")
+    tracemalloc.start()
+    try:
+        lowered = hoist_rotations(program, _CFG)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lowered.ops
+    assert peak - size <= 40 * len(program.ops), \
+        (peak - size) / len(program.ops)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.opcounts import boosted_keyswitch_ops
+from repro.baselines import f1plus_config
 from repro.core.config import ChipConfig
 from repro.core.cost import (
     boosted_keyswitch_cost,
@@ -55,6 +56,19 @@ def test_boosted_keyswitch_rejects_an_empty_selection():
         boosted_keyswitch_cost(CFG, N, 8, 2, modup=False, remainder=False)
 
 
+def _singleton_costs(cfg, level, digits):
+    """(fused ROTATE, HOIST_MODUP merged with one ROTATE_HOISTED)."""
+    rotate = op_cost(cfg, HomOp(kind=ROTATE, level=level, result="r",
+                                operands=("x",), hint_id="h",
+                                digits=digits), N)
+    hoisted = op_cost(cfg, HomOp(kind=HOIST_MODUP, level=level, result="m",
+                                 operands=("x",), digits=digits), N)
+    hoisted.merge(op_cost(cfg, HomOp(kind=ROTATE_HOISTED, level=level,
+                                     result="r", operands=("m", "x"),
+                                     hint_id="h", digits=digits), N))
+    return rotate, hoisted
+
+
 @pytest.mark.parametrize("cfg", [CFG, CFG.without_kshgen(),
                                  CFG.without_crb_chaining()],
                          ids=["craterlake", "no_kshgen", "no_crb_chaining"])
@@ -64,15 +78,34 @@ def test_hoisted_singleton_costs_the_fused_rotate(cfg, level, digits):
     the two ops split Listing 1 at line 4 and share its automorphism.
     (Below L ~ 8 a machine without a CRB fuses standard keyswitching
     instead, which hoisting does not split.)"""
-    rotate = op_cost(cfg, HomOp(kind=ROTATE, level=level, result="r",
-                                operands=("x",), hint_id="h",
-                                digits=digits), N)
-    hoisted = op_cost(cfg, HomOp(kind=HOIST_MODUP, level=level, result="m",
-                                 operands=("x",), digits=digits), N)
-    hoisted.merge(op_cost(cfg, HomOp(kind=ROTATE_HOISTED, level=level,
-                                     result="r", operands=("m", "x"),
-                                     hint_id="h", digits=digits), N))
+    rotate, hoisted = _singleton_costs(cfg, level, digits)
     assert hoisted == rotate
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.without_kshgen(),
+                                 CFG.without_crb_chaining(),
+                                 f1plus_config()],
+                         ids=["craterlake", "no_kshgen", "no_crb_chaining",
+                              "f1plus"])
+def test_hoisted_singleton_never_costs_less_than_the_fused_rotate(cfg):
+    """Hoisting splits the boosted keyswitch, so a hoisted singleton costs
+    the fused rotate's compute cycles exactly where ``keyswitch_cost``
+    picks boosted keyswitching, and more where a machine without a CRB
+    picks standard keyswitching (without_crb_chaining() at N=65536: 21
+    (L, t) shapes, e.g. L=2, t=2).  It is never cheaper, which is what
+    keeps the hoisting pass from rewriting a lone rotation."""
+    standard = 0
+    for level in range(2, 61):
+        for digits in range(1, 5):
+            rotate, hoisted = _singleton_costs(cfg, level, digits)
+            fused = rotate.compute_cycles(cfg)
+            split = hoisted.compute_cycles(cfg)
+            boosted = (keyswitch_cost(cfg, N, level, digits)
+                       == boosted_keyswitch_cost(cfg, N, level, digits))
+            assert split >= fused, (level, digits)
+            assert (split == fused) == boosted, (level, digits)
+            standard += not boosted
+    assert (standard > 0) == (not cfg.crb)
 
 
 def test_standard_ntt_passes_match_table1():

@@ -183,12 +183,13 @@ def test_hoisted_split_is_exact_complement(level, digits):
     """ModUp prefix + remainder == fused keyswitch, field by field, on
     CraterLake, its no-KSHGen and no-CRB ablations, and F1+.
 
-    This is the k = 1 break-even property the compiler pass relies on:
-    a singleton group costs exactly the same hoisted as fused, so the
-    rewrite can never pessimize.  Every count is an exact integer, so
-    the merge is exact; only a crossbar network (F1+) scales each part's
-    pass count by a non-integer factor, which may round differently
-    from scaling their sum.
+    This is the k = 1 property the compiler pass relies on: a singleton
+    group costs exactly the same hoisted as a boosted fused keyswitch
+    (``tests/core/test_cost.py`` covers machines that fuse standard
+    keyswitching), so the rewrite can never pessimize.  Every count is
+    an exact integer, so the merge is exact; only a crossbar network
+    (F1+) scales each part's pass count by a non-integer factor, which
+    may round differently from scaling their sum.
     """
     digits = min(digits, level)
     n = 1024
