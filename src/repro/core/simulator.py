@@ -91,11 +91,10 @@ class SimResult:
     dead_drops: int = 0            # residents released on their last use
     stall_cycles: float = 0.0      # compute cycles lost waiting on memory
     # Critical-path cycles attributed to each op tag (FheBuilder.phase
-    # label; "" for untagged ops).  Each op's critical-path advance lands
-    # in its tag's bucket, so the buckets telescope exactly to
-    # ``program_cycles`` - the serving layer uses this to charge chip
-    # time to a batch's phases (and, divided by occupancy, to individual
-    # requests).
+    # label; "" for untagged ops): ``simulate_ops``' per-op advances
+    # grouped by tag, so the buckets telescope to ``program_cycles`` -
+    # the serving layer charges chip time to a batch's phases (and,
+    # divided by occupancy, to individual requests) from them.
     tag_cycles: dict[str, float] = field(default_factory=dict)
     # Overlap accounting (the pod layer's double-buffered transfers).
     # ``program_cycles`` is the critical path of the op stream alone,
@@ -191,7 +190,21 @@ def simulate(program: Program, cfg: ChipConfig, *,
              chip: int | None = None,
              overlap_streams: dict[str, tuple[float, float]] | None = None,
              ) -> SimResult:
+    """:func:`simulate_ops`' result, without the per-op advances."""
+    return simulate_ops(program, cfg, chip=chip,
+                        overlap_streams=overlap_streams)[0]
+
+
+def simulate_ops(program: Program, cfg: ChipConfig, *,
+                 chip: int | None = None,
+                 overlap_streams: dict[str, tuple[float, float]] | None = None,
+                 ) -> tuple[SimResult, array]:
     """Run ``program`` on machine ``cfg``; see module docstring.
+
+    Beside the result it returns each op's price, its critical-path
+    advance: what op ``i`` adds to ``max(compute, memory)``.  They sum
+    to ``program_cycles``, ``tag_cycles`` groups them by tag, and
+    `repro.interpret.Plan.step_cycles` by executor step.
 
     ``overlap_streams`` charges off-chip transfers this chip owes beyond
     the program's own HBM traffic - the pod layer (`repro.pod`) uses it
@@ -253,7 +266,8 @@ def simulate(program: Program, cfg: ChipConfig, *,
     traffic = {KSH: 0.0, INPUTS: 0.0, INTERM_LOAD: 0.0}  # fetches by key
     store = 0.0  # INTERM_STORE: OUTPUT stores and dirty-victim writebacks
     fu_busy: dict[str, float] = {}
-    tag_cycles: dict[str, float] = {}
+    advances = array("d", [0.0]) * len(program.ops)  # each op's price
+    tag_cycles: dict[str, float] = {}  # the same, grouped by op.tag
     port_streams = network = mults = adds = kshgen = 0.0
     mem_clock = comp_clock = 0.0
     total_evictions = total_dead_drops = 0
@@ -467,17 +481,15 @@ def simulate(program: Program, cfg: ChipConfig, *,
 
         total_evictions += evictions
         total_dead_drops += drops
-        # Attribute the op's critical-path advance to its tag bucket;
-        # the per-tag sums telescope exactly to the final cycle count.
+        # The op's critical-path advance: its price.
         advance = (comp_clock if comp_clock > mem_clock
                    else mem_clock) - crit_before
+        advances[i] = advance
         if advance:
             tag_cycles[op.tag] = tag_cycles.get(op.tag, 0.0) + advance
         if tr is not None:
             if chained and chaining:
                 tr.count("sim.chain_hits")
-            # ``cycles`` is the critical-path advance, so the events
-            # telescope exactly to the final cycle count.
             tr.emit_op(obs.OpEvent(
                 index=i, kind=kind, result=op.result, level=level,
                 tag=op.tag, cycles=advance,
@@ -567,4 +579,4 @@ def simulate(program: Program, cfg: ChipConfig, *,
         serialized_cycles=serialized_cycles,
         overlap_hidden_cycles=overlap_hidden,
         link_port_cycles=link_port_cycles,
-    )
+    ), advances

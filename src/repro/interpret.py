@@ -48,9 +48,12 @@ values; state keys the program does not name are left alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from typing import Callable, NamedTuple
 
+from repro.core.simulator import SimResult, simulate_ops
 from repro.ir import (
     ADD,
     HOIST_MODUP,
@@ -114,15 +117,19 @@ class Plan:
             step.fn(ctx, state)
         return state
 
-    def step_cycles(self, cfg) -> list[float]:
-        """Compute cycles the cycle model charges for each step's ops:
-        what an executor pays again when it replays the step."""
-        from repro.core.cost import CostTable
+    def price(self, cfg) -> tuple[SimResult, list[float]]:
+        """One simulation of the program on ``cfg``: its result and each
+        step's price, the sum of its ops' critical-path advances (what a
+        replay of the step pays again).  Steps are contiguous op ranges,
+        so the prices add up to ``program_cycles``."""
+        with obs.paused():  # a price, not an executed run
+            result, advances = simulate_ops(self.program, cfg)
+        ends = list(accumulate((len(s.ops) for s in self.steps), initial=0))
+        return result, [math.fsum(advances[a:b]) for a, b in pairwise(ends)]
 
-        costs = CostTable(cfg, self.program.degree)
-        return [sum(costs[op].cycles
-                    for op in step.ops if op.kind not in (INPUT, OUTPUT))
-                for step in self.steps]
+    def step_cycles(self, cfg) -> list[float]:
+        """Each step's price on ``cfg`` (see :meth:`price`)."""
+        return self.price(cfg)[1]
 
     def _hint(self, op: HomOp):
         if op.steps is None or op.steps not in self.hints:

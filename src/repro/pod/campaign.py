@@ -185,8 +185,8 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
                for s in part.shards}
 
     def fresh_executor(injector=None) -> PodExecutor:
-        return PodExecutor(ctx, pod, plans, initial, transfers=part.edges,
-                           injector=injector)
+        return PodExecutor(ctx, pod, chip, plans, initial,
+                           transfers=part.edges, injector=injector)
 
     # -- reference + clean phase: no injector, outputs must agree -----------
     reference = fresh_executor().run()

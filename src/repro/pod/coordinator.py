@@ -78,7 +78,7 @@ class PodStats:
     chip_failures: int = 0
     migrations: int = 0          # logical chips re-homed after a failure
     replayed_steps: int = 0      # steps re-executed from a checkpoint
-    replay_cycles: float = 0.0   # cycle-model price of those steps
+    replay_cycles: float = 0.0   # simulated price of those steps
     link_faults_detected: int = 0
     retransmits: int = 0
     backoff_s: float = 0.0       # virtual retransmit backoff accumulated
@@ -91,10 +91,11 @@ class PodStats:
 class PodExecutor:
     """Dataflow-triggered fault-tolerant execution over K logical chips:
     ``plans`` maps each to its lowered shard, ``initial_state`` to the
-    values its caller binds."""
+    values its caller binds; ``cfg``, the machine the shards were
+    partitioned for, prices replayed steps."""
 
-    def __init__(self, ctx, pod: PodConfig, plans: dict[int, Plan],
-                 initial_state: dict[int, dict],
+    def __init__(self, ctx, pod: PodConfig, cfg: ChipConfig,
+                 plans: dict[int, Plan], initial_state: dict[int, dict],
                  transfers: list[CutEdge] = (),
                  injector: FaultInjector | None = None):
         for c in plans:
@@ -103,6 +104,7 @@ class PodExecutor:
                                      chip=c, chips=pod.chips)
         self.ctx = ctx
         self.pod = pod
+        self.cfg = cfg
         self.plans = plans
         self.injector = injector
         self.rng = np.random.default_rng(pod.seed)
@@ -164,7 +166,7 @@ class PodExecutor:
         """Re-run ``c``'s steps ``[start, end)``, re-applying each logged
         receipt before the step it arrived before."""
         plan = self.plans[c]
-        prices = plan.step_cycles(ChipConfig())
+        prices = plan.step_cycles(self.cfg)
         for i in range(start, end + 1):
             for anchor, name, wire in self._rx_log[c]:
                 if anchor == i:

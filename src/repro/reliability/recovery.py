@@ -1,6 +1,6 @@
 """Checkpoint/replay recovery: detected faults become resumed computation.
 
-PR 2's detection substrate (per-limb checksums, hint verification, NTT
+The detection substrate (per-limb checksums, hint verification, NTT
 transform checksums) turns silent corruption into
 :class:`~repro.reliability.errors.FaultDetectedError` - but a deep
 bootstrapped program that *aborts* on every transient still wastes
@@ -36,9 +36,10 @@ Three pieces:
 Checkpoint and replay cost is threaded into the cycle model: a
 checkpoint writes ``2*L*N`` residue words through the HBM stream
 (:func:`checkpoint_cycles`, the one checkpoint price; the simulator has
-none of its own), replayed steps re-pay their compute cycles,
-and both are accumulated into :class:`RecoveryStats` and emitted as obs
-counters (``reliability.recovery.*``) so the overhead of resilience is
+none of its own), replayed steps re-pay their simulated cycles
+(:meth:`repro.interpret.Plan.step_cycles`), and both are accumulated
+into :class:`RecoveryStats` and emitted as obs counters
+(``reliability.recovery.*``) so the overhead of resilience is
 measurable, not assumed.
 """
 
@@ -527,7 +528,7 @@ class RecoveryCampaignResult(SiteTotals):
     params: dict                   # run_recovery_campaign's arguments
     sites: dict[str, SiteStats]
     false_positives: int
-    base_cycles_per_run: float     # cycle-model cost of one fault-free run
+    base_cycles_per_run: float     # simulated cycles of a fault-free run
     checkpoint_cycles: float       # total resilience cost across all trials
     replay_cycles: float
     total_seconds: float
@@ -665,7 +666,6 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
 
     steps = plan.steps
     step_cycles = plan.step_cycles(cfg)
-    base_cycles = sum(step_cycles)
     keyswitch_steps = [i for i, s in enumerate(steps) if s.keyswitches]
     policy = policy or RecoveryPolicy(checkpoint_every=checkpoint_every)
 
@@ -779,7 +779,7 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                     checkpoint_every=checkpoint_every,
                     clean_runs=clean_runs),
         sites=sites, false_positives=false_positives,
-        base_cycles_per_run=base_cycles,
+        base_cycles_per_run=sum(step_cycles),
         checkpoint_cycles=checkpoint_cycles, replay_cycles=replay_cycles,
         total_seconds=time.perf_counter() - t0, counters=counters,
     )

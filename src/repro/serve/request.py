@@ -89,5 +89,4 @@ class BatchRecord:
     overhead_s: float = 0.0      # checkpoint/replay + backoff time
     retries: int = 0
     degraded: bool = False
-    cache_hit: bool = False
     chip: int = 0                # pod chip the batch executed on

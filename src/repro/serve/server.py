@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.compiler.cache import compile_program, default_cache
 from repro.core.config import ChipConfig
-from repro.core.simulator import simulate
 from repro.interpret import lower
 from repro.obs import collector as obs
 from repro.reliability import guards
@@ -249,8 +248,9 @@ class Server:
     def _plan(self, kind: str, occupancy: int):
         """The batch's compiled program lowered to executor steps, with
         each step's cycle price.  Compiled once per (kind, occupancy)
-        through the memory compile cache; the single-chip service time
-        is the simulation of this same program."""
+        through the memory compile cache and simulated once: the same
+        run prices the steps and, on one chip, gives the service time
+        and the per-phase cycles."""
         key = (kind, occupancy)
         if key not in self._plans:
             c = self.cfg
@@ -260,7 +260,11 @@ class Server:
                                     c.block_slots, occupancy),
                     self.chip, cache=default_cache())
             plan = lower(program, self.hints, self.weights)
-            self._plans[key] = (plan, plan.step_cycles(self.chip))
+            sim, prices = plan.price(self.chip)
+            self._plans[key] = (plan, prices)
+            if not self._model_pod:
+                seconds = sim.cycles / self.chip.clock_hz
+                self._service[key] = (seconds, seconds, sim.tag_cycles)
         return self._plans[key]
 
     @staticmethod
@@ -274,13 +278,14 @@ class Server:
         """Clean (fault-free) service *latency* of one batch.
 
         Compiled through the process-wide memory compile cache and
-        simulated once per (kind, occupancy); every later batch of the
-        same shape reuses the memoized schedule - compile-once,
-        run-many.  Runs under ``obs.paused()`` so internal compiler and
-        simulator counters do not pollute the serving metrics the
-        campaign reconciles.  On a model-parallel pod this is the
-        pipeline *fill* time (the batch walks every stage); the lane's
-        steady-state occupancy is :meth:`throughput_seconds`.
+        simulated once per (kind, occupancy) - on one chip, the
+        simulation :meth:`_plan` prices the steps with; every later
+        batch of the same shape reuses the memoized schedule -
+        compile-once, run-many.  Runs under ``obs.paused()`` so internal
+        compiler and simulator counters do not pollute the serving
+        metrics the campaign reconciles.  On a model-parallel pod this
+        is the pipeline *fill* time (the batch walks every stage); the
+        lane's steady-state occupancy is :meth:`throughput_seconds`.
         """
         key = (kind, occupancy)
         if key not in self._service:
@@ -302,11 +307,7 @@ class Server:
                     self._service[key] = (res.batch_seconds,
                                           res.seconds_per_batch, tags)
                 else:
-                    plan, _ = self._plan(kind, occupancy)
-                    sim = simulate(plan.program, self.chip)
-                    seconds = sim.cycles / self.chip.clock_hz
-                    self._service[key] = (seconds, seconds,
-                                          dict(sim.tag_cycles))
+                    self._plan(kind, occupancy)
         return self._service[key][0]
 
     def throughput_seconds(self, kind: str, occupancy: int) -> float:
@@ -487,7 +488,6 @@ class Server:
         record = BatchRecord(batch_id=len(self.batches), kind=kind,
                              requests=list(batch), dispatched_at=t0,
                              degraded=degraded)
-        record.cache_hit = (kind, occupancy) in self._service
         service_s = self.service_seconds(kind, occupancy)
         steady_s = self.throughput_seconds(kind, occupancy)
         plan, step_cycles = self._plan(kind, occupancy)

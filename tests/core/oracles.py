@@ -297,3 +297,18 @@ def simulate(program: Program, cfg: ChipConfig) -> SimResult:
         overlap_hidden_cycles=0.0,
         link_port_cycles=0.0,
     )
+
+
+def check_advances(program: Program, result: SimResult, advances) -> None:
+    """``simulate_ops``' per-op advances against its result: one
+    non-negative advance per op, summing exactly to ``program_cycles``,
+    and grouped by tag in program order - zero advances skipped, so
+    they add no key - equal to ``tag_cycles`` dict for dict."""
+    assert len(advances) == len(program.ops)
+    assert min(advances, default=0.0) >= 0.0
+    assert sum(advances) == result.program_cycles
+    tags: dict[str, float] = {}
+    for op, advance in zip(program.ops, advances):
+        if advance:
+            tags[op.tag] = tags.get(op.tag, 0.0) + advance
+    assert tags == result.tag_cycles

@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import asdict, replace
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.cache import compile_program
-from repro.core.config import ChipConfig
 from repro.core.simulator import _next_use_table, simulate
 from repro.ir import KEYSWITCH_KINDS, KINDS, ROTATE_HOISTED, HomOp, Program
-from repro.workloads import ALL_BENCHMARKS, benchmark
+from repro.workloads import ALL_BENCHMARKS
 
 from tests.core import oracles
 from tests.core.test_register_file import STEP, _cfg, _random_program
@@ -38,23 +35,12 @@ def _assert_matches(program: Program) -> None:
     assert list(_next_use_table(program)) == _flattened(program)
 
 
-@lru_cache(maxsize=None)
-def _program(name: str, compiled: bool) -> Program:
-    program = benchmark(name)
-    return compile_program(program, ChipConfig()) if compiled else program
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _release_programs():
-    yield
-    _program.cache_clear()
-
-
 @pytest.mark.parametrize("compiled", (False, True),
                          ids=("plain", "compiled"))
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_flat_table_matches_oracle_on_benchmarks(name, compiled):
-    _assert_matches(_program(name, compiled))
+def test_flat_table_matches_oracle_on_benchmarks(benchmark_program, name,
+                                                 compiled):
+    _assert_matches(benchmark_program(name, compiled))
 
 
 # Every role draws from one pool, so one op may name the same object as
@@ -111,10 +97,10 @@ def test_names_in_two_roles_match_oracle(steps, slots):
         == repr(asdict(oracles.simulate(program, cfg)))
 
 
-def test_table_costs_at_most_20_bytes_per_touch():
+def test_table_costs_at_most_20_bytes_per_touch(benchmark_program):
     """One double per touch: resnet20's dict-per-op table took 74.5
     bytes a touch."""
-    program = benchmark("resnet20")
+    program = benchmark_program("resnet20", False)
     touches = sum(len(oracles.touched(op)) for op in program.ops)
     tracemalloc.start()
     try:

@@ -10,9 +10,10 @@ guarantees of ``simulate(..., overlap_streams=...)``:
 * *never better than physics*: overlap can hide a transfer behind
   compute and idle bandwidth, but not shrink the op stream's own
   critical path or outrun the busiest per-direction port;
-* *telescoping accounting*: per-tag critical-path buckets sum exactly
-  to ``program_cycles``, so the serving layer's per-phase charging
-  never invents or loses a cycle.
+* *telescoping accounting*: the per-op critical-path advances sum
+  exactly to ``program_cycles`` whatever the streams, and grouped by
+  tag they are ``tag_cycles``, so the serving layer's per-phase
+  charging and its replay prices never invent or lose a cycle.
 
 Checked property-based on random DAGs x random stream sets, plus spot
 checks on a deep benchmark.
@@ -24,8 +25,9 @@ from hypothesis import strategies as st
 
 from repro.compiler.dsl import FheBuilder
 from repro.core.config import ChipConfig
-from repro.core.simulator import simulate
-from repro.workloads import benchmark
+from repro.core.simulator import simulate, simulate_ops
+
+from tests.core import oracles
 
 CFG = ChipConfig()
 
@@ -107,18 +109,18 @@ def test_no_streams_degenerates_to_plain_run(ops, inputs):
 
 
 @settings(max_examples=20, deadline=None)
-@given(ops=ops_strategy, inputs=st.integers(1, 4))
-def test_tag_cycles_telescope_to_program_cycles(ops, inputs):
+@given(ops=ops_strategy, inputs=st.integers(1, 4),
+       streams=st.one_of(st.none(), streams_strategy))
+def test_tag_cycles_telescope_to_program_cycles(ops, inputs, streams):
     program = random_program(ops, inputs)
-    res = simulate(program, CFG)
-    assert sum(res.tag_cycles.values()) == pytest.approx(
-        res.program_cycles, rel=1e-12)
+    res, advances = simulate_ops(program, CFG, overlap_streams=streams)
+    oracles.check_advances(program, res, advances)
 
 
-def test_deep_benchmark_overlap_spot_check():
+def test_deep_benchmark_overlap_spot_check(benchmark_program):
     """A bandwidth-heavy stream on a real benchmark: some of it hides
     behind compute, and the accounting identities still close."""
-    program = benchmark("logreg")
+    program = benchmark_program("logreg", False)
     plain = simulate(program, CFG)
     words = plain.mem_cycles  # ~1 word/cycle worth of extra transfers
     streams = {"link_in": (words, 0.5), "link_out": (words, 0.5)}

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import f1plus_config
 from repro.core.config import ChipConfig
-from repro.core.simulator import simulate
+from repro.core.simulator import simulate, simulate_ops
 from repro.ir import (
     ADD,
     HOIST_MODUP,
@@ -231,7 +231,7 @@ def test_heap_stays_bounded_under_next_use_churn():
 
     def watch(frame, event, arg):
         if event == "c_call" and arg is heapq.heappush \
-                and frame.f_code is simulate.__code__:
+                and frame.f_code is simulate_ops.__code__:
             sizes.append(len(frame.f_locals["heap"]))
 
     sys.setprofile(watch)

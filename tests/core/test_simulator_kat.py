@@ -1,8 +1,8 @@
 """Known-answer vectors for the cycle model.
 
 ``kat/simulate_kat.json`` holds ``repr(dataclasses.asdict(result))`` for
-every case below (``_run``) and ``repr`` of ``CpuModel.seconds`` per
-benchmark.  They were generated once from the per-op cost path and the
+every case below (``test_simulate_reproduces_kat``) and ``repr`` of
+``CpuModel.seconds`` per benchmark.  They were generated once from the per-op cost path and the
 ``max``-scan register file (the oracle in ``oracles.py``) that the
 shape-keyed cost table and the heap Belady replaced.  ``repr`` of a
 float round-trips exactly, so string equality is bit-identity of every
@@ -14,33 +14,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from repro.baselines import CpuModel, f1plus_config
-from repro.compiler.cache import compile_program
 from repro.core.config import ChipConfig
-from repro.core.simulator import simulate
+from repro.core.simulator import simulate, simulate_ops
 from repro.obs import collector as obs
-from repro.workloads import ALL_BENCHMARKS, benchmark
+from repro.workloads import ALL_BENCHMARKS
+
+from tests.core import oracles
 
 KAT_PATH = Path(__file__).parent / "kat" / "simulate_kat.json"
 
 _CONFIGS = {"craterlake": ChipConfig, "f1plus": f1plus_config}
-
-
-@lru_cache(maxsize=None)
-def _program(name: str, compiled: bool):
-    program = benchmark(name)
-    return compile_program(program, ChipConfig()) if compiled else program
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _release_programs():
-    yield
-    _program.cache_clear()
 
 
 def _cases() -> dict[str, tuple]:
@@ -58,16 +46,13 @@ def _cases() -> dict[str, tuple]:
 CASES = _cases()
 
 
-def _simulate(case: tuple):
+def _case(benchmark_program, case: tuple):
+    """The case's program and machine."""
     name, compiled, cfg_name, rf_mb = case
     cfg = _CONFIGS[cfg_name]()
     if rf_mb is not None:
         cfg = cfg.with_register_file(rf_mb)
-    return simulate(_program(name, compiled), cfg)
-
-
-def _run(case: tuple) -> str:
-    return repr(asdict(_simulate(case)))
+    return benchmark_program(name, compiled), cfg
 
 
 @pytest.fixture(scope="module")
@@ -81,26 +66,32 @@ def test_kat_covers_every_case(kat):
 
 
 @pytest.mark.parametrize("cid", sorted(CASES))
-def test_simulate_reproduces_kat(kat, cid):
-    assert _run(CASES[cid]) == kat["simulate"][cid]
+def test_simulate_reproduces_kat(kat, benchmark_program, cid):
+    """Every field, and the per-op advances beside them telescope to
+    ``program_cycles`` and group into ``tag_cycles``."""
+    program, cfg = _case(benchmark_program, CASES[cid])
+    result, advances = simulate_ops(program, cfg)
+    assert repr(asdict(result)) == kat["simulate"][cid]
+    oracles.check_advances(program, result, advances)
 
 
 @pytest.mark.parametrize("cid", ["packed_bootstrap/compiled/craterlake",
                                  "resnet20/craterlake-64MB"])
-def test_traced_simulate_reproduces_kat(kat, cid):
+def test_traced_simulate_reproduces_kat(kat, benchmark_program, cid):
     """Tracing takes its own branch of the op loop: it must move no
     field, and its ``sim.*`` counters must equal the fields they
     mirror."""
+    program, cfg = _case(benchmark_program, CASES[cid])
     with obs.collecting() as c:
-        result = _simulate(CASES[cid])
+        result = simulate(program, cfg)
     assert repr(asdict(result)) == kat["simulate"][cid]
     for name in ("rf_evictions", "dead_drops", "stall_cycles"):
         assert c.counters.get(f"sim.{name}", 0) == getattr(result, name), \
             name
 
 
-def test_cpu_model_reproduces_kat(kat):
+def test_cpu_model_reproduces_kat(kat, benchmark_program):
     cpu = CpuModel()
     for name in ALL_BENCHMARKS:
-        seconds = cpu.seconds(_program(name, False))
+        seconds = cpu.seconds(benchmark_program(name, False))
         assert repr(seconds) == kat["cpu_seconds"][name]

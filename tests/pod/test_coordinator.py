@@ -6,9 +6,12 @@ same pod program - the recovery contract is *bit-exact* equivalence,
 not approximate agreement.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.baselines import f1plus_config
 from repro.compiler.cache import compile_program
 from repro.core.config import ChipConfig
 from repro.fhe.ckks import CkksContext, CkksParams
@@ -48,11 +51,12 @@ def fhe():
     return ctx, sk, batch
 
 
-def shards(ctx, sk, kind, chips):
+def shards(ctx, sk, kind, chips, chip=None):
     """The compiled serving ``kind`` batch, partitioned model-parallel
-    over ``chips`` chips: the source program, the pod, each shard's
-    lowered plan, and the partition."""
-    chip = ChipConfig()
+    over ``chips`` chips of machine ``chip`` (CraterLake by default):
+    the source program, the pod, each shard's lowered plan, and the
+    partition."""
+    chip = chip or ChipConfig()
     program = compile_program(
         serving_program(kind, SERVE.degree, SERVE.max_level,
                         SERVE.block_slots, SERVE.max_batch), chip)
@@ -77,7 +81,7 @@ def pod_program(fhe):
 def build(ctx, pod_program, injector=None, transfers=None):
     pod, plans, all_transfers, initial = pod_program
     return PodExecutor(
-        ctx, pod, plans, initial,
+        ctx, pod, ChipConfig(), plans, initial,
         transfers=all_transfers if transfers is None else transfers,
         injector=injector)
 
@@ -113,7 +117,8 @@ def test_partition_computes_what_its_source_computes(fhe, kind, chips):
     initial = {s.chip: {name: batch for name in plans[s.chip].inputs
                         if name not in s.stitched_inputs}
                for s in part.shards}
-    ex = PodExecutor(ctx, pod, plans, initial, transfers=part.edges)
+    ex = PodExecutor(ctx, pod, ChipConfig(), plans, initial,
+                     transfers=part.edges)
     final = ex.run()
     got = [final[c][whole.outputs[0]] for c in plans
            if whole.outputs[0] in plans[c].outputs]
@@ -146,6 +151,50 @@ def test_chip_failstop_recovers_bit_exact(fhe, pod_program, reference,
     # Replays are priced by the cycle model, and only replays are.
     assert (ex.stats.replay_cycles > 0) == (ex.stats.replayed_steps > 0)
     assert states_equal(final, reference)
+
+
+def test_replays_are_priced_on_the_partitioned_machine(fhe):
+    """A pod partitioned for F1+ charges each replayed step its F1+
+    step price, in replay order."""
+    ctx, sk, batch = fhe
+    cfg = f1plus_config()
+    _, pod, plans, part = shards(ctx, sk, "lstm", CHIPS, cfg)
+    prices = {c: plan.step_cycles(cfg) for c, plan in plans.items()}
+    default = {c: plan.step_cycles(ChipConfig())
+               for c, plan in plans.items()}
+    ran = []
+
+    def logged(c, i, fn):
+        def run(ctx_, state):
+            ran.append((c, i))
+            fn(ctx_, state)
+        return run
+
+    logged_plans = {
+        c: replace(plan, steps=[step._replace(fn=logged(c, i, step.fn))
+                                for i, step in enumerate(plan.steps)])
+        for c, plan in plans.items()}
+    initial = {0: {plans[0].inputs[0]: batch}}
+    replayed_runs = 0
+    for skip in range(STEPS):
+        inj = FaultInjector(seed=5)
+        inj.arm(CHIP, skip=skip)
+        ran.clear()
+        ex = PodExecutor(ctx, pod, cfg, logged_plans, initial,
+                         transfers=part.edges, injector=inj)
+        ex.run()
+        seen = set()
+        want = on_default = 0.0
+        for c, i in ran:
+            if (c, i) in seen:
+                want += prices[c][i]
+                on_default += default[c][i]
+            seen.add((c, i))
+        assert ex.stats.replay_cycles == want
+        if ex.stats.replayed_steps:
+            replayed_runs += 1
+            assert want != on_default
+    assert replayed_runs
 
 
 def test_link_corruption_detected_and_retransmitted(fhe, pod_program,
@@ -210,4 +259,5 @@ def test_unfed_input_is_a_schedule_error(fhe, pod_program):
 def test_plan_outside_pod_rejected(fhe, pod_program):
     pod, plans, _, initial = pod_program
     with pytest.raises(ParameterError):
-        PodExecutor(fhe[0], PodConfig(chips=2), {5: plans[0]}, initial)
+        PodExecutor(fhe[0], PodConfig(chips=2), ChipConfig(), {5: plans[0]},
+                    initial)

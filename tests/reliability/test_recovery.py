@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ChipConfig
+from repro.core.simulator import simulate
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.reliability import guards
 from repro.reliability.backoff import Backoff
@@ -17,6 +18,7 @@ from repro.reliability.recovery import (
     RecoveringExecutor,
     RecoveryPolicy,
     RingBufferStore,
+    campaign_program,
     restore_checkpoint,
     run_recovery_campaign,
     sealed_copy,
@@ -293,6 +295,13 @@ def test_recovery_campaign_accounts_overhead(recovery_campaign):
     assert r.base_cycles_per_run > 0
     report = r.report()
     assert "recovered" in report and "cycles" in report
+
+
+def test_recovery_campaign_prices_a_run_as_simulated(recovery_campaign):
+    """The useful cycles the overhead is measured against are the
+    simulated run of the campaign's program."""
+    run = simulate(campaign_program(128, 4, 8), ChipConfig())
+    assert recovery_campaign.base_cycles_per_run == run.program_cycles
 
 
 def test_recovery_campaign_reproducible(recovery_campaign):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.compiler import FheBuilder
 from repro.core.config import ChipConfig
-from repro.core.cost import op_cost
 from repro.core.simulator import simulate
 from repro.interpret import lower
 from repro.ir import HomOp, Program
@@ -198,15 +197,17 @@ def test_state_holds_only_live_values(server):
     assert plan.outputs[0] in state
 
 
-def test_step_prices_are_the_cycle_model_of_their_ops():
-    cfg = ChipConfig()
-    program = serving_program("logreg", 256, 5, 16, 4)
-    plan = lower(program)
-    prices = plan.step_cycles(cfg)
-    pmult, rescale = program.ops[1], program.ops[2]
-    assert prices[0] == (op_cost(cfg, pmult, 256).compute_cycles(cfg)
-                         + op_cost(cfg, rescale, 256).compute_cycles(cfg))
-    assert len(prices) == len(plan.steps)
+@pytest.mark.parametrize("kind", SERVE_KINDS)
+def test_step_prices_add_up_to_the_simulated_run(server, kind):
+    """A step's price is its ops' share of the simulated critical path,
+    so the prices of a full run add up to the run itself - a replay
+    costs what running the steps again costs."""
+    cfg = server.chip
+    for occupancy in range(1, server.cfg.max_batch + 1):
+        plan, prices = server._plan(kind, occupancy)
+        assert prices == plan.step_cycles(cfg)
+        assert len(prices) == len(plan.steps)
+        assert sum(prices) == simulate(plan.program, cfg).program_cycles
 
 
 def test_recovery_campaign_program_runs_the_ops_simulate_charges(fhe):
