@@ -281,12 +281,17 @@ class CkksContext:
         """Post-op bookkeeping: thread the noise budget, seal the result.
 
         ``seal=False`` skips the fresh reseal for ops that already carried
-        their operands' seals forward (see :meth:`_carry_seal`).
+        their operands' seals forward (see :meth:`_carry_seal`).  A fresh
+        seal first verifies every ciphertext operand: an op either
+        carries its operands' seals or checks them, so a corrupted
+        operand can never be laundered into a validly sealed result.
         """
         policy = self.policy
         if policy.track_noise:
             self._thread_budget(out, kind, parents)
         if policy.checksums and seal:
+            for parent in parents:
+                self.verify_integrity(parent, f"{kind} operand")
             self.seal(out)
         return out
 
@@ -613,10 +618,12 @@ class CkksContext:
             result_scale = a.scale
         pt = self._targeted_plaintext(a, values, result_scale, cache,
                                       cache_key)
-        out = self.rescale(self.mul_plain(a, pt))
-        # Float bookkeeping may be off by an ulp; pin the declared scale.
-        out.scale = result_scale
-        return self._finish(out, "pmult", a)
+        p = pt.poly.to_eval()
+        # Multiply and rescale in one op: ``a`` is verified and the
+        # result sealed once, by the single _finish.  The scale is the
+        # declared one exactly (float bookkeeping may be off by an ulp).
+        c0, c1 = batch_rescale([a.c0 * p, a.c1 * p])
+        return self._finish(Ciphertext(c0, c1, result_scale), "pmult", a)
 
     def _targeted_plaintext(self, a: Ciphertext, values,
                             result_scale: float, cache: dict | None,

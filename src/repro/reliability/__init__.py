@@ -10,7 +10,7 @@ names the invariant and the values that broke it), and where possible
 bootstraps instead of letting decryption fail).
 
 See ``docs/RELIABILITY.md`` for the taxonomy and usage, and run the
-fault-injection acceptance campaign with::
+fault-injection and recovery acceptance campaign with::
 
     PYTHONPATH=src python -m repro.reliability --faults 1000
 """
@@ -47,8 +47,7 @@ from repro.reliability.validate import validate_config, validate_program
 # about (and which would split the injector switch across two instances).
 # The recovery module rides the same mechanism so ``import
 # repro.reliability`` stays light.
-_FAULTS_NAMES = ("CampaignResult", "FaultInjector", "injecting",
-                 "run_campaign")
+_FAULTS_NAMES = ("FaultInjector", "injecting")
 _RECOVERY_NAMES = ("Checkpoint", "DiskStore", "RecoveringExecutor",
                    "RecoveryCampaignResult", "RecoveryPolicy",
                    "RecoveryStats", "RingBufferStore",
@@ -70,7 +69,6 @@ def __getattr__(name):
 
 __all__ = [
     "Backoff",
-    "CampaignResult",
     "Checkpoint",
     "ConfigError",
     "DEGRADE",
@@ -98,7 +96,6 @@ __all__ = [
     "limb_checksums",
     "mismatched_limbs",
     "restore_checkpoint",
-    "run_campaign",
     "run_recovery_campaign",
     "sealed_copy",
     "take_checkpoint",

@@ -1,8 +1,8 @@
 """One harness for the seeded fault campaigns.
 
-Four campaigns show that long encrypted runs survive faults: detection
-and recovery (`repro.reliability`), serving (`repro.serve`) and the pod
-(`repro.pod`).  Each owns only its workload and its fault schedule; what
+Three campaigns show that long encrypted runs survive faults: the
+reliability campaign (`repro.reliability`), serving (`repro.serve`) and
+the pod (`repro.pod`).  Each owns only its workload and its fault schedule; what
 they share lives here:
 
 * :class:`SiteStats` - the one per-site outcome record;

@@ -532,6 +532,7 @@ class RecoveryCampaignResult(SiteTotals):
     checkpoint_cycles: float       # total resilience cost across all trials
     replay_cycles: float
     total_seconds: float
+    check_seconds: float  # wall time inside the detectors (_CHECK_SPANS)
     counters: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -581,29 +582,41 @@ class RecoveryCampaignResult(SiteTotals):
                 f"checkpoint traffic ({self.overhead_fraction:.2%} of "
                 f"{self.base_cycles_per_run * max(1, self.injected):,.0f} "
                 "useful cycles)",
-                f"wall time: {self.total_seconds:.1f}s",
+                f"detection overhead: {self.check_seconds * 1e3:.1f} ms "
+                f"of {self.total_seconds * 1e3:.1f} ms wall time "
+                f"({self.check_seconds / self.total_seconds:.1%})",
             ])
 
 
 _SITE_FIELDS = ("injected", "detected", "recovered", "wrong", "unrecovered",
                 "benign", "replayed_steps")
 
+# The detectors' spans: their summed wall time is the campaign's
+# detection overhead.
+_CHECK_SPANS = ("reliability.checksum.seal", "reliability.checksum.verify",
+                "reliability.ntt.recheck", "reliability.ntt.checksum",
+                "reliability.hint.verify", "reliability.rf.evict_verify")
+
 
 def campaign_program(degree: int, max_level: int, ops_per_run: int):
-    """The campaign's level-preserving program: alternate rotate and add.
+    """The campaign's program: one pmult, then alternate rotate and add.
 
-    ``acc`` is rotated by one slot, then ``base`` is added back, for
-    ``ops_per_run`` ops.  Each rotate begins an executor step
-    (`repro.interpret`), so every step crosses a detector boundary
-    (operand verify, hint load, NTT checksums, the eviction sweep),
-    while ``base`` is the quiet register-file resident whose corruption
-    sits undetected until the next sweep.
+    ``acc`` is multiplied by the plaintext ``"w"`` (and rescaled), then
+    rotated by one slot and ``base`` added back, for ``ops_per_run``
+    ops.  The serving programs' steps start with a rotate or a pmult, so
+    the campaign's do too: each pmult or rotate begins an executor step
+    (`repro.interpret`), and every step crosses a detector boundary
+    (operand verify; for a rotate also the hint load, NTT checksums and
+    the eviction sweep).  ``base`` enters at the pmult's output level
+    and is the quiet register-file resident whose corruption sits
+    undetected until the next sweep.
     """
     from repro.compiler.dsl import FheBuilder  # deferred: it imports us
 
     b = FheBuilder("recovery-campaign", degree=degree, max_level=max_level)
     acc = b.input("acc", max_level)
-    base = b.input("base", max_level)
+    base = b.input("base", max_level - 1)
+    acc = b.pmult(acc, "w")
     for i in range(ops_per_run):
         acc = b.rotate(acc, 1) if i % 2 == 0 else b.add(acc, base)
     b.output(acc)
@@ -618,8 +631,9 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
                           ) -> RecoveryCampaignResult:
     """Inject one seeded fault per trial and measure end-to-end recovery.
 
-    Each trial runs :func:`campaign_program` (``ops_per_run`` rotate/add
-    ops, one executor step per rotate and its add) under a
+    Each trial runs :func:`campaign_program` (a pmult step, then
+    ``ops_per_run`` rotate/add ops, one executor step per rotate and its
+    add) under a
     :class:`RecoveringExecutor` with one corruption armed at a random
     step: ``limb`` faults hit the working accumulator, ``rf``
     faults a quiet register-file resident, ``ntt``/``hbm`` faults fire
@@ -646,7 +660,8 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     sk = ctx.keygen()
     cfg = ChipConfig()
     plan = lower(campaign_program(degree, max_level, ops_per_run),
-                 hints={1: ctx.rotation_hint(sk, 1)})
+                 hints={1: ctx.rotation_hint(sk, 1)},
+                 plaintexts={"w": 0.5 * rng.standard_normal(params.slots)})
     acc_name, base_name = plan.inputs
     out_name = plan.outputs[0]
 
@@ -660,7 +675,7 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     acc = ctx.encrypt_values(
         sk, 0.5 * rng.standard_normal(params.slots))
     base = ctx.encrypt_values(
-        sk, 0.5 * rng.standard_normal(params.slots))
+        sk, 0.5 * rng.standard_normal(params.slots), level=max_level - 1)
     master = take_checkpoint(ctx, {acc_name: acc, base_name: base}, 0,
                              label="trial-start")
 
@@ -769,7 +784,10 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
             else:
                 stats_site.benign += 1
 
-    counters = dict(collector.counters) if collector else {}
+    counters = dict(collector.counters)
+    totals = collector.span_totals()
+    check_seconds = sum(totals[name][1] for name in _CHECK_SPANS
+                        if name in totals)
     if own_collector:
         obs.disable()
 
@@ -781,5 +799,6 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
         sites=sites, false_positives=false_positives,
         base_cycles_per_run=sum(step_cycles),
         checkpoint_cycles=checkpoint_cycles, replay_cycles=replay_cycles,
-        total_seconds=time.perf_counter() - t0, counters=counters,
+        total_seconds=time.perf_counter() - t0,
+        check_seconds=check_seconds, counters=counters,
     )

@@ -521,12 +521,12 @@ class Server:
                 occupancy_s += overhead
                 if c.verify_responses \
                         and not self._verify(state, plan, master):
-                    # A fault slipped past every in-executor detector
-                    # (e.g. a limb flip right before a pmult, whose
-                    # fresh reseal launders the corruption).  The clean
-                    # replay is the court of last resort: treat the
-                    # attempt as faulted and retry.  The replay itself
-                    # costs a clean service pass of chip time.
+                    # A fault slipped past every in-executor detector.
+                    # Every op checks or carries its operands' seals, so
+                    # on the seeded campaigns this does not fire; the
+                    # clean replay is the court of last resort: treat
+                    # the attempt as faulted and retry.  The replay
+                    # itself costs a clean service pass of chip time.
                     self._count("verify_mismatches")
                     duration += service_s
                     occupancy_s += steady_s

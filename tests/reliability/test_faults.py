@@ -1,8 +1,10 @@
-"""Deterministic fault injection: the injector and the campaign harness."""
+"""Deterministic fault injection: the injector, the campaign harness, and
+a limb flip before each CKKS op kind."""
 
 import numpy as np
 import pytest
 
+from repro.reliability.errors import FaultDetectedError
 from repro.reliability.faults import (
     HBM,
     LIMB,
@@ -10,8 +12,8 @@ from repro.reliability.faults import (
     RF,
     SITES,
     FaultInjector,
-    run_campaign,
 )
+from repro.reliability.recovery import run_recovery_campaign
 
 
 def test_injector_is_deterministic():
@@ -72,12 +74,15 @@ def test_corruption_flips_bits_below_modulus_width():
 #
 # The full acceptance campaign (1000+ faults) runs in CI via
 # `python -m repro.reliability`; here a small seeded campaign checks the
-# harness end to end without dominating the suite's runtime.
+# harness end to end at one level deeper than the gate's run, without
+# dominating the suite's runtime.
+
+CAMPAIGN = dict(seed=2022, faults=80, degree=128, max_level=5, clean_runs=2)
+
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_campaign(seed=2022, faults=80, degree=128, max_level=5,
-                        pool_size=4, clean_ops=16)
+    return run_recovery_campaign(**CAMPAIGN)
 
 
 def test_campaign_covers_all_sites(campaign):
@@ -91,11 +96,10 @@ def test_campaign_zero_false_positives(campaign):
 
 
 def test_campaign_deterministic_detection_rates(campaign):
-    # Every detector is now exact: operand-at-rest and hint-transfer
-    # checksums were always so; the end-of-op transform checksum catches
+    # Every detector is exact: operand-at-rest and hint-transfer
+    # checksums always were; the end-of-op transform checksum catches
     # any single corrupted NTT output word deterministically, and the
-    # keyswitch-boundary eviction sweep covers every RF resident (the
-    # PR 2 spot checks left both below 100%).
+    # keyswitch-boundary eviction sweep covers every RF resident.
     assert campaign.detection_rate(LIMB) == 1.0
     assert campaign.detection_rate(HBM) == 1.0
     assert campaign.detection_rate(NTT) == 1.0
@@ -103,8 +107,7 @@ def test_campaign_deterministic_detection_rates(campaign):
 
 
 def test_campaign_reproducible(campaign):
-    again = run_campaign(seed=2022, faults=80, degree=128, max_level=5,
-                         pool_size=4, clean_ops=16)
+    again = run_recovery_campaign(**CAMPAIGN)
     for site in SITES:
         assert again.sites[site].injected == campaign.sites[site].injected
         assert again.sites[site].detected == campaign.sites[site].detected
@@ -129,7 +132,6 @@ def sealed_fhe():
 
 def test_limb_fault_in_raised_digits_is_detected(sealed_fhe):
     from repro.fhe.hoisting import HoistedRotator
-    from repro.reliability.errors import FaultDetectedError
 
     ctx, sk = sealed_fhe
     ct = ctx.encrypt_values(sk, [0.5, -0.25])
@@ -147,7 +149,6 @@ def test_limb_fault_in_raised_digits_is_detected(sealed_fhe):
 
 def test_corrupt_source_is_caught_before_hoisting(sealed_fhe):
     from repro.fhe.hoisting import HoistedRotator
-    from repro.reliability.errors import FaultDetectedError
 
     ctx, sk = sealed_fhe
     ct = ctx.encrypt_values(sk, [0.125])
@@ -167,3 +168,76 @@ def test_hoisted_rotation_output_is_sealed(sealed_fhe):
     out = rotator.rotate(1, ctx.rotation_hint(sk, 1))
     assert out.integrity is not None  # downstream ops can keep verifying
     ctx.verify_integrity(out)
+
+
+# -- one limb flip before each op kind ---------------------------------------
+#
+# Every op that consumes a ciphertext either verifies its operands' seals
+# (a keyswitch or multiply before computing, any other op before it
+# reseals its result) or carries them forward (add, sub).  A flip just
+# before the op is therefore caught by the op itself, or - for add/sub -
+# by the carried seal at the next verification.
+
+def _hoisted_rotate(ctx, ct, aux):
+    from repro.fhe.hoisting import HoistedRotator
+
+    return HoistedRotator(ctx, ct, alpha=ctx.params.alpha).rotate(
+        1, aux["rot1"])
+
+
+CHECKING_OPS = {
+    "pmult": lambda ctx, ct, h: ctx.pmult(ct, [0.5]),
+    "pmult_deferred": lambda ctx, ct, h: ctx.pmult_deferred(ct, [0.5]),
+    "mul_plain": lambda ctx, ct, h: ctx.mul_plain(
+        ct, ctx.encode([0.5], level=ct.level)),
+    "rescale": lambda ctx, ct, h: ctx.rescale(ct),
+    "add_plain": lambda ctx, ct, h: ctx.add_plain(
+        ct, ctx.encode([0.5], level=ct.level, scale=ct.scale)),
+    "add_scalar": lambda ctx, ct, h: ctx.add_scalar(ct, 0.5),
+    "negate": lambda ctx, ct, h: ctx.negate(ct),
+    "mod_drop": lambda ctx, ct, h: ctx.mod_drop(ct),
+    "rotate": lambda ctx, ct, h: ctx.rotate(ct, 1, h["rot1"]),
+    "conjugate": lambda ctx, ct, h: ctx.conjugate(ct, h["conj"]),
+    "multiply": lambda ctx, ct, h: ctx.multiply(ct, h["other"], h["relin"]),
+    "hoisted_rotate": _hoisted_rotate,
+}
+
+
+@pytest.fixture(scope="module")
+def aux(sealed_fhe):
+    """The hints the keyswitching ops take, and a clean second operand."""
+    ctx, sk = sealed_fhe
+    return {"rot1": ctx.rotation_hint(sk, 1),
+            "conj": ctx.conjugation_hint(sk),
+            "relin": ctx.relin_hint(sk),
+            "other": ctx.encrypt_values(sk, [0.25, 0.75])}
+
+
+def _flipped(ctx, sk, seed: int, half: str):
+    ct = ctx.encrypt_values(sk, [0.5, -0.25])
+    injector = FaultInjector(seed=seed)
+    injector.arm(LIMB)
+    assert injector.maybe_corrupt(LIMB, getattr(ct, half).data)
+    return ct
+
+
+@pytest.mark.parametrize("half", ["c0", "c1"])
+@pytest.mark.parametrize("op", list(CHECKING_OPS))
+def test_limb_flip_before_an_op_is_detected_by_it(sealed_fhe, aux, op,
+                                                   half):
+    ctx, sk = sealed_fhe
+    clean = ctx.encrypt_values(sk, [0.5, -0.25])
+    CHECKING_OPS[op](ctx, clean, aux)  # clean: silent
+    ct = _flipped(ctx, sk, seed=len(op), half=half)
+    with pytest.raises(FaultDetectedError, match="operand|hoist source"):
+        CHECKING_OPS[op](ctx, ct, aux)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_limb_flip_before_add_or_sub_rides_the_carried_seal(sealed_fhe,
+                                                            aux, op):
+    ctx, sk = sealed_fhe
+    ct = _flipped(ctx, sk, seed=7, half="c0")
+    out = getattr(ctx, op)(ct, aux["other"])  # carries, does not check
+    with pytest.raises(FaultDetectedError, match="limb checksum mismatch"):
+        ctx.verify_integrity(out)

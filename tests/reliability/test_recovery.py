@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
 from repro.fhe.ckks import CkksContext, CkksParams
+from repro.interpret import LEAD_KINDS, lower
 from repro.reliability import guards
 from repro.reliability.backoff import Backoff
 from repro.reliability.campaign import check
@@ -278,10 +279,21 @@ def recovery_campaign():
                                  max_level=4, clean_runs=2)
 
 
+def test_campaign_steps_start_like_the_serving_programs():
+    """The serving programs' steps start with a rotate or a pmult, so
+    limb victims meet both kinds in the campaign too."""
+    plan = lower(campaign_program(128, 4, 8))
+    leads = [next(op.kind for op in s.ops if op.kind in LEAD_KINDS)
+             for s in plan.steps]
+    assert set(leads) == {"pmult", "rotate"}
+
+
 def test_recovery_campaign_recovers_all_detected(recovery_campaign):
     r = recovery_campaign
     assert r.false_positives == 0
-    assert r.injected > 0
+    for site, stats in r.sites.items():
+        assert stats.injected > 0, site
+        assert r.detection_rate(site) == 1.0, site
     assert r.detected == r.injected          # every injection detected
     assert r.recovered == r.detected         # every detection recovered
     assert r.aborted == 0 and r.undetected == 0
@@ -309,6 +321,7 @@ def test_recovery_campaign_reproducible(recovery_campaign):
                                   max_level=4, clean_runs=2)
     for site, stats in recovery_campaign.sites.items():
         assert again.sites[site].injected == stats.injected
+        assert again.sites[site].detected == stats.detected
         assert again.sites[site].recovered == stats.recovered
         assert again.sites[site].replayed_steps == stats.replayed_steps
 

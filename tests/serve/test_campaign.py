@@ -80,6 +80,17 @@ def test_different_seed_changes_the_run():
     assert a.to_json() != b.to_json()
 
 
+def test_no_wrong_answers_without_the_clean_replay():
+    """The CI campaign's spec with ``verify_responses`` off: every op
+    checks the operands it reseals, so no fault slips past the executor
+    into an answer and the replay has nothing left to catch.
+    (run_campaign's reconcile asserts 0 wrong answers too.)"""
+    res = run_campaign(LoadSpec(seed=2022),
+                       ServeConfig(seed=2022, verify_responses=False))
+    assert res.injected_total > 0
+    assert res.wrong_answers == 0
+
+
 def test_counters_match_tallies_exactly(result):
     for key in ("offered", "admitted", "completed", "retries"):
         assert result.counters.get(f"serve.{key}", 0.0) \

@@ -168,8 +168,8 @@ def test_step_cut_one_per_keyswitch_or_pmult():
     assert lstm.steps[0].source == lstm.inputs[0]
 
     rec = lower(campaign_program(128, 4, 8))
-    assert len(rec.steps) == 4           # each rotate with its add
-    assert all(s.keyswitches for s in rec.steps)
+    assert len(rec.steps) == 5           # the pmult, each rotate + add
+    assert [s.keyswitches for s in rec.steps] == [False] + [True] * 4
 
     # Pod shards lower like any program; a cut never separates a pmult
     # from its rescale, and each stitched INPUT is a step input.
@@ -212,10 +212,13 @@ def test_step_prices_add_up_to_the_simulated_run(server, kind):
 
 def test_recovery_campaign_program_runs_the_ops_simulate_charges(fhe):
     program = campaign_program(fhe.ctx.params.degree, 6, 8)
-    plan = lower(program, {1: fhe.rot1})
-    ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(3))
+    plan = lower(program, {1: fhe.rot1}, {"w": fhe.random_values(4)})
+    acc, base = plan.inputs
+    values = fhe.random_values(3)
+    state = {acc: fhe.ctx.encrypt_values(fhe.sk, values),
+             base: fhe.ctx.encrypt_values(fhe.sk, values, level=5)}
     with obs.collecting() as ran:
-        plan.run(fhe.ctx, dict.fromkeys(plan.inputs, ct))
+        plan.run(fhe.ctx, state)
     with obs.collecting() as charged:
         simulate(program, ChipConfig())
     assert _kinds(ran.counters, "fhe.ops.") \

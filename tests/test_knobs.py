@@ -49,7 +49,7 @@ PARAMETERS = {
 # ``repro.reliability.campaign.add_cli_flags`` in all three.
 CLI_FLAGS = {
     "repro.reliability.faults": [
-        "--seed", "--faults", "--degree", "--max-level", "--recovery",
+        "--seed", "--faults", "--degree", "--max-level",
         "--check", "--emit-baseline", "--json",
     ],
     "repro.serve.__main__": [
